@@ -1,13 +1,15 @@
 // Network ingest bench: how much does the TCP front door cost on top of
-// direct engine feeds? Three stages over the same workload:
+// direct feeds? Three stages over the same workload:
 //
-//   1. record-live    direct engine.feed() batches, recorded to a listfile
+//   1. record-live    direct group.feed() batches on a 2-replica
+//                     EngineGroup, recorded to a listfile
 //   2. replay-direct  replay_listfile() re-drives a fresh engine from the
 //                     file (no sockets) and verifies every decision
-//   3. replay-socket  the same file drives a real IngestServer through a
-//                     loopback BlockingClient (window flow control), and
-//                     every decision fanned back is compared against the
-//                     recorded one
+//   3. replay-socket  the same file drives a real IngestServer over a
+//                     2-replica group through a loopback BlockingClient
+//                     (window flow control), and every decision fanned
+//                     back is compared against the recorded one with the
+//                     same (token, seq)
 //
 // The bench is self-gating: any decision mismatch, dropped frame, or
 // protocol error — or a socket path slower than the throughput floor —
@@ -16,9 +18,10 @@
 // Flags: --sessions=<n> --steps=<n> --cohort=<n> --window=<n>
 //        --floor=<cycles/s socket-path gate, 0 disables>
 #include <cstdio>
-#include <deque>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -29,7 +32,7 @@
 #include "net/listfile.h"
 #include "net/server.h"
 #include "obs/metrics.h"
-#include "serve/engine.h"
+#include "serve/group.h"
 
 namespace {
 
@@ -84,8 +87,11 @@ struct LiveRun {
   serve::LatencySummary latency;
 };
 
+/// Replica count of the recording and serving groups.
+constexpr std::size_t kReplicas = 2;
+
 /// Stage 1: direct batched feeds, recorded the way the server records.
-LiveRun record_live(serve::MonitorEngine& engine, const std::string& path,
+LiveRun record_live(serve::EngineGroup& group, const std::string& path,
                     std::size_t sessions, std::size_t steps, int cohort) {
   const std::vector<std::string> monitors = {"guideline", "cawot", "cawt"};
   net::ListfileWriter writer(path);
@@ -96,7 +102,7 @@ LiveRun record_live(serve::MonitorEngine& engine, const std::string& path,
   std::vector<Live> live;
   for (std::size_t s = 0; s < sessions; ++s) {
     const std::string& monitor_name = monitors[s % monitors.size()];
-    const auto id = engine.open_session(
+    const auto id = group.open_session(
         "bench/session" + std::to_string(s), monitor_name,
         static_cast<int>(s % static_cast<std::size_t>(cohort)));
     writer.record_open({.key = id,
@@ -117,7 +123,7 @@ LiveRun record_live(serve::MonitorEngine& engine, const std::string& path,
                                     5.0 * static_cast<double>(k))};
       writer.record_tick({.key = live[i].id, .seq = k, .obs = batch[i].obs});
     }
-    engine.feed(batch, decisions);
+    group.feed(batch, decisions);
     for (std::size_t i = 0; i < live.size(); ++i) {
       writer.record_decision(
           {.key = live[i].id, .seq = k, .decision = decisions[i]});
@@ -126,10 +132,10 @@ LiveRun record_live(serve::MonitorEngine& engine, const std::string& path,
   }
   for (const auto& session : live) {
     writer.record_close({.key = session.id});
-    engine.close_session(session.id);
+    group.close_session(session.id);
   }
   writer.finish();
-  result.latency = engine.latency();
+  result.latency = group.latency();
   return result;
 }
 
@@ -148,33 +154,45 @@ SocketRun replay_over_socket(const std::string& path,
                              const core::ArtifactBundle& bundle,
                              std::size_t window) {
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group(
+      {.replicas = kReplicas, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
   config.max_queued_events = window * 2;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   SocketRun result;
   net::BlockingClient client("127.0.0.1", server.port(), "bench replayer");
-  // Per-key queue of recorded decisions, matched as live ones fan back.
-  std::unordered_map<std::uint64_t, std::deque<monitor::Decision>> recorded;
+  // Recorded and live decisions meet by (token, seq). Arrival order says
+  // nothing: the file lists a step's decisions after all of its ticks, so
+  // a live decision can fan back before its recorded twin has been read.
+  // Whichever side arrives first waits here for the other.
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  std::map<Key, monitor::Decision> recorded_waiting;
+  std::map<Key, monitor::Decision> live_waiting;
+  const auto pair_up = [&](const Key& key, const monitor::Decision& decision,
+                           std::map<Key, monitor::Decision>& own,
+                           std::map<Key, monitor::Decision>& other) {
+    const auto it = other.find(key);
+    if (it == other.end()) {
+      // A second decision for one (token, seq) on the same side is a
+      // mismatch in itself.
+      if (!own.emplace(key, decision).second) ++result.mismatches;
+      return;
+    }
+    ++result.compared;
+    if (!decisions_identical(decision, it->second)) ++result.mismatches;
+    other.erase(it);
+  };
   std::unordered_map<std::uint64_t, std::uint64_t> outstanding;
   std::uint64_t in_flight = 0;
 
   const auto consume_one = [&] {
     const net::DecisionMsg msg = client.recv_decision();
-    auto& queue = recorded[msg.token];
-    if (queue.empty()) {
-      ++result.mismatches;  // decision with no recorded counterpart
-    } else {
-      ++result.compared;
-      if (!decisions_identical(msg.decision, queue.front())) {
-        ++result.mismatches;
-      }
-      queue.pop_front();
-    }
+    pair_up({msg.token, msg.seq}, msg.decision, live_waiting,
+            recorded_waiting);
     --in_flight;
     --outstanding[msg.token];
   };
@@ -196,8 +214,8 @@ SocketRun replay_over_socket(const std::string& path,
         while (in_flight >= window) consume_one();
         break;
       case net::RecordKind::kDecision:
-        recorded[record->decision.key].push_back(
-            record->decision.decision);
+        pair_up({record->decision.key, record->decision.seq},
+                record->decision.decision, recorded_waiting, live_waiting);
         break;
       case net::RecordKind::kClose:
         while (outstanding[record->close.key] > 0) consume_one();
@@ -208,10 +226,10 @@ SocketRun replay_over_socket(const std::string& path,
     }
   }
   while (in_flight > 0) consume_one();
-  for (const auto& [key, queue] : recorded) {
-    result.mismatches += queue.size();  // recorded but never reproduced
-  }
-  result.latency = engine.latency();
+  // Either side left unpaired: recorded but never reproduced, or served
+  // with no recorded counterpart.
+  result.mismatches += recorded_waiting.size() + live_waiting.size();
+  result.latency = group.latency();
   server.stop();
   result.server = server.stats();
   return result;
@@ -239,11 +257,12 @@ int main(int argc, char** argv) {
   LiveRun live;
   {
     obs::Registry registry;
-    serve::MonitorEngine engine({.threads = 2, .registry = &registry});
-    engine.register_bundle(bundle);
+    serve::EngineGroup group(
+        {.replicas = kReplicas, .engine = {.registry = &registry}});
+    group.register_bundle(bundle);
     const double rss = aps::bench::peak_rss_mb();
     const auto t0 = std::chrono::steady_clock::now();
-    live = record_live(engine, path, sessions, steps, cohort);
+    live = record_live(group, path, sessions, steps, cohort);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -258,7 +277,7 @@ int main(int argc, char** argv) {
   // 2. Replay the file straight into a fresh engine.
   net::ReplayResult direct;
   {
-    serve::MonitorEngine engine({.threads = 2});
+    serve::MonitorEngine engine;
     engine.register_bundle(bundle);
     const double rss = aps::bench::peak_rss_mb();
     const auto t0 = std::chrono::steady_clock::now();

@@ -1,17 +1,23 @@
-// Serving-path throughput A/B: monitor cycles/sec through MonitorEngine,
+// Serving-path throughput A/B: monitor cycles/sec through an EngineGroup,
 // per monitor kind, on the sharded SoA backend (one batched model call per
 // shard per tick) versus the retained per-session scalar backend. Every
 // monitor is built from a bundle that was saved to disk and loaded back —
-// the serving deployment path, no retraining. Per-tick latency percentiles
-// (p50/p95/p99) come from the engine's own instrumentation; everything is
-// recorded into BENCH_serve_throughput.json (stage per
-// monitor/backend/session-count cell), which the CI smoke step parses to
-// fail on a sharded-vs-scalar throughput regression.
+// the serving deployment path, no retraining. Cells run through an
+// EngineGroup; a cell's cycles/sec counts session-cycles per second of
+// replica engine time (the backends' own serving cost, which every A/B
+// below compares), and "group cycles/s" is the group's throughput over
+// wall time, fan-out to the replica workers included. Per-tick latency
+// percentiles (p50/p95/p99) come from the replica engines' own
+// instrumentation. Everything is recorded into
+// BENCH_serve_throughput.json (stage per monitor/backend/session-count
+// cell), which the CI smoke step parses to fail on a sharded-vs-scalar
+// throughput regression.
 //
 // Flags:
 //   --sessions-max=<n>   largest session count (default 8192)
 //   --budget-ms=<ms>     measurement window per cell (default 300)
-//   --threads=<n>        engine worker threads (default: hardware)
+//   --threads=<n>        engine replicas, one worker thread each
+//                        (default: hardware concurrency)
 //   --ml                 bench DT/MLP/LSTM monitors too (default ON; tiny
 //                        synthetic models) — --ml=0 for rule-based only
 //   --dir=<path>         where the bundle file is written (default /tmp)
@@ -21,6 +27,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -34,6 +41,7 @@
 #include "obs/drift.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
+#include "serve/group.h"
 #include "sim/stack.h"
 
 namespace {
@@ -133,13 +141,46 @@ core::ArtifactBundle build_bundle(bool with_ml) {
   return bundle;
 }
 
-/// One measured cell: warm up (fills LSTM windows, pages weights in), then
-/// feed rotating whole-population batches until the budget elapses; the
-/// engine's own per-tick instrumentation yields cycles/s and percentiles.
-/// The measured loop drives the SoA feed overload with preallocated
-/// decision storage — the production hot path (replica workers, the net
-/// front door): no per-tick allocation, and steady-state batches take the
-/// engine's already-grouped fast path.
+/// One measured cell: the replica engines' latency summary plus the wall
+/// time of the measured loop.
+struct Cell {
+  serve::LatencySummary latency;
+  double wall_s = 0.0;
+  /// Group throughput: session-cycles per wall second.
+  [[nodiscard]] double group_cycles_per_sec() const {
+    return wall_s > 0.0 ? static_cast<double>(latency.cycles) / wall_s : 0.0;
+  }
+};
+
+/// Warm up (fills LSTM windows, pages weights in), then feed rotating
+/// whole-population batches until the budget elapses. The measured loop
+/// reuses preallocated input and decision storage — no per-tick
+/// allocation — and steady-state batches take each replica engine's
+/// already-grouped fast path.
+Cell measure(serve::EngineGroup& group, std::vector<serve::SessionInput>& batch,
+             const std::vector<monitor::Observation>& variants,
+             double budget_ms) {
+  using clock = std::chrono::steady_clock;
+  std::vector<monitor::Decision> decisions(batch.size());
+  for (std::size_t warm = 0; warm < monitor::kLstmWindow; ++warm) {
+    group.feed(batch, decisions);
+  }
+  group.reset_latency();
+  std::size_t variant = 0;
+  const auto start = clock::now();
+  double elapsed_s = 0.0;
+  while (elapsed_s * 1e3 < budget_ms) {
+    const auto& obs = variants[variant];
+    variant = (variant + 1) % variants.size();
+    for (auto& input : batch) input.obs = obs;
+    group.feed(batch, decisions);
+    elapsed_s = std::chrono::duration<double>(clock::now() - start).count();
+  }
+  return {group.latency(), elapsed_s};
+}
+
+/// The same loop on one engine driven directly on this thread (the A/B
+/// stages), through the SoA feed overload a replica worker uses.
 serve::LatencySummary measure(serve::MonitorEngine& engine,
                               std::vector<serve::SessionInput>& batch,
                               const std::vector<monitor::Observation>& variants,
@@ -180,15 +221,17 @@ int main(int argc, char** argv) try {
   CliFlags flags(argc, argv);
   const int sessions_max = flags.get_int("sessions-max", 8192);
   const double budget_ms = flags.get_double("budget-ms", 300.0);
-  const auto threads =
-      static_cast<std::size_t>(flags.get_int("threads", 0));
+  const int threads = flags.get_int("threads", 0);
+  const std::size_t replicas =
+      threads > 0 ? static_cast<std::size_t>(threads)
+                  : std::max(1u, std::thread::hardware_concurrency());
   const bool with_ml = flags.get_bool("ml", true);
   const std::string dir = flags.get_string(
       "dir", (std::filesystem::temp_directory_path() / "aps_serve_bench")
                  .string());
 
   bench::BenchRecorder recorder("serve_throughput");
-  // Engines default to the process-global registry, so each stage's JSON
+  // Groups default to the process-global registry, so each stage's JSON
   // carries the serve_*/drift_* counter deltas that accrued during it.
   recorder.attach_registry(&obs::Registry::global());
   std::filesystem::create_directories(dir);
@@ -205,7 +248,8 @@ int main(int argc, char** argv) try {
               static_cast<std::uintmax_t>(
                   std::filesystem::file_size(bundle_path)),
               cohort, with_ml ? "rule+ML" : "rule-based");
-  std::printf("kernels backend: %s\n", ml::kernels::backend_name());
+  std::printf("kernels backend: %s, %zu replicas\n",
+              ml::kernels::backend_name(), replicas);
 
   std::vector<std::string> monitors = {"cawt", "cawot", "guideline"};
   std::vector<std::string> ml_monitors;
@@ -238,7 +282,7 @@ int main(int argc, char** argv) try {
   }
 
   TextTable table({"monitor", "backend", "sessions", "cycles", "cycles/sec",
-                   "p50us", "p95us", "p99us", "maxus"});
+                   "group cycles/s", "p50us", "p95us", "p99us", "maxus"});
   // cycles/s per (monitor, backend, sessions) for the A/B verdict and the
   // CI regression smoke.
   std::map<std::string, std::map<std::string, std::map<int, double>>> rate;
@@ -248,21 +292,22 @@ int main(int argc, char** argv) try {
          {serve::ServeBackend::kScalar, serve::ServeBackend::kSharded}) {
       for (const int n : session_counts) {
         const double rss_before_mb = bench::peak_rss_mb();
-        serve::MonitorEngine engine(
-            {.threads = threads, .backend = backend});
-        engine.register_bundle(bundle);
+        serve::EngineGroup group(
+            {.replicas = replicas, .engine = {.backend = backend}});
+        group.register_bundle(bundle);
         std::vector<serve::SessionInput> batch;
         batch.reserve(static_cast<std::size_t>(n));
         for (int s = 0; s < n; ++s) {
-          const auto id = engine.open_session(
+          const auto id = group.open_session(
               name + "/patient-" + std::to_string(s), name, s % cohort);
           batch.push_back({id, variants[0]});
         }
-        const serve::LatencySummary m =
-            measure(engine, batch, variants, budget_ms);
+        const Cell cell = measure(group, batch, variants, budget_ms);
+        const serve::LatencySummary& m = cell.latency;
         table.add_row({name, backend_name(backend), std::to_string(n),
                        std::to_string(m.cycles),
                        TextTable::num(m.cycles_per_sec(), 0),
+                       TextTable::num(cell.group_cycles_per_sec(), 0),
                        TextTable::num(m.p50_us, 1),
                        TextTable::num(m.p95_us, 1),
                        TextTable::num(m.p99_us, 1),
@@ -271,6 +316,7 @@ int main(int argc, char** argv) try {
             name + "/" + backend_name(backend) + "/" + std::to_string(n),
             m.seconds, m.cycles, rss_before_mb,
             {{"sessions", static_cast<double>(n)},
+             {"group_cycles_per_sec", cell.group_cycles_per_sec()},
              {"p50_us", m.p50_us},
              {"p95_us", m.p95_us},
              {"p99_us", m.p99_us},
@@ -288,22 +334,24 @@ int main(int argc, char** argv) try {
   for (const auto& name : f32_monitors) {
     for (const int n : session_counts) {
       const double rss_before_mb = bench::peak_rss_mb();
-      serve::MonitorEngine engine({.threads = threads,
-                                   .backend = serve::ServeBackend::kSharded,
-                                   .precision = monitor::Precision::kF32});
-      engine.register_bundle(bundle);
+      serve::EngineGroup group(
+          {.replicas = replicas,
+           .engine = {.backend = serve::ServeBackend::kSharded,
+                      .precision = monitor::Precision::kF32}});
+      group.register_bundle(bundle);
       std::vector<serve::SessionInput> batch;
       batch.reserve(static_cast<std::size_t>(n));
       for (int s = 0; s < n; ++s) {
-        const auto id = engine.open_session(
+        const auto id = group.open_session(
             name + "-f32/patient-" + std::to_string(s), name, s % cohort);
         batch.push_back({id, variants[0]});
       }
-      const serve::LatencySummary m =
-          measure(engine, batch, variants, budget_ms);
+      const Cell cell = measure(group, batch, variants, budget_ms);
+      const serve::LatencySummary& m = cell.latency;
       table.add_row({name + "-f32", "sharded", std::to_string(n),
                      std::to_string(m.cycles),
                      TextTable::num(m.cycles_per_sec(), 0),
+                     TextTable::num(cell.group_cycles_per_sec(), 0),
                      TextTable::num(m.p50_us, 1),
                      TextTable::num(m.p95_us, 1),
                      TextTable::num(m.p99_us, 1),
@@ -311,6 +359,8 @@ int main(int argc, char** argv) try {
       recorder.stage_done(name + "-f32/sharded/" + std::to_string(n),
                           m.seconds, m.cycles, rss_before_mb,
                           {{"sessions", static_cast<double>(n)},
+                           {"group_cycles_per_sec",
+                            cell.group_cycles_per_sec()},
                            {"p50_us", m.p50_us},
                            {"p95_us", m.p95_us},
                            {"p99_us", m.p99_us},
@@ -325,6 +375,13 @@ int main(int argc, char** argv) try {
   // (mandatory counters into a private registry only). Cheapest rule-based
   // monitor = worst-case telemetry fraction of the tick. Informational —
   // recorded in the JSON for the EXPERIMENTS.md trail, target < 2%.
+  //
+  // This A/B and the kernels A/B below compare two configurations of one
+  // replica engine, so each arm is an engine driven on this thread: a
+  // group would give each arm its own worker thread, and how the
+  // scheduler places that thread relative to this one (same core or not)
+  // moves a 1,024-lane rule tick by tens of percent, and differs between
+  // the arms.
   {
     const std::string kind = "guideline";
     double cps[2] = {0.0, 0.0};
@@ -336,12 +393,10 @@ int main(int argc, char** argv) try {
     // scheduler/turbo jitter on shared runners (observed swings of +-7%,
     // larger than the 2% budget the gate enforces).
     serve::MonitorEngine engines[2] = {
-        serve::MonitorEngine({.threads = threads,
-                              .backend = serve::ServeBackend::kSharded,
-                              .telemetry = true}),
-        serve::MonitorEngine({.threads = threads,
-                              .backend = serve::ServeBackend::kSharded,
-                              .telemetry = false})};
+        serve::MonitorEngine(
+            {.backend = serve::ServeBackend::kSharded, .telemetry = true}),
+        serve::MonitorEngine(
+            {.backend = serve::ServeBackend::kSharded, .telemetry = false})};
     std::vector<serve::SessionInput> batches[2];
     for (const int arm : {0, 1}) {
       engines[arm].register_bundle(bundle);
@@ -408,9 +463,8 @@ int main(int argc, char** argv) try {
     const int n_ab = 64;
     const auto run_cell = [&](monitor::Precision precision,
                               const char* tag) {
-      serve::MonitorEngine engine({.threads = threads,
-                                   .backend = serve::ServeBackend::kSharded,
-                                   .precision = precision});
+      serve::MonitorEngine engine(
+          {.backend = serve::ServeBackend::kSharded, .precision = precision});
       engine.register_bundle(bundle);
       std::vector<serve::SessionInput> batch;
       batch.reserve(static_cast<std::size_t>(n_ab));

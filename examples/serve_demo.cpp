@@ -1,24 +1,25 @@
 // End-to-end serving walkthrough: learn monitor artifacts from a quick
 // fault-injection campaign, persist them, load them back in a *fresh*
-// MonitorEngine (as a deployed server would — no retraining), and stream
+// EngineGroup (as a deployed server would — no retraining), and stream
 // the recorded cohort traces through concurrent per-patient sessions.
 //
-// The engine serves on the sharded SoA backend: sessions of one monitor
-// land in contiguous lanes behind one batched model call per tick, and a
-// hot bundle reload (step 5) bumps the model generation under live
-// sessions without perturbing them.
+// Each replica engine serves on the sharded SoA backend: sessions of one
+// monitor land in contiguous lanes behind one batched model call per
+// tick, and a hot bundle reload (step 5) bumps the model generation under
+// live sessions without perturbing them.
 //
 // Flags:
 //   --dir=<path>        artifact output directory (default serve_artifacts)
 //   --ml                also train + serve the tiny DT/MLP/LSTM baselines
 //   --scenarios=<n>     scenarios replayed per patient (default 6)
-//   --threads=<n>       engine worker threads (default: hardware)
+//   --threads=<n>       engine replicas, one worker thread each
+//                       (default: hardware concurrency)
 //   --backend=<name>    "sharded" (default) or "scalar" reference path
-//   --metrics           dump the engine's metric registry after serving
+//   --metrics           dump the group's metric registry after serving
 //                       (Prometheus text on stdout; --metrics-json for the
 //                       JSON exposition instead)
 //   --replay=<listfile> skip the cohort stream: re-drive a recorded
-//                       session listfile through the loaded engine and
+//                       session listfile through a loaded engine and
 //                       verify the decisions match the recording
 //   --listen=<port>     after serving, open the TCP ingest front door on
 //                       the port (0 = ephemeral) and accept clients until
@@ -41,7 +42,7 @@
 #include "net/listfile.h"
 #include "net/server.h"
 #include "obs/metrics.h"
-#include "serve/engine.h"
+#include "serve/group.h"
 #include "sim/stack.h"
 
 namespace {
@@ -54,9 +55,9 @@ struct ReplayStats {
   std::uint64_t alarms = 0;
 };
 
-/// Replay every recorded trace through one engine session per
-/// (patient, scenario) pair, batching all sessions cycle by cycle.
-ReplayStats replay_cohort(serve::MonitorEngine& engine,
+/// Replay every recorded trace through one session per (patient,
+/// scenario) pair, batching all sessions cycle by cycle.
+ReplayStats replay_cohort(serve::EngineGroup& group,
                           const std::string& monitor_name,
                           const sim::CampaignResult& replay,
                           const core::ExperimentContext& context,
@@ -75,7 +76,7 @@ ReplayStats replay_cohort(serve::MonitorEngine& engine,
     const auto count = std::min<std::size_t>(
         by_patient[p].size(), static_cast<std::size_t>(scenarios_per_patient));
     for (std::size_t s = 0; s < count; ++s) {
-      const auto id = engine.open_session(
+      const auto id = group.open_session(
           monitor_name + "/patient" + std::to_string(p) + "/scenario" +
               std::to_string(s),
           monitor_name, static_cast<int>(p));
@@ -98,7 +99,7 @@ ReplayStats replay_cohort(serve::MonitorEngine& engine,
                        core::observation_at(*trace.run, k, trace.basal_rate,
                                             trace.isf)});
     }
-    for (const auto& decision : engine.feed(batch)) {
+    for (const auto& decision : group.feed(batch)) {
       if (decision.alarm) ++stats.alarms;
     }
     stats.cycles += batch.size();
@@ -113,7 +114,10 @@ int main(int argc, char** argv) try {
   const std::string dir = flags.get_string("dir", "serve_artifacts");
   const bool with_ml = flags.get_bool("ml", false);
   const int scenarios = flags.get_int("scenarios", 6);
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  const int threads = flags.get_int("threads", 0);
+  const std::size_t replicas =
+      threads > 0 ? static_cast<std::size_t>(threads)
+                  : std::max(1u, std::thread::hardware_concurrency());
   const serve::ServeBackend backend =
       flags.get_string("backend", "sharded") == "scalar"
           ? serve::ServeBackend::kScalar
@@ -150,14 +154,17 @@ int main(int argc, char** argv) try {
               static_cast<std::uintmax_t>(
                   std::filesystem::file_size(bundle_path)));
 
-  // 3. Fresh engine, loaded (not retrained) artifacts.
+  // 3. Fresh replicas, loaded (not retrained) artifacts.
   const core::ArtifactBundle bundle = io::load_bundle(bundle_path);
-  serve::MonitorEngine engine({.threads = threads, .backend = backend});
-  engine.register_bundle(bundle);
-  std::printf("[3/5] fresh %s engine (generation %ju) loaded monitors:",
+  serve::EngineGroup group(
+      {.replicas = replicas, .engine = {.backend = backend}});
+  group.register_bundle(bundle);
+  std::printf("[3/5] fresh %zu-replica %s group (generation %ju) loaded "
+              "monitors:",
+              group.replicas(),
               backend == serve::ServeBackend::kSharded ? "sharded" : "scalar",
-              static_cast<std::uintmax_t>(engine.generation()));
-  for (const auto& name : engine.registered_monitors()) {
+              static_cast<std::uintmax_t>(group.generation()));
+  for (const auto& name : group.registered_monitors()) {
     std::printf(" %s", name.c_str());
   }
   std::printf("\n");
@@ -185,11 +192,14 @@ int main(int argc, char** argv) try {
   }
 
   // Replay mode: re-drive a recorded listfile instead of the cohort
-  // stream. The engine must carry the same bundle the recording ran
-  // against for the decision verification to come back clean.
+  // stream, through one engine on the caller's thread. The engine must
+  // carry the same bundle the recording ran against for the decision
+  // verification to come back clean.
   if (flags.has("replay")) {
     const std::string listfile = flags.get_string("replay", "");
     std::printf("[4/5] replaying session listfile %s...\n", listfile.c_str());
+    serve::MonitorEngine engine({.backend = backend});
+    engine.register_bundle(bundle);
     const net::ReplayResult result = net::replay_listfile(listfile, engine);
     std::printf(
         "      %zu sessions (%zu closed), %ju ticks re-driven\n"
@@ -215,7 +225,7 @@ int main(int argc, char** argv) try {
   TextTable table({"monitor", "sessions", "cycles", "alarms", "alarm rate"});
   for (const auto& name : monitors) {
     const ReplayStats stats =
-        replay_cohort(engine, name, replay, context, scenarios);
+        replay_cohort(group, name, replay, context, scenarios);
     table.add_row({name, std::to_string(stats.sessions),
                    std::to_string(stats.cycles),
                    std::to_string(stats.alarms),
@@ -225,36 +235,36 @@ int main(int argc, char** argv) try {
                                         static_cast<double>(stats.cycles))});
   }
   table.print(std::cout);
-  const serve::LatencySummary latency = engine.latency();
+  const serve::LatencySummary latency = group.latency();
   std::printf(
-      "\n%zu sessions total, %ju cycles served, %zu threads\n"
+      "\n%zu sessions total, %ju cycles served, %zu replicas\n"
       "per-tick latency p50/p95/p99: %.1f / %.1f / %.1f us  "
-      "(%.0f cycles/s aggregate)\n",
-      engine.session_count(),
-      static_cast<std::uintmax_t>(engine.total_cycles()),
-      engine.thread_count(), latency.p50_us, latency.p95_us, latency.p99_us,
+      "(%.0f cycles per replica-second)\n",
+      group.session_count(),
+      static_cast<std::uintmax_t>(group.total_cycles()), group.replicas(),
+      latency.p50_us, latency.p95_us, latency.p99_us,
       latency.cycles_per_sec());
 
   // 5. Hot reload: re-register the bundle file under the live sessions.
   // In-flight sessions keep their generation; new sessions pick up the
   // fresh one — and a corrupt file would throw IoError touching nothing.
-  const auto before = engine.generation();
-  engine.register_bundle_file(bundle_path);
+  const auto before = group.generation();
+  group.register_bundle_file(bundle_path);
   std::printf(
       "[5/5] hot-reloaded %s: generation %ju -> %ju, %zu live sessions "
       "untouched\n",
       bundle_path.c_str(), static_cast<std::uintmax_t>(before),
-      static_cast<std::uintmax_t>(engine.generation()),
-      engine.session_count());
+      static_cast<std::uintmax_t>(group.generation()),
+      group.session_count());
 
   // Optional network front door: serve live TCP clients on the same
-  // engine (see examples/net_client.cpp for the matching client).
+  // group (see examples/net_client.cpp for the matching client).
   if (flags.has("listen")) {
     net::ServerConfig server_config;
     server_config.port =
         static_cast<std::uint16_t>(flags.get_int("listen", 0));
     server_config.listfile = flags.get_string("record", "");
-    net::IngestServer server(engine, server_config);
+    net::IngestServer server(group, server_config);
     server.start();
     std::printf("\ningest server listening on 127.0.0.1:%u%s%s\n",
                 server.port(),
@@ -279,13 +289,13 @@ int main(int argc, char** argv) try {
         static_cast<std::uintmax_t>(net_stats.bytes_out));
   }
 
-  // Optional scrape: everything the engine (and the training pipeline)
+  // Optional scrape: everything the group (and the training pipeline)
   // recorded, in the exposition a Prometheus agent — or a JSON consumer —
   // would pull from a real serving process.
   if (metrics) {
     std::printf("\n==== metrics scrape (%s) ====\n",
                 metrics_json ? "json" : "prometheus text");
-    const obs::RegistrySnapshot snapshot = engine.registry().scrape();
+    const obs::RegistrySnapshot snapshot = group.registry().scrape();
     std::fputs(
         (metrics_json ? snapshot.json() : snapshot.prometheus()).c_str(),
         stdout);

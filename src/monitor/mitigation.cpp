@@ -1,12 +1,25 @@
 #include "monitor/mitigation.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace aps::monitor {
 
 double mitigate_rate(const Decision& decision, const Observation& obs,
                      const MitigationConfig& config) {
+  if (!(config.max_basal_factor >= 1.0)) {
+    throw std::invalid_argument(
+        "mitigate_rate: max_basal_factor must be >= 1, got " +
+        std::to_string(config.max_basal_factor));
+  }
   if (!decision.alarm) return obs.commanded_rate;
+  // Every corrective rate is scaled from the basal rate; a faulted
+  // (negative or non-finite) basal gives no safe range to act in.
+  if (!std::isfinite(obs.basal_rate) || obs.basal_rate < 0.0) {
+    return obs.commanded_rate;
+  }
   const double max_rate = config.max_basal_factor * obs.basal_rate;
   switch (decision.predicted) {
     case aps::HazardType::kH1TooMuchInsulin:

@@ -27,7 +27,7 @@ namespace aps::obs {
 
 /// Mergeable moment/range summary of one feature. Plain (non-atomic):
 /// hot paths accumulate a local batch and merge it under the detector's
-/// mutex once per chunk.
+/// mutex once per shard stretch.
 struct FeatureSummary {
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -85,7 +85,7 @@ struct DriftConfig {
   std::size_t stride = 16;
   /// Sample every Nth feed tick (1 = every tick). Temporal counterpart of
   /// `stride`: on unsampled ticks the serving engine skips drift feature
-  /// extraction, tracer spans, and per-chunk latency clocks entirely,
+  /// extraction, tracer spans, and per-stretch latency clocks entirely,
   /// which is what keeps the telemetry A/B overhead inside its <2% budget
   /// now that the identity fast path serves a 1k-lane rule tick in ~10us
   /// (a sampled tick costs ~14us, dominated by feature extraction, so the
@@ -95,9 +95,9 @@ struct DriftConfig {
   std::uint32_t sample_every_ticks = 256;
 };
 
-/// Streaming detector for one shard. Thread-safe: chunks running on the
-/// worker pool accumulate local FeatureSummary batches and merge them
-/// here; score/alert reads may race scrapes freely.
+/// Streaming detector for one shard. Thread-safe: the serving engine
+/// accumulates local FeatureSummary batches and merges them here;
+/// score/alert reads may race scrapes freely.
 class DriftDetector {
  public:
   DriftDetector(std::shared_ptr<const TrainingStats> reference,

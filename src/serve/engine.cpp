@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -16,16 +15,14 @@
 
 namespace aps::serve {
 
-namespace {
-
-/// Smallest lane chunk worth dispatching to a worker: below this the
-/// gather/scatter overhead beats the parallelism.
-constexpr std::size_t kMinChunkLanes = 64;
-
-}  // namespace
-
-MonitorEngine::MonitorEngine(EngineConfig config)
-    : config_(config), pool_(config.threads) {
+MonitorEngine::MonitorEngine(EngineConfig config) : config_(config) {
+  if (config_.threads > 1) {
+    throw std::invalid_argument(
+        "MonitorEngine serves on its caller's thread (threads must be 0 or "
+        "1, got " +
+        std::to_string(config_.threads) +
+        "); use an EngineGroup with more replicas to scale out");
+  }
   if (config_.registry != nullptr) {
     registry_ = config_.registry;
   } else if (config_.telemetry) {
@@ -163,7 +160,7 @@ void MonitorEngine::init_shard_telemetry(ServeShard& shard,
   if (!config_.telemetry) return;
   aps::obs::Histogram* latency = &registry_->histogram(
       "serve_shard_tick_latency_us", aps::obs::HistogramSpec::latency_us(),
-      {{"shard", shard.label()}}, "per-shard chunk wall time");
+      {{"shard", shard.label()}}, "per-shard stretch wall time");
   registry_
       ->gauge("serve_shard_precision",
               {{"shard", shard.label()},
@@ -438,7 +435,7 @@ void MonitorEngine::feed_locked(std::span<const SessionId> sessions,
                                 FeedMode mode) {
   if (sessions.empty()) return;
 
-  // Validate up front so the parallel section cannot throw.
+  // Validate up front so a bad id fails before any monitor state moves.
   for (const SessionId sid : sessions) (void)checked_session(sid);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -459,7 +456,7 @@ bool MonitorEngine::drift_tick_due() {
   return (drift_tick_++ % every) == 0;
 }
 
-/// Fold a chunk's observations into the shard's drift detector: strided
+/// Fold a stretch's observations into the shard's drift detector: strided
 /// subsampling into a stack-local per-feature batch, one mutexed merge.
 /// Purely observational — decisions are untouched.
 void MonitorEngine::accumulate_drift(
@@ -484,36 +481,27 @@ void MonitorEngine::accumulate_drift(
 void MonitorEngine::feed_scalar(std::span<const SessionId> sessions,
                                 std::span<const aps::monitor::Observation> obs,
                                 std::span<aps::monitor::Decision> decisions) {
-  // Partition the batch into per-session groups, preserving batch order
-  // within each session. A session appears in exactly one group, so each
-  // group is an independent serial unit of work.
+  // Order the batch by session, preserving batch order within each
+  // session, and gather the observations so every session's inputs form
+  // one contiguous stretch: one observe_batch call per session (batched
+  // monitors amortize inference across their stretch).
   order_.resize(sessions.size());
   for (std::uint32_t i = 0; i < sessions.size(); ++i) order_[i] = i;
   std::stable_sort(order_.begin(), order_.end(),
                    [sessions](std::uint32_t a, std::uint32_t b) {
                      return sessions[a] < sessions[b];
                    });
-  groups_.clear();
-  for (std::uint32_t lo = 0; lo < order_.size();) {
-    std::uint32_t hi = lo + 1;
-    const SessionId session = sessions[order_[lo]];
-    while (hi < order_.size() && sessions[order_[hi]] == session) ++hi;
-    groups_.emplace_back(lo, hi);
-    lo = hi;
-  }
-
-  // Gather each group's observations into one contiguous stretch so every
-  // session gets a single observe_batch call (batched monitors amortize
-  // inference across their group).
   sorted_obs_.resize(sessions.size());
   sorted_decisions_.resize(sessions.size());
   for (std::uint32_t k = 0; k < order_.size(); ++k) {
     sorted_obs_[k] = obs[order_[k]];
   }
 
-  pool_.parallel_for(groups_.size(), [this, sessions](std::size_t g) {
-    const auto [lo, hi] = groups_[g];
-    Session& session = sessions_[sessions[order_[lo]]];
+  for (std::uint32_t lo = 0; lo < order_.size();) {
+    const SessionId sid = sessions[order_[lo]];
+    std::uint32_t hi = lo + 1;
+    while (hi < order_.size() && sessions[order_[hi]] == sid) ++hi;
+    Session& session = sessions_[sid];
     const std::size_t count = hi - lo;
     session.monitor->observe_batch(
         std::span<const aps::monitor::Observation>(&sorted_obs_[lo], count),
@@ -525,7 +513,8 @@ void MonitorEngine::feed_scalar(std::span<const SessionId> sessions,
     }
     session.stats.alarms += alarms;
     if (alarms > 0) metrics_.alarms->add(alarms);
-  });
+    lo = hi;
+  }
 
   for (std::uint32_t k = 0; k < order_.size(); ++k) {
     decisions[order_[k]] = sorted_decisions_[k];
@@ -538,7 +527,7 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
                                  FeedMode mode) {
   const std::size_t n = sessions.size();
   const bool telemetry = config_.telemetry;
-  // Detailed instrumentation — tracer spans, per-chunk latency clocks, and
+  // Detailed instrumentation — tracer spans, per-stretch latency clocks, and
   // drift feature extraction — is tick-sampled on one shared cadence
   // (DriftConfig::sample_every_ticks). Unsampled ticks pay only the
   // aggregate counters (alarms, session stats, the engine-level tick
@@ -548,7 +537,7 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
   aps::obs::Tracer* tracer = detailed ? &registry_->tracer() : nullptr;
   const bool drift_due = detailed;
   const bool degraded_mode = mode == FeedMode::kDegraded;
-  std::atomic<std::uint64_t> degraded{0};
+  std::uint64_t degraded = 0;
 
   // Round r of a session = its r-th input in this batch; rounds execute as
   // sequential lockstep ticks so multiple inputs for one session apply in
@@ -579,25 +568,26 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
     }
   }
 
-  // The worker body for one chunk of lanes [b, e) of `shard`, reading
-  // observations from chunk_obs and writing decisions straight to
-  // chunk_dec (+ the same range of lanes_flat_). Shared by the identity
-  // fast path and the sorted general path; `src` maps chunk positions back
-  // to input indices (nullptr = identity).
-  const auto run_chunk = [&](ServeShard* shard, std::size_t b, std::size_t e,
-                             const aps::monitor::Observation* chunk_obs,
-                             aps::monitor::Decision* chunk_dec,
-                             const std::uint32_t* src) {
+  // One shard stretch [b, e): a single batched call on `shard`, reading
+  // observations from stretch_obs and writing decisions straight to
+  // stretch_dec (+ the same range of lanes_flat_). Shared by the identity
+  // fast path and the sorted general path; `src` maps stretch positions
+  // back to input indices (nullptr = identity).
+  const auto run_stretch = [&](ServeShard* shard, std::size_t b,
+                               std::size_t e,
+                               const aps::monitor::Observation* stretch_obs,
+                               aps::monitor::Decision* stretch_dec,
+                               const std::uint32_t* src) {
     const std::size_t count = e - b;
     const std::span<const std::size_t> lane_span(&lanes_flat_[b], count);
-    const std::span<const aps::monitor::Observation> obs_span(chunk_obs + b,
-                                                              count);
-    const std::span<aps::monitor::Decision> dec_span(chunk_dec + b, count);
+    const std::span<const aps::monitor::Observation> obs_span(
+        stretch_obs + b, count);
+    const std::span<aps::monitor::Decision> dec_span(stretch_dec + b, count);
     const auto c0 = detailed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
     if (degraded_mode && shard->can_degrade()) {
       shard->observe_lanes_degraded(lane_span, obs_span, dec_span);
-      degraded.fetch_add(count, std::memory_order_relaxed);
+      degraded += count;
     } else {
       shard->observe_lanes(lane_span, obs_span, dec_span);
     }
@@ -613,11 +603,11 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
           src != nullptr ? src[kk] : static_cast<std::uint32_t>(kk);
       Session& session = sessions_[sessions[i]];
       ++session.stats.cycles;
-      if (chunk_dec[kk].alarm) {
+      if (stretch_dec[kk].alarm) {
         ++session.stats.alarms;
         ++alarms;
       }
-      if (src != nullptr) decisions[i] = chunk_dec[kk];
+      if (src != nullptr) decisions[i] = stretch_dec[kk];
     }
     if (alarms > 0) metrics_.alarms->add(alarms);
     if (drift_due) accumulate_drift(*shard, obs_span);
@@ -680,76 +670,39 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
     if (tracer != nullptr) {
       span.emplace(tracer, "serve.predict", metrics_.phase_predict);
     }
-    // Chunking only pays when workers can actually overlap; a
-    // single-worker pool serves each shard stretch as one whole batched
-    // call.
-    const std::size_t target_chunks =
-        pool_.thread_count() > 1 ? pool_.thread_count() * 2 : 1;
     if (single_round && already_grouped) {
       // Identity fast path: one round over [0, n), observations and
       // decisions used in place.
-      groups_.clear();
-      chunk_shards_.clear();
       std::size_t lo = 0;
       while (lo < n) {
         ServeShard* shard = sessions_[sessions[lo]].shard;
         std::size_t hi = lo + 1;
         while (hi < n && sessions_[sessions[hi]].shard == shard) ++hi;
-        const std::size_t chunk = std::max(
-            kMinChunkLanes, (hi - lo + target_chunks - 1) / target_chunks);
-        for (std::size_t b = lo; b < hi; b += chunk) {
-          groups_.emplace_back(static_cast<std::uint32_t>(b),
-                               static_cast<std::uint32_t>(std::min(b + chunk,
-                                                                   hi)));
-          chunk_shards_.push_back(shard);
-        }
+        run_stretch(shard, lo, hi, obs.data(), decisions.data(), nullptr);
         lo = hi;
       }
-      pool_.parallel_for(groups_.size(), [&](std::size_t g) {
-        const auto [b, e] = groups_[g];
-        run_chunk(chunk_shards_[g], b, e, obs.data(), decisions.data(),
-                  nullptr);
-      });
     } else {
-      std::size_t k = 0;
-      while (k < n) {
-        const std::uint32_t round = round_of_[order_[k]];
-        // Collect this round's shard stretches, subdividing large ones
-        // into chunks; all chunks of one round touch disjoint lanes, so
-        // they run concurrently against their shards.
-        groups_.clear();
-        chunk_shards_.clear();
-        std::size_t lo = k;
-        while (lo < n && round_of_[order_[lo]] == round) {
-          ServeShard* shard = sessions_[sessions[order_[lo]]].shard;
-          std::size_t hi = lo + 1;
-          while (hi < n && round_of_[order_[hi]] == round &&
-                 sessions_[sessions[order_[hi]]].shard == shard) {
-            ++hi;
-          }
-          const std::size_t chunk = std::max(
-              kMinChunkLanes, (hi - lo + target_chunks - 1) / target_chunks);
-          for (std::size_t b = lo; b < hi; b += chunk) {
-            groups_.emplace_back(
-                static_cast<std::uint32_t>(b),
-                static_cast<std::uint32_t>(std::min(b + chunk, hi)));
-            chunk_shards_.push_back(shard);
-          }
-          lo = hi;
+      // Rounds run in order; within a round each shard stretch is one
+      // batched call.
+      std::size_t lo = 0;
+      while (lo < n) {
+        const std::uint32_t round = round_of_[order_[lo]];
+        ServeShard* shard = sessions_[sessions[order_[lo]]].shard;
+        std::size_t hi = lo + 1;
+        while (hi < n && round_of_[order_[hi]] == round &&
+               sessions_[sessions[order_[hi]]].shard == shard) {
+          ++hi;
         }
-        pool_.parallel_for(groups_.size(), [&](std::size_t g) {
-          const auto [b, e] = groups_[g];
-          run_chunk(chunk_shards_[g], b, e, sorted_obs_.data(),
+        run_stretch(shard, lo, hi, sorted_obs_.data(),
                     sorted_decisions_.data(), src_flat_.data());
-        });
-        k = lo;
+        lo = hi;
       }
     }
   }
 
-  if (const std::uint64_t d = degraded.load(std::memory_order_relaxed)) {
-    latency_degraded_ += d;
-    metrics_.degraded_ticks->add(d);
+  if (degraded > 0) {
+    latency_degraded_ += degraded;
+    metrics_.degraded_ticks->add(degraded);
   }
 
   if (drift_due) {

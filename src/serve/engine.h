@@ -7,9 +7,7 @@
 // per shard instead of one model call per session (ServeBackend::kSharded,
 // the default). The pre-shard per-session path is retained as
 // ServeBackend::kScalar — the conformance suite pins the sharded path
-// bit-identical to it. Large ticks additionally split each shard's lanes
-// into chunks that run across the worker pool; every batch implementation
-// is lane-independent, so output never depends on chunking or threads.
+// bit-identical to it.
 //
 // Model generations: register_bundle / register_monitor atomically bump a
 // generation counter. Sessions pin the factories (and the shared immutable
@@ -19,15 +17,18 @@
 // first, so a corrupt file surfaces as io::IoError with the registry (and
 // every live session) untouched.
 //
-// Thread model: the public API is internally synchronized — any number of
-// frontend threads may open/close/feed/reload concurrently. A feed tick
-// holds the engine lock (concurrent feeds serialize, each parallelizing
-// internally over the pool), which also gives reloads tick-boundary
-// semantics: in-flight ticks finish on the old generation, later ticks see
-// the new one.
+// Thread model: an engine has no threads of its own — every feed runs to
+// completion on the calling thread, one batched observe_lanes call per
+// shard stretch. Parallelism lives one level up: serve::EngineGroup runs
+// one worker thread per replica engine. The public API is still
+// internally synchronized, because group control operations (open, close,
+// reload, snapshot) reach a replica from the caller's thread while its
+// worker feeds. A feed holds the engine lock for the whole tick, which
+// also gives reloads tick-boundary semantics: in-flight ticks finish on
+// the old generation, later ticks see the new one.
 //
 // Telemetry: the engine reports into an obs::Registry — tick latency
-// histograms (whole-tick and per-shard chunk), session open/close/
+// histograms (whole-tick and per-shard stretch), session open/close/
 // restore/reload counters, a generation gauge, tick-phase trace spans
 // (ingest -> dispatch -> predict -> merge), and DOOD-style per-shard
 // drift detectors seeded from the bundle's training-time feature stats
@@ -46,7 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/monitor_factory.h"
 #include "monitor/monitor.h"
 #include "obs/drift.h"
@@ -95,7 +95,9 @@ enum class ServeBackend {
 enum class FeedMode { kNormal, kDegraded };
 
 struct EngineConfig {
-  /// Worker threads for batched feeds; 0 = hardware concurrency.
+  /// Must be 0 or 1 (both mean: serve on the calling thread); any other
+  /// value throws std::invalid_argument. Scale out with EngineGroup
+  /// replicas instead.
   std::size_t threads = 0;
   ServeBackend backend = ServeBackend::kSharded;
   /// Metric registry the engine reports into; null = the process-global
@@ -124,10 +126,11 @@ struct EngineConfig {
   std::vector<std::pair<std::string, std::string>> degrade = {{"lstm", "dt"}};
 };
 
-/// One shard's chunk-latency distribution ("<monitor>@g<generation>").
+/// One shard's stretch-latency distribution ("<monitor>@g<generation>"); a
+/// stretch is one shard's contiguous run of lanes within a tick.
 struct ShardLatencySummary {
   std::string shard;
-  std::uint64_t chunks = 0;  ///< chunk observations merged into the series
+  std::uint64_t chunks = 0;  ///< stretch observations merged into the series
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
@@ -149,7 +152,7 @@ struct LatencySummary {
   /// Session-cycles answered by a degrade twin (FeedMode::kDegraded ticks
   /// on shards with a twin) — zero below deadline pressure.
   std::uint64_t degraded_ticks = 0;
-  /// Per-shard chunk latency (telemetry on, sharded backend only).
+  /// Per-shard stretch latency (telemetry on, sharded backend only).
   std::vector<ShardLatencySummary> shards;
   [[nodiscard]] double cycles_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
@@ -237,9 +240,6 @@ class MonitorEngine {
 
   [[nodiscard]] SessionStats stats(SessionId id) const;
   [[nodiscard]] std::uint64_t total_cycles() const;
-  [[nodiscard]] std::size_t thread_count() const {
-    return pool_.thread_count();
-  }
   [[nodiscard]] ServeBackend backend() const { return config_.backend; }
   /// Latency distribution over the feed() ticks since the last reset.
   [[nodiscard]] LatencySummary latency() const;
@@ -323,7 +323,6 @@ class MonitorEngine {
                     std::span<aps::monitor::Decision> decisions, FeedMode mode);
 
   EngineConfig config_;
-  aps::ThreadPool pool_;
   std::unique_ptr<aps::obs::Registry> owned_registry_;  ///< telemetry off
   aps::obs::Registry* registry_ = nullptr;
   Metrics metrics_;
@@ -351,7 +350,6 @@ class MonitorEngine {
   std::vector<SessionId> aos_sessions_;  ///< AoS feed() SoA repack
   std::vector<aps::monitor::Observation> aos_obs_;
   std::vector<std::uint32_t> order_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> groups_;
   std::vector<aps::monitor::Observation> sorted_obs_;
   std::vector<aps::monitor::Decision> sorted_decisions_;
   std::vector<std::uint32_t> round_of_;
@@ -360,7 +358,6 @@ class MonitorEngine {
   std::uint32_t feed_epoch_ = 0;
   std::vector<std::size_t> lanes_flat_;
   std::vector<std::uint32_t> src_flat_;
-  std::vector<ServeShard*> chunk_shards_;  ///< shard behind each chunk
 };
 
 }  // namespace aps::serve

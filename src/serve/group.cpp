@@ -28,10 +28,6 @@ EngineGroup::EngineGroup(GroupConfig config) : config_(std::move(config)) {
   } else {
     registry_ = engine_config.registry;
   }
-  // Each replica is the thread-affinity unit: one worker thread drains its
-  // queue, so the inner engine pool stays single-threaded unless the
-  // caller explicitly asks for more.
-  if (engine_config.threads == 0) engine_config.threads = 1;
 
   backpressure_ = &registry_->counter(
       "serve_group_backpressure_total", {},

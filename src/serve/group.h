@@ -4,14 +4,16 @@
 //
 // Topology: each replica owns its own engine (shard tables, sessions,
 // latency series) and ONE dedicated worker thread that drains a bounded
-// lock-free MPSC ingest queue. Frontend threads never run model code — a
-// group feed() partitions the tick batch by owning replica, enqueues one
-// tick job per replica, and blocks until every worker reports completion;
-// decisions are then merged back to the caller's indices. Per-session
-// results are invariant to the replica count: sessions are independent
-// streams, a session's inputs all land on its owning replica in batch
-// order, and every decision is written at its fixed input index (pinned by
-// the equivalence suite against a single engine).
+// lock-free MPSC ingest queue; the worker is the replica's only thread
+// (engines spawn none), so a group of N adds exactly N threads. Frontend
+// threads never run model code — a group feed() partitions the tick batch
+// by owning replica, enqueues one tick job per replica, and blocks until
+// every worker reports completion; decisions are then merged back to the
+// caller's indices. Per-session results are invariant to the replica
+// count: sessions are independent streams, a session's inputs all land on
+// its owning replica in batch order, and every decision is written at its
+// fixed input index (pinned by the equivalence suite against a single
+// engine).
 //
 // Backpressure and overload: the ingest queues are bounded — a full queue
 // makes feed() spin-yield and count serve_group_backpressure_total rather
@@ -80,10 +82,8 @@ struct GroupConfig {
   std::size_t max_ticks_per_job = 0;
   /// Admission control policy (disabled by default; see admission.h).
   AdmissionConfig admission = {};
-  /// Configuration for every replica engine. `threads` 0 is normalized to
-  /// 1 (one thread-affine worker per replica is the scaling unit; inner
-  /// engine pools would oversubscribe). When `registry` is null the group
-  /// shares one registry across all replicas (the global one, or a
+  /// Configuration for every replica engine. When `registry` is null the
+  /// group shares one registry across all replicas (the global one, or a
   /// group-owned one with telemetry off) so group-level series aggregate.
   EngineConfig engine = {};
 };

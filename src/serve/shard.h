@@ -145,8 +145,8 @@ class ServeShard {
   }
 
   /// One control cycle for a subset of lanes (out[i] answers obs[i] for
-  /// lane lanes[i]). Safe to call concurrently for disjoint lane sets —
-  /// the engine chunks large ticks across its pool.
+  /// lane lanes[i]); the engine makes one call per shard stretch of a
+  /// tick.
   void observe_lanes(std::span<const std::size_t> lanes,
                      std::span<const aps::monitor::Observation> obs,
                      std::span<aps::monitor::Decision> out) {
@@ -156,7 +156,7 @@ class ServeShard {
   /// Degraded tick: the twin answers (full inference on the cheap kind),
   /// the primary only ingests the observation so its streaming state stays
   /// bit-identical to a never-degraded run. Falls back to the normal path
-  /// when no twin is installed. Same disjoint-subset concurrency contract.
+  /// when no twin is installed.
   void observe_lanes_degraded(std::span<const std::size_t> lanes,
                               std::span<const aps::monitor::Observation> obs,
                               std::span<aps::monitor::Decision> out) {

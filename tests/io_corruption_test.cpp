@@ -155,7 +155,7 @@ TEST_F(IoCorruptionTest, HotReloadOfCorruptBundleLeavesLiveEngineUntouched) {
   const std::string good = path("live.aps");
   write_bytes(good, bytes);
 
-  serve::MonitorEngine engine({.threads = 2});
+  serve::MonitorEngine engine;
   engine.register_bundle_file(good);
   const auto generation = engine.generation();
   const auto monitors = engine.registered_monitors();

@@ -3,6 +3,10 @@
 // and the mitigation policy.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "monitor/caw.h"
 #include "monitor/guideline.h"
 #include "monitor/mitigation.h"
@@ -277,6 +281,47 @@ TEST(Mitigation, ContextScaledStaysWithinBounds) {
   const double rate = mitigate_rate(d, obs, config);
   EXPECT_GE(rate, obs.basal_rate);
   EXPECT_LE(rate, 4.0 * obs.basal_rate);
+}
+
+TEST(Mitigation, BasalFactorBelowOneIsRejected) {
+  // factor < 1 would put the corrective cap under the basal rate (an
+  // inverted clamp range); it is a configuration error, not a policy.
+  Decision d;
+  d.alarm = true;
+  d.predicted = HazardType::kH2TooLittleInsulin;
+  MitigationConfig config;
+  config.policy = MitigationPolicy::kContextScaled;
+  config.max_basal_factor = 0.5;
+  EXPECT_THROW((void)mitigate_rate(d, base_obs(), config),
+               std::invalid_argument);
+  config.max_basal_factor = std::nan("");
+  EXPECT_THROW((void)mitigate_rate(d, base_obs(), config),
+               std::invalid_argument);
+}
+
+TEST(Mitigation, FaultedBasalPassesCommandThrough) {
+  // A negative or non-finite basal rate leaves no safe corrective range:
+  // every alarm passes the controller's command through unmitigated.
+  for (const double basal :
+       {-1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    auto obs = base_obs();
+    obs.basal_rate = basal;
+    obs.bg = 300.0;
+    obs.commanded_rate = 1.7;
+    for (const auto policy :
+         {MitigationPolicy::kFixedMax, MitigationPolicy::kContextScaled}) {
+      MitigationConfig config;
+      config.policy = policy;
+      for (const auto hazard : {HazardType::kH1TooMuchInsulin,
+                                HazardType::kH2TooLittleInsulin}) {
+        Decision d;
+        d.alarm = true;
+        d.predicted = hazard;
+        EXPECT_DOUBLE_EQ(mitigate_rate(d, obs, config), 1.7)
+            << "basal " << basal;
+      }
+    }
+  }
 }
 
 // --- ML monitor plumbing -------------------------------------------------------------

@@ -181,14 +181,14 @@ TEST(NetListfile, GoldenReplayReproducesEveryDecisionBitIdentically) {
   constexpr std::size_t kSessions = 9;
   constexpr std::size_t kSteps = 40;
 
-  serve::MonitorEngine live({.threads = 2});
+  serve::MonitorEngine live;
   live.register_bundle(bundle);
   const std::uint64_t recorded =
       record_live_run(live, path, kSessions, kSteps);
   ASSERT_EQ(recorded, kSessions * kSteps);
 
   // Fresh engine, same bundle — as a backtest or bug repro would run it.
-  serve::MonitorEngine fresh({.threads = 2});
+  serve::MonitorEngine fresh;
   fresh.register_bundle(bundle);
   const net::ReplayResult result = net::replay_listfile(path, fresh);
   EXPECT_EQ(result.sessions_opened, kSessions);
@@ -201,7 +201,7 @@ TEST(NetListfile, GoldenReplayReproducesEveryDecisionBitIdentically) {
 
   // A different batch ceiling changes batch composition but must not
   // change decisions — per-session order is what matters.
-  serve::MonitorEngine tiny_batches({.threads = 2});
+  serve::MonitorEngine tiny_batches;
   tiny_batches.register_bundle(bundle);
   const net::ReplayResult small =
       net::replay_listfile(path, tiny_batches, {.max_batch = 3});
@@ -219,7 +219,7 @@ TEST(NetListfile, GoldenReplayReproducesEveryDecisionBitIdentically) {
     guideline.lambda10 -= 40.0;
     guideline.lambda90 += 60.0;
   }
-  serve::MonitorEngine drifted({.threads = 2});
+  serve::MonitorEngine drifted;
   drifted.register_bundle(skewed);
   const net::ReplayResult diverged = net::replay_listfile(path, drifted);
   EXPECT_GT(diverged.mismatches, 0u)
@@ -231,7 +231,7 @@ TEST(NetListfile, TruncationAtEveryByteIsBoundaryCleanOrIoError) {
   const std::string path = temp_path("aps_listfile_trunc.listfile");
   const auto bundle = rule_bundle();
   {
-    serve::MonitorEngine engine({.threads = 1});
+    serve::MonitorEngine engine;
     engine.register_bundle(bundle);
     record_live_run(engine, path, 2, 4);
   }
@@ -316,7 +316,7 @@ TEST(NetListfile, TolerantReaderStopsCleanlyAtEveryTruncation) {
   const std::string path = temp_path("aps_listfile_tol.listfile");
   const auto bundle = rule_bundle();
   {
-    serve::MonitorEngine engine({.threads = 1});
+    serve::MonitorEngine engine;
     engine.register_bundle(bundle);
     record_live_run(engine, path, 2, 4);
   }
@@ -359,7 +359,7 @@ TEST(NetListfile, ReplayToleratesATruncatedTailRecord) {
   const auto bundle = rule_bundle();
   std::uint64_t recorded = 0;
   {
-    serve::MonitorEngine engine({.threads = 1});
+    serve::MonitorEngine engine;
     engine.register_bundle(bundle);
     recorded = record_live_run(engine, path, 2, 4);
   }
@@ -372,12 +372,12 @@ TEST(NetListfile, ReplayToleratesATruncatedTailRecord) {
 
   // Default (strict) replay refuses the torn tail...
   {
-    serve::MonitorEngine strict({.threads = 1});
+    serve::MonitorEngine strict;
     strict.register_bundle(bundle);
     EXPECT_THROW((void)net::replay_listfile(path, strict), io::IoError);
   }
   // ...tolerant replay re-drives everything before it, still golden.
-  serve::MonitorEngine fresh({.threads = 1});
+  serve::MonitorEngine fresh;
   fresh.register_bundle(bundle);
   const net::ReplayResult result =
       net::replay_listfile(path, fresh, {.tolerate_truncation = true});
@@ -393,7 +393,7 @@ TEST(NetListfile, RandomByteFlipsAreAlwaysDetected) {
   const std::string path = temp_path("aps_listfile_fuzz.listfile");
   const auto bundle = rule_bundle();
   {
-    serve::MonitorEngine engine({.threads = 1});
+    serve::MonitorEngine engine;
     engine.register_bundle(bundle);
     record_live_run(engine, path, 3, 6);
   }
@@ -452,7 +452,7 @@ TEST(NetListfile, ReplayRejectsInconsistentSessionReferences) {
     writer.finish();
   }
   const auto bundle = rule_bundle();
-  serve::MonitorEngine engine({.threads = 1});
+  serve::MonitorEngine engine;
   engine.register_bundle(bundle);
   EXPECT_THROW((void)net::replay_listfile(path, engine), io::IoError);
   std::remove(path.c_str());

@@ -69,13 +69,13 @@ void wait_for_disconnects(const net::IngestServer& server) {
 TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
   const auto bundle = rule_bundle();
   obs::Registry registry;  // private: reconciliation below is exact
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group({.replicas = 1, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
 
   net::ServerConfig config;
   config.listfile = "net_stress.listfile";  // CI uploads this artifact
   config.registry = &registry;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   std::mutex failures_mu;
@@ -199,7 +199,7 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
   EXPECT_EQ(registry.counter_value("net_bytes_out_total"),
             bytes_received.load());
   // Every session was closed through the protocol, none leaked.
-  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(group.session_count(), 0u);
   // The scrape exposes the net series alongside the serving ones.
   const std::string prom = registry.scrape_prometheus();
   for (const char* series :
@@ -210,7 +210,7 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
   }
 
   // ---- Golden replay of the recorded run ----------------------------------
-  serve::MonitorEngine fresh({.threads = 2});
+  serve::MonitorEngine fresh;
   fresh.register_bundle(bundle);
   const net::ReplayResult replay =
       net::replay_listfile("net_stress.listfile", fresh);
@@ -271,11 +271,11 @@ class RawSocket {
 TEST(NetServer, HostileClientsAreDroppedAndServingContinues) {
   const auto bundle = rule_bundle();
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group({.replicas = 1, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   // 1. Pure garbage instead of a frame header.
@@ -340,19 +340,19 @@ TEST(NetServer, HostileClientsAreDroppedAndServingContinues) {
   EXPECT_EQ(ack.cycles, stream.size());
 
   EXPECT_GE(registry.counter_value("net_protocol_errors_total"), 3u);
-  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(group.session_count(), 0u);
 }
 
 TEST(NetServer, BackpressurePausesReadsWithoutDroppingAnything) {
   const auto bundle = rule_bundle();
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group({.replicas = 1, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
   config.max_queued_events = 4;  // tiny queue: the blast below must pause
   config.tick_interval_ms = 2;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   constexpr std::size_t kBlast = 300;
@@ -388,12 +388,12 @@ TEST(NetServer, BackpressurePausesReadsWithoutDroppingAnything) {
 TEST(NetServer, ConnectionCeilingRejectsTheOverflow) {
   const auto bundle = rule_bundle();
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
-  engine.register_bundle(bundle);
+  serve::EngineGroup group({.replicas = 1, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
   net::ServerConfig config;
   config.registry = &registry;
   config.max_connections = 2;
-  net::IngestServer server(engine, config);
+  net::IngestServer server(group, config);
   server.start();
 
   net::BlockingClient first("127.0.0.1", server.port(), "one");
@@ -409,9 +409,9 @@ TEST(NetServer, ConnectionCeilingRejectsTheOverflow) {
 
 TEST(NetServer, OpenErrorsAreAcksNotDisconnects) {
   const auto bundle = rule_bundle();
-  serve::MonitorEngine engine({.threads = 1});
-  engine.register_bundle(bundle);
-  net::IngestServer server(engine, {});
+  serve::EngineGroup group({.replicas = 1});
+  group.register_bundle(bundle);
+  net::IngestServer server(group, {});
   server.start();
 
   net::BlockingClient client("127.0.0.1", server.port(), "acks");
@@ -431,7 +431,7 @@ TEST(NetServer, OpenErrorsAreAcksNotDisconnects) {
                net::ProtocolError);
   const auto ack = client.close_session(3);
   EXPECT_EQ(ack.cycles, 0u);
-  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(group.session_count(), 0u);
 }
 
 TEST(NetServer, GroupBackendRoutesToOwningReplicas) {
@@ -610,7 +610,7 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   // the listfile holds — a replay must reproduce every served decision
   // without tripping over the shed tick.
   EXPECT_EQ(registry.counter_value("net_ticks_total"), 7u);
-  serve::MonitorEngine fresh({.threads = 1});
+  serve::MonitorEngine fresh;
   fresh.register_bundle(bundle);
   const net::ReplayResult replayed = net::replay_listfile(listfile, fresh);
   EXPECT_EQ(replayed.ticks, 7u);

@@ -1,9 +1,9 @@
 // Serving golden-conformance suite: the sharded SoA serving path
 // (ServeBackend::kSharded — one batched model call per monitor shard per
 // tick) must be bit-identical to the retained per-session scalar path
-// (ServeBackend::kScalar) for every monitor kind, across session and
-// thread counts, through mid-stream session churn (lane compaction), and
-// across snapshot/restore round trips.
+// (ServeBackend::kScalar) for every monitor kind, across session counts,
+// through mid-stream session churn (lane compaction), and across
+// snapshot/restore round trips.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -63,9 +63,9 @@ const core::ArtifactBundle& shared_bundle() {
 }
 
 std::unique_ptr<serve::MonitorEngine> make_engine(
-    serve::ServeBackend backend, std::size_t threads) {
+    serve::ServeBackend backend) {
   auto engine = std::make_unique<serve::MonitorEngine>(
-      serve::EngineConfig{.threads = threads, .backend = backend});
+      serve::EngineConfig{.backend = backend});
   engine->register_bundle(shared_bundle());
   return engine;
 }
@@ -80,43 +80,41 @@ std::vector<monitor::Observation> session_stream(std::size_t session,
 TEST(ServeConformance, MixedPopulationMatchesScalarPath) {
   // A mixed population — every monitor kind interleaved — fed identical
   // per-cycle batches must produce bit-identical decisions on both
-  // backends, for session counts {1, 7, 64} and thread counts {1, 4}.
+  // backends, for session counts {1, 7, 64}.
   const std::size_t kSteps = 60;
-  for (const std::size_t threads : {1u, 4u}) {
-    for (const std::size_t n : {1u, 7u, 64u}) {
-      auto sharded = make_engine(serve::ServeBackend::kSharded, threads);
-      auto scalar = make_engine(serve::ServeBackend::kScalar, threads);
+  for (const std::size_t n : {1u, 7u, 64u}) {
+    auto sharded = make_engine(serve::ServeBackend::kSharded);
+    auto scalar = make_engine(serve::ServeBackend::kScalar);
 
-      std::vector<serve::SessionId> sharded_ids, scalar_ids;
-      std::vector<std::vector<monitor::Observation>> streams;
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::string& kind = kKinds[s % kKinds.size()];
-        const std::string patient = "p" + std::to_string(s);
-        const int index = static_cast<int>(s) % kCohort;
-        sharded_ids.push_back(sharded->open_session(patient, kind, index));
-        scalar_ids.push_back(scalar->open_session(patient, kind, index));
-        streams.push_back(session_stream(s, kSteps));
-      }
+    std::vector<serve::SessionId> sharded_ids, scalar_ids;
+    std::vector<std::vector<monitor::Observation>> streams;
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::string& kind = kKinds[s % kKinds.size()];
+      const std::string patient = "p" + std::to_string(s);
+      const int index = static_cast<int>(s) % kCohort;
+      sharded_ids.push_back(sharded->open_session(patient, kind, index));
+      scalar_ids.push_back(scalar->open_session(patient, kind, index));
+      streams.push_back(session_stream(s, kSteps));
+    }
 
-      for (std::size_t k = 0; k < kSteps; ++k) {
-        std::vector<serve::SessionInput> sharded_batch, scalar_batch;
-        for (std::size_t s = 0; s < n; ++s) {
-          sharded_batch.push_back({sharded_ids[s], streams[s][k]});
-          scalar_batch.push_back({scalar_ids[s], streams[s][k]});
-        }
-        const auto got = sharded->feed(sharded_batch);
-        const auto want = scalar->feed(scalar_batch);
-        for (std::size_t s = 0; s < n; ++s) {
-          ASSERT_TRUE(testutil::decisions_equal(want[s], got[s]))
-              << "sessions=" << n << " threads=" << threads << " session "
-              << s << " (" << kKinds[s % kKinds.size()] << ") cycle " << k;
-        }
-      }
+    for (std::size_t k = 0; k < kSteps; ++k) {
+      std::vector<serve::SessionInput> sharded_batch, scalar_batch;
       for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(sharded->stats(sharded_ids[s]).alarms,
-                  scalar->stats(scalar_ids[s]).alarms)
-            << "session " << s;
+        sharded_batch.push_back({sharded_ids[s], streams[s][k]});
+        scalar_batch.push_back({scalar_ids[s], streams[s][k]});
       }
+      const auto got = sharded->feed(sharded_batch);
+      const auto want = scalar->feed(scalar_batch);
+      for (std::size_t s = 0; s < n; ++s) {
+        ASSERT_TRUE(testutil::decisions_equal(want[s], got[s]))
+            << "sessions=" << n << " session " << s << " ("
+            << kKinds[s % kKinds.size()] << ") cycle " << k;
+      }
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      EXPECT_EQ(sharded->stats(sharded_ids[s]).alarms,
+                scalar->stats(scalar_ids[s]).alarms)
+          << "session " << s;
     }
   }
 }
@@ -128,8 +126,8 @@ TEST(ServeConformance, MidStreamOpenCloseCompactsLanesCorrectly) {
   const std::size_t kSteps = 60;
   const std::size_t kInitial = 10;
   for (const auto& kind : kKinds) {
-    auto sharded = make_engine(serve::ServeBackend::kSharded, 4);
-    auto scalar = make_engine(serve::ServeBackend::kScalar, 4);
+    auto sharded = make_engine(serve::ServeBackend::kSharded);
+    auto scalar = make_engine(serve::ServeBackend::kScalar);
 
     struct Live {
       serve::SessionId sharded_id;
@@ -191,8 +189,8 @@ TEST(ServeConformance, SnapshotRestoreRoundTripContinuesBitIdentically) {
   const std::size_t kCut = 30;
   const std::size_t kSessions = 2 * kKinds.size();
 
-  auto sharded = make_engine(serve::ServeBackend::kSharded, 4);
-  auto scalar = make_engine(serve::ServeBackend::kScalar, 1);
+  auto sharded = make_engine(serve::ServeBackend::kSharded);
+  auto scalar = make_engine(serve::ServeBackend::kScalar);
 
   std::vector<serve::SessionId> sharded_ids, scalar_ids;
   std::vector<std::vector<monitor::Observation>> streams;
@@ -221,7 +219,7 @@ TEST(ServeConformance, SnapshotRestoreRoundTripContinuesBitIdentically) {
   }
 
   // Round trip into a fresh sharded engine.
-  auto restored = make_engine(serve::ServeBackend::kSharded, 4);
+  auto restored = make_engine(serve::ServeBackend::kSharded);
   std::vector<serve::SessionId> restored_ids;
   for (std::size_t s = 0; s < kSessions; ++s) {
     const serve::SessionSnapshot snap = sharded->snapshot(sharded_ids[s]);
@@ -249,8 +247,8 @@ TEST(ServeConformance, SnapshotsRestoreAcrossBackends) {
   const std::size_t kSteps = 40;
   const std::size_t kCut = 20;
   for (const auto& kind : kKinds) {
-    auto a = make_engine(serve::ServeBackend::kSharded, 2);
-    auto b = make_engine(serve::ServeBackend::kScalar, 2);
+    auto a = make_engine(serve::ServeBackend::kSharded);
+    auto b = make_engine(serve::ServeBackend::kScalar);
     const auto id_a = a->open_session("pat", kind, 1);
     const auto id_b = b->open_session("pat", kind, 1);
     const auto stream = session_stream(77, kSteps);
@@ -260,8 +258,8 @@ TEST(ServeConformance, SnapshotsRestoreAcrossBackends) {
       ASSERT_TRUE(testutil::decisions_equal(da, db)) << kind << " @" << k;
     }
     // Cross-restore.
-    auto a2 = make_engine(serve::ServeBackend::kScalar, 2);
-    auto b2 = make_engine(serve::ServeBackend::kSharded, 2);
+    auto a2 = make_engine(serve::ServeBackend::kScalar);
+    auto b2 = make_engine(serve::ServeBackend::kSharded);
     const auto id_a2 = a2->restore(a->snapshot(id_a));
     const auto id_b2 = b2->restore(b->snapshot(id_b));
     for (std::size_t k = kCut; k < kSteps; ++k) {

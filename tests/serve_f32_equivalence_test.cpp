@@ -63,10 +63,9 @@ const core::ArtifactBundle& shared_bundle() {
 }
 
 std::unique_ptr<serve::MonitorEngine> make_engine(
-    serve::ServeBackend backend, monitor::Precision precision,
-    std::size_t threads) {
-  auto engine = std::make_unique<serve::MonitorEngine>(serve::EngineConfig{
-      .threads = threads, .backend = backend, .precision = precision});
+    serve::ServeBackend backend, monitor::Precision precision) {
+  auto engine = std::make_unique<serve::MonitorEngine>(
+      serve::EngineConfig{.backend = backend, .precision = precision});
   engine->register_bundle(shared_bundle());
   return engine;
 }
@@ -84,9 +83,9 @@ TEST(ServeF32Equivalence, NoDecisionFlipsVsF64ScalarGoldenCohort) {
   const std::size_t kSteps = 60;
   for (const std::size_t n : {1u, 7u, 64u}) {
     auto f32 = make_engine(serve::ServeBackend::kSharded,
-                           monitor::Precision::kF32, 4);
+                           monitor::Precision::kF32);
     auto ref = make_engine(serve::ServeBackend::kScalar,
-                           monitor::Precision::kF64, 1);
+                           monitor::Precision::kF64);
 
     std::vector<serve::SessionId> f32_ids, ref_ids;
     std::vector<std::vector<monitor::Observation>> streams;
@@ -127,9 +126,9 @@ TEST(ServeF32Equivalence, PerKindStreamsMatchAtSixtyFourSessions) {
   const std::size_t n = 64;
   for (const auto& kind : kKinds) {
     auto f32 = make_engine(serve::ServeBackend::kSharded,
-                           monitor::Precision::kF32, 4);
+                           monitor::Precision::kF32);
     auto ref = make_engine(serve::ServeBackend::kScalar,
-                           monitor::Precision::kF64, 1);
+                           monitor::Precision::kF64);
     std::vector<serve::SessionId> f32_ids, ref_ids;
     std::vector<std::vector<monitor::Observation>> streams;
     for (std::size_t s = 0; s < n; ++s) {
@@ -207,9 +206,9 @@ TEST(ServeF32Equivalence, SnapshotsRoundTripAcrossPrecisionModes) {
   const std::size_t kCut = 24;
   for (const auto& kind : kKinds) {
     auto f32 = make_engine(serve::ServeBackend::kSharded,
-                           monitor::Precision::kF32, 2);
+                           monitor::Precision::kF32);
     auto ref = make_engine(serve::ServeBackend::kScalar,
-                           monitor::Precision::kF64, 1);
+                           monitor::Precision::kF64);
     const auto id_a = f32->open_session("pat", kind, 1);
     const auto id_r = ref->open_session("pat", kind, 1);
     const auto stream = session_stream(77, kSteps);
@@ -220,7 +219,7 @@ TEST(ServeF32Equivalence, SnapshotsRoundTripAcrossPrecisionModes) {
     }
     // f32 -> f64 restore, then f64 -> f32 restore at three-quarter cut.
     auto f64_engine = make_engine(serve::ServeBackend::kSharded,
-                                  monitor::Precision::kF64, 2);
+                                  monitor::Precision::kF64);
     const auto id_b = f64_engine->restore(f32->snapshot(id_a));
     const std::size_t kCut2 = kCut + (kSteps - kCut) / 2;
     for (std::size_t k = kCut; k < kCut2; ++k) {
@@ -229,7 +228,7 @@ TEST(ServeF32Equivalence, SnapshotsRoundTripAcrossPrecisionModes) {
       ASSERT_TRUE(testutil::decisions_equal(db, dr)) << kind << " @" << k;
     }
     auto f32_again = make_engine(serve::ServeBackend::kSharded,
-                                 monitor::Precision::kF32, 2);
+                                 monitor::Precision::kF32);
     const auto id_c = f32_again->restore(f64_engine->snapshot(id_b));
     for (std::size_t k = kCut2; k < kSteps; ++k) {
       const auto dc = f32_again->feed_one(id_c, stream[k]);
@@ -244,7 +243,7 @@ TEST(ServeF32Equivalence, PrecisionReportedPerShard) {
   // The engine's precision config lands on the shard (and its batch) and
   // monitors without a float32 path keep reporting kF64.
   auto f32 = make_engine(serve::ServeBackend::kSharded,
-                         monitor::Precision::kF32, 1);
+                         monitor::Precision::kF32);
   (void)f32->open_session("p-mlp", "mlp", 0);
   (void)f32->open_session("p-guideline", "guideline", 0);
   // Behavior is observable through the stream equivalence above; here we

@@ -3,13 +3,15 @@
 // counts {1, 2, 8} and every monitor kind, stable consistent-hash routing,
 // flat RSS through heavy session churn, and deadline-aware degradation
 // (twin-answered ticks counted, zero below pressure, primary stream
-// resuming bit-identically once pressure subsides).
+// resuming bit-identically once pressure subsides), with exactly one
+// thread per replica.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -93,6 +95,29 @@ std::size_t rss_bytes() {
   std::size_t pages = 0, resident = 0;
   statm >> pages >> resident;
   return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// Threads of this process, settled: a thread that was just joined can
+/// linger in /proc/self/task for a moment, so read until two readings a
+/// few milliseconds apart agree.
+std::size_t settled_thread_count() {
+  const auto count = [] {
+    std::size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  std::size_t last = count();
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t now = count();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
 }
 
 TEST(EngineGroup, DecisionsInvariantToReplicaCount) {
@@ -292,6 +317,22 @@ TEST(EngineGroup, ChurnKeepsRssFlat) {
   const std::size_t growth = after > warmed ? after - warmed : 0;
   EXPECT_LT(growth, 8u * 1024 * 1024)
       << "RSS grew " << growth / 1024 << " KiB across 10k open/close cycles";
+}
+
+TEST(EngineGroup, OneThreadPerReplica) {
+  // The replica worker is the only unit of serving parallelism: an
+  // N-replica group adds exactly N threads to the process, and its replica
+  // engines add none. Counted as a delta, so threads the runtime or an
+  // emulator already started do not matter.
+  for (const std::size_t replicas : {1u, 3u}) {
+    const std::size_t before = settled_thread_count();
+    serve::GroupConfig config;
+    config.replicas = replicas;
+    serve::EngineGroup group(config);
+    group.register_bundle(rule_bundle());
+    EXPECT_EQ(settled_thread_count() - before, replicas)
+        << replicas << "-replica group";
+  }
 }
 
 TEST(EngineGroup, NoDegradedTicksBelowDeadlinePressure) {
@@ -513,8 +554,7 @@ TEST(EngineGroup, QueueFullBackpressureLosesNothing) {
   group.register_monitor("slow", [](int) {
     return std::make_unique<SlowDeterministicMonitor>();
   });
-  serve::MonitorEngine reference(
-      {.threads = 1, .registry = nullptr, .telemetry = false});
+  serve::MonitorEngine reference({.registry = nullptr, .telemetry = false});
   reference.register_monitor("slow", [](int) {
     return std::make_unique<SlowDeterministicMonitor>();
   });

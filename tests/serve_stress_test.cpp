@@ -42,7 +42,7 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
   // Private registry: the final counter-consistency checks below are exact
   // only when nothing else in the process reports into the same series.
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
+  serve::MonitorEngine engine({.registry = &registry});
   engine.register_bundle(bundle);
 
   // Worker-side failures are collected and reported from the main thread.

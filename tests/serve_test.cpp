@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ core::ArtifactBundle rule_bundle(int patients = 4) {
 }
 
 TEST(ServeEngine, RegistryOpensFindsAndCloses) {
-  serve::MonitorEngine engine({.threads = 2});
+  serve::MonitorEngine engine;
   engine.register_bundle(rule_bundle());
 
   const auto alice = engine.open_session("alice", "cawt", 0);
@@ -52,12 +53,18 @@ TEST(ServeEngine, RegistryOpensFindsAndCloses) {
   EXPECT_NO_THROW((void)engine.open_session("alice", "cawt", 2));
 }
 
+TEST(ServeEngine, RejectsAThreadPoolSize) {
+  // An engine serves on its caller's thread; parallelism is replicas.
+  EXPECT_NO_THROW(serve::MonitorEngine({.threads = 1}));
+  EXPECT_THROW(serve::MonitorEngine({.threads = 2}), std::invalid_argument);
+}
+
 TEST(ServeEngine, ConcurrentSessionsMatchSequentialRuns) {
   const int kSessions = 48;
   const int kCycles = 120;
   const auto bundle = rule_bundle(4);
 
-  serve::MonitorEngine engine({.threads = 4});
+  serve::MonitorEngine engine;
   engine.register_bundle(bundle);
 
   std::vector<serve::SessionId> ids;
@@ -110,7 +117,7 @@ TEST(ServeEngine, StatefulMonitorConcurrencyIsDeterministic) {
   // sessions in shuffled batch order must not perturb them.
   const int kSessions = 16;
   const auto bundle = rule_bundle(4);
-  serve::MonitorEngine engine({.threads = 4});
+  serve::MonitorEngine engine;
   engine.register_bundle(bundle);
 
   std::vector<serve::SessionId> ids;
@@ -144,7 +151,7 @@ TEST(ServeEngine, StatefulMonitorConcurrencyIsDeterministic) {
 
 TEST(ServeEngine, MultipleInputsForOneSessionApplyInBatchOrder) {
   const auto bundle = rule_bundle(1);
-  serve::MonitorEngine engine({.threads = 4});
+  serve::MonitorEngine engine;
   engine.register_bundle(bundle);
   const auto batched = engine.open_session("batched", "guideline", 0);
   const auto stepped = engine.open_session("stepped", "guideline", 0);
@@ -174,7 +181,7 @@ TEST(ServeEngine, BatchedMlpInferenceMatchesSequential) {
   ASSERT_TRUE(mlp.trained());
   const auto shared = std::make_shared<const ml::Mlp>(std::move(mlp));
 
-  serve::MonitorEngine engine({.threads = 2});
+  serve::MonitorEngine engine;
   engine.register_monitor("mlp", [shared](int) {
     return std::make_unique<monitor::MlpMonitor>(shared, 2);
   });
@@ -195,7 +202,7 @@ TEST(ServeEngine, BatchedMlpInferenceMatchesSequential) {
 
 TEST(ServeEngine, SnapshotRestoreContinuesTheStream) {
   const auto bundle = rule_bundle(2);
-  serve::MonitorEngine engine({.threads = 2});
+  serve::MonitorEngine engine;
   engine.register_bundle(bundle);
   const auto id = engine.open_session("snap", "guideline", 1);
 
@@ -215,7 +222,7 @@ TEST(ServeEngine, SnapshotRestoreContinuesTheStream) {
 
   // The restoring engine must know the monitor (restore validates the name
   // and patient_index against its registry before recreating the session).
-  serve::MonitorEngine fresh({.threads = 1});
+  serve::MonitorEngine fresh;
   fresh.register_bundle(bundle);
   const auto restored = fresh.restore(snap);
   EXPECT_EQ(fresh.find_session("snap"), restored);
@@ -232,7 +239,7 @@ TEST(ServeEngine, RestoreRejectsStaleRegistry) {
   // A snapshot taken against one registry shape must not crash an engine
   // whose registry has since changed: unknown monitor names and
   // out-of-cohort patient indices surface as clear errors.
-  serve::MonitorEngine engine({.threads = 1});
+  serve::MonitorEngine engine;
   engine.register_bundle(rule_bundle(4));
   const auto id = engine.open_session("pat", "cawt", 3);
   for (const auto& obs : testutil::synth_stream(20, 5)) {
@@ -241,16 +248,16 @@ TEST(ServeEngine, RestoreRejectsStaleRegistry) {
   const serve::SessionSnapshot snap = engine.snapshot(id);
 
   // Empty registry: the monitor name no longer exists.
-  serve::MonitorEngine empty({.threads = 1});
+  serve::MonitorEngine empty;
   EXPECT_THROW((void)empty.restore(snap), std::invalid_argument);
 
   // Registered, but the cohort shrank below the snapshot's patient_index.
-  serve::MonitorEngine small({.threads = 1});
+  serve::MonitorEngine small;
   small.register_bundle(rule_bundle(2));
   EXPECT_THROW((void)small.restore(snap), std::out_of_range);
 
   // A matching registry restores fine (and the original keeps serving).
-  serve::MonitorEngine fresh({.threads = 1});
+  serve::MonitorEngine fresh;
   fresh.register_bundle(rule_bundle(4));
   EXPECT_NO_THROW((void)fresh.restore(snap));
   EXPECT_EQ(engine.stats(id).cycles, 20u);
@@ -284,7 +291,7 @@ class FixedMonitor final : public monitor::Monitor {
 }  // namespace
 
 TEST(ServeEngine, HotReloadKeepsLiveSessionsOnTheirGeneration) {
-  serve::MonitorEngine engine({.threads = 2});
+  serve::MonitorEngine engine;
   engine.register_monitor("m", [](int) {
     return std::make_unique<FixedMonitor>(false);
   });
@@ -308,7 +315,7 @@ TEST(ServeEngine, HotReloadKeepsLiveSessionsOnTheirGeneration) {
 }
 
 TEST(ServeEngine, LatencySummaryCountsTicksAndCycles) {
-  serve::MonitorEngine engine({.threads = 2});
+  serve::MonitorEngine engine;
   engine.register_bundle(rule_bundle(2));
   const auto a = engine.open_session("a", "cawt", 0);
   const auto b = engine.open_session("b", "guideline", 1);
@@ -336,7 +343,7 @@ TEST(ServeEngine, TelemetryCountersTrackEngineLifecycle) {
   // A private registry isolates the series this engine emits from the
   // process-global one other tests (and the sim layer) write into.
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
+  serve::MonitorEngine engine({.registry = &registry});
   engine.register_bundle(rule_bundle(2));
   EXPECT_EQ(registry.counter_value("serve_reloads_total"), 1u);
   EXPECT_EQ(registry.gauge_value("serve_generation"),
@@ -388,10 +395,9 @@ TEST(ServeEngine, TelemetryOffUsesPrivateRegistryAndStaysCorrect) {
   const auto bundle = rule_bundle(2);
   const auto before =
       obs::Registry::global().counter_value("serve_ticks_total");
-  serve::MonitorEngine quiet(
-      {.threads = 2, .telemetry = false});
+  serve::MonitorEngine quiet({.telemetry = false});
   quiet.register_bundle(bundle);
-  serve::MonitorEngine loud({.threads = 2});
+  serve::MonitorEngine loud;
   loud.register_bundle(bundle);
 
   const auto qa = quiet.open_session("a", "cawt", 0);
@@ -437,8 +443,7 @@ TEST(ServeEngine, DriftAlertsFireOnDistributionShiftOnly) {
 
   const auto run = [&](bool shifted) {
     auto registry = std::make_unique<obs::Registry>();
-    serve::MonitorEngine engine(
-        {.threads = 2, .registry = registry.get(), .drift = drift});
+    serve::MonitorEngine engine({.registry = registry.get(), .drift = drift});
     engine.register_bundle(bundle);
     std::vector<serve::SessionId> ids;
     std::vector<std::vector<monitor::Observation>> streams;
@@ -483,7 +488,7 @@ TEST(ServeEngine, DriftAlertsFireOnDistributionShiftOnly) {
 
 TEST(ServeEngine, LatencySummaryReportsMaxAndPerShardBreakdown) {
   obs::Registry registry;
-  serve::MonitorEngine engine({.threads = 2, .registry = &registry});
+  serve::MonitorEngine engine({.registry = &registry});
   engine.register_bundle(rule_bundle(2));
   const auto a = engine.open_session("a", "cawt", 0);
   const auto b = engine.open_session("b", "guideline", 1);
@@ -516,7 +521,7 @@ TEST(ServeEngine, LatencySummaryReportsMaxAndPerShardBreakdown) {
 }
 
 TEST(ServeEngine, RegisterBundleExposesRuleMonitors) {
-  serve::MonitorEngine engine({.threads = 1});
+  serve::MonitorEngine engine;
   engine.register_bundle(rule_bundle());
   const auto names = engine.registered_monitors();
   for (const std::string expected :
