@@ -55,19 +55,34 @@ aps::sim::MonitorFactory cawot_factory(const aps::sim::Stack& stack,
   return cawot_factory(stack_profiles(stack), target_bg);
 }
 
+namespace {
+
+/// One CawMonitor per patient, built up front; the factory hands out
+/// clones, which share their patient's immutable configuration.
+aps::sim::MonitorFactory caw_clone_factory(
+    std::vector<aps::monitor::CawMonitor> per_patient) {
+  auto shared = std::make_shared<const std::vector<aps::monitor::CawMonitor>>(
+      std::move(per_patient));
+  return [shared](int patient_index) {
+    return shared->at(static_cast<std::size_t>(patient_index)).clone();
+  };
+}
+
+}  // namespace
+
 aps::sim::MonitorFactory cawot_factory(std::vector<PatientProfile> profiles,
                                        double target_bg) {
-  auto shared = std::make_shared<const std::vector<PatientProfile>>(
-      std::move(profiles));
-  return [shared, target_bg](int patient_index) {
-    const auto& profile = shared->at(static_cast<std::size_t>(patient_index));
+  std::vector<aps::monitor::CawMonitor> per_patient;
+  per_patient.reserve(profiles.size());
+  for (const auto& profile : profiles) {
     aps::monitor::CawConfig config;
     config.target_bg = target_bg;
     config.thresholds =
         aps::monitor::default_thresholds(profile.steady_state_iob);
     config.name = "cawot";
-    return std::make_unique<aps::monitor::CawMonitor>(config);
-  };
+    per_patient.emplace_back(std::move(config));
+  }
+  return caw_clone_factory(std::move(per_patient));
 }
 
 aps::sim::MonitorFactory mpc_factory(aps::monitor::MpcConfig config) {
@@ -152,32 +167,27 @@ TrainingArtifacts learn_artifacts(const aps::sim::Stack& stack,
 }
 
 aps::sim::MonitorFactory cawt_factory(const TrainingArtifacts& artifacts) {
-  auto thresholds =
-      std::make_shared<const std::vector<std::map<std::string, double>>>(
-          artifacts.patient_thresholds);
-  const double target_bg = artifacts.target_bg;
-  return [thresholds, target_bg](int patient_index) {
+  std::vector<aps::monitor::CawMonitor> per_patient;
+  per_patient.reserve(artifacts.patient_thresholds.size());
+  for (const auto& thresholds : artifacts.patient_thresholds) {
     aps::monitor::CawConfig config;
-    config.target_bg = target_bg;
-    config.thresholds =
-        thresholds->at(static_cast<std::size_t>(patient_index));
+    config.target_bg = artifacts.target_bg;
+    config.thresholds = thresholds;
     config.name = "cawt";
-    return std::make_unique<aps::monitor::CawMonitor>(config);
-  };
+    per_patient.emplace_back(std::move(config));
+  }
+  return caw_clone_factory(std::move(per_patient));
 }
 
 aps::sim::MonitorFactory cawt_population_factory(
     const TrainingArtifacts& artifacts) {
-  auto thresholds = std::make_shared<const std::map<std::string, double>>(
-      artifacts.population_thresholds);
-  const double target_bg = artifacts.target_bg;
-  return [thresholds, target_bg](int) {
-    aps::monitor::CawConfig config;
-    config.target_bg = target_bg;
-    config.thresholds = *thresholds;
-    config.name = "cawt-population";
-    return std::make_unique<aps::monitor::CawMonitor>(config);
-  };
+  aps::monitor::CawConfig config;
+  config.target_bg = artifacts.target_bg;
+  config.thresholds = artifacts.population_thresholds;
+  config.name = "cawt-population";
+  auto shared =
+      std::make_shared<const aps::monitor::CawMonitor>(std::move(config));
+  return [shared](int) { return shared->clone(); };
 }
 
 aps::sim::MonitorFactory guideline_factory(

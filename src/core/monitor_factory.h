@@ -28,7 +28,9 @@ namespace aps::core {
 [[nodiscard]] aps::monitor::GuidelineConfig guideline_config_from_traces(
     const std::vector<const aps::sim::SimResult*>& fault_free_runs);
 
-/// CAWOT: Table I logic with profile-derived default thresholds.
+/// CAWOT: Table I logic with profile-derived default thresholds. Like
+/// every CAW factory it builds one monitor per patient up front and hands
+/// out clones that share that patient's configuration.
 [[nodiscard]] aps::sim::MonitorFactory cawot_factory(
     const aps::sim::Stack& stack, double target_bg = 120.0);
 
@@ -86,6 +88,7 @@ struct TrainingArtifacts {
     const ThresholdLearningOptions& options = {},
     aps::ThreadPool* pool = nullptr);
 
+/// CAWT: Table I logic with each patient's learned thresholds.
 [[nodiscard]] aps::sim::MonitorFactory cawt_factory(
     const TrainingArtifacts& artifacts);
 /// CAWT with the pooled population thresholds for every patient.

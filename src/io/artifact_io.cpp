@@ -1,5 +1,6 @@
 #include "io/artifact_io.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <utility>
@@ -95,7 +96,9 @@ aps::monitor::GuidelineConfig read_guideline_config(BinaryReader& in) {
 // stats, so stat-less bundles stay byte-identical to the pre-section
 // format and old files (nothing after the LSTM block) still load.
 constexpr std::uint32_t kTrainingStatsMarker = 0x53544154u;  // "STAT"
-constexpr std::uint32_t kTrainingStatsVersion = 1;
+// Version 2 stores Welford moments (mean, sum of squared deviations);
+// version 1 stored raw sums and still loads.
+constexpr std::uint32_t kTrainingStatsVersion = 2;
 
 void write_training_stats(BinaryWriter& out,
                           const aps::obs::TrainingStats& stats) {
@@ -104,8 +107,8 @@ void write_training_stats(BinaryWriter& out,
   out.u64(stats.features.size());
   for (const auto& feature : stats.features) {
     out.u64(feature.count);
-    out.f64(feature.sum);
-    out.f64(feature.sum_sq);
+    out.f64(feature.mean());
+    out.f64(feature.m2);
     out.f64(feature.min);
     out.f64(feature.max);
   }
@@ -116,7 +119,8 @@ aps::obs::TrainingStats read_training_stats(BinaryReader& in) {
     throw IoError("corrupt artifact: unknown trailing section in '" +
                   in.path() + "'");
   }
-  if (in.u32() != kTrainingStatsVersion) {
+  const std::uint32_t version = in.u32();
+  if (version != 1 && version != kTrainingStatsVersion) {
     throw IoError(
         "corrupt artifact: unsupported training-stats version in '" +
         in.path() + "'");
@@ -128,8 +132,15 @@ aps::obs::TrainingStats read_training_stats(BinaryReader& in) {
   stats.features.resize(features);
   for (auto& feature : stats.features) {
     feature.count = in.u64();
-    feature.sum = in.f64();
-    feature.sum_sq = in.f64();
+    feature.shift = in.f64();  // the mean; mu stays 0 relative to it
+    feature.m2 = in.f64();
+    if (version == 1 && feature.count > 0) {
+      // Raw sum and sum of squares: recover the moments.
+      const double sum = feature.shift;
+      const double sum_sq = feature.m2;
+      feature.shift = sum / static_cast<double>(feature.count);
+      feature.m2 = std::max(0.0, sum_sq - sum * feature.shift);
+    }
     feature.min = in.f64();
     feature.max = in.f64();
   }

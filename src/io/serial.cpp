@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace aps::io {
@@ -13,30 +14,53 @@ namespace {
 constexpr std::uint64_t kMaxStringLen = 1u << 20;       // 1 MiB
 constexpr std::uint64_t kMaxElementCount = 1u << 28;    // 256M doubles
 
-/// CRC-32 (IEEE, reflected polynomial 0xEDB88320) lookup table, built once.
-const std::array<std::uint32_t, 256>& crc32_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+// The codec writes scalars in native byte order and documents the format
+// as little-endian; a big-endian build would silently write foreign bytes.
+static_assert(std::endian::native == std::endian::little,
+              "serial formats are little-endian; port the codec first");
+
+/// Slicing-by-8 tables for CRC-32 (IEEE, reflected polynomial 0xEDB88320),
+/// built once. Table 0 is the classic byte-at-a-time table; table k holds
+/// the CRC of a byte followed by k zero bytes, so eight bytes fold in one
+/// step with the same result as eight single-byte steps.
+const std::array<std::array<std::uint32_t, 256>, 8>& crc32_tables() {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (std::size_t k = 1; k < 8; ++k) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  const auto& table = crc32_table();
+  const auto& t = crc32_tables();
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, bytes += 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, bytes, 4);
+    std::memcpy(&hi, bytes + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++bytes) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -56,6 +80,9 @@ std::string artifact_kind_name(ArtifactKind kind) {
 
 BinaryWriter::BinaryWriter() : path_("<memory>") {}
 
+BinaryWriter::BinaryWriter(std::vector<std::uint8_t>& sink)
+    : path_("<memory>"), sink_(&sink) {}
+
 BinaryWriter::BinaryWriter(const std::string& path)
     : path_(path), to_file_(true),
       out_(path, std::ios::binary | std::ios::trunc) {
@@ -74,7 +101,8 @@ void BinaryWriter::raw(const void* data, std::size_t n) {
     return;
   }
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buf_.insert(buf_.end(), bytes, bytes + n);
+  std::vector<std::uint8_t>& buf = sink_ != nullptr ? *sink_ : buf_;
+  buf.insert(buf.end(), bytes, bytes + n);
 }
 
 void BinaryWriter::u8(std::uint8_t v) { raw(&v, sizeof v); }

@@ -54,9 +54,12 @@ enum class ArtifactKind : std::uint32_t {
 class BinaryWriter {
  public:
   /// Memory-backed writer: bytes accumulate in an internal buffer
-  /// retrievable via bytes()/take() — used for wire-frame payloads and
-  /// listfile records.
+  /// retrievable via bytes()/take().
   BinaryWriter();
+  /// Memory-backed writer appending to `sink`, which must outlive it: how
+  /// wire frames and listfile records are encoded in place, straight into
+  /// their destination buffer. bytes()/take() stay empty.
+  explicit BinaryWriter(std::vector<std::uint8_t>& sink);
   /// File-backed writer streaming straight to `path`.
   explicit BinaryWriter(const std::string& path);
 
@@ -88,8 +91,9 @@ class BinaryWriter {
 
   std::string path_;
   bool to_file_ = false;
-  std::ofstream out_;               ///< file mode
-  std::vector<std::uint8_t> buf_;  ///< memory mode
+  std::ofstream out_;                          ///< file mode
+  std::vector<std::uint8_t> buf_;              ///< memory mode
+  std::vector<std::uint8_t>* sink_ = nullptr;  ///< memory mode, in place
 };
 
 class BinaryReader {

@@ -1,6 +1,8 @@
 #include "monitor/caw.h"
 
 #include <cassert>
+#include <cmath>
+#include <limits>
 
 namespace aps::monitor {
 
@@ -93,29 +95,39 @@ std::map<std::string, double> default_thresholds(
   };
 }
 
-CawMonitor::CawMonitor(CawConfig config) : config_(std::move(config)) {}
+CawMonitor::CawMonitor(CawConfig config) {
+  Shared shared{.config = std::move(config), .beta = {}};
+  const auto& rules = caw_rules();
+  shared.beta.reserve(rules.size());
+  for (const CawRule& rule : rules) {
+    const auto it = shared.config.thresholds.find(rule.param);
+    shared.beta.push_back(it != shared.config.thresholds.end()
+                              ? it->second
+                              : std::numeric_limits<double>::quiet_NaN());
+  }
+  shared_ = std::make_shared<const Shared>(std::move(shared));
+}
 
 bool CawMonitor::context_active(const CawRule& rule,
                                 const Observation& obs) const {
-  const double bg_offset = obs.bg - config_.target_bg;
+  const CawConfig& config = shared_->config;
+  const double bg_offset = obs.bg - config.target_bg;
   // BG-vs-target uses a zero dead-band: Table I splits strictly at BGT.
   if (!sign_holds(rule.bg_side, bg_offset, 0.0)) return false;
-  if (!sign_holds(rule.bg_rate, obs.bg_rate, config_.sign_epsilon_bg)) {
+  if (!sign_holds(rule.bg_rate, obs.bg_rate, config.sign_epsilon_bg)) {
     return false;
   }
-  if (!sign_holds(rule.iob_rate, obs.iob_rate, config_.sign_epsilon_iob)) {
+  if (!sign_holds(rule.iob_rate, obs.iob_rate, config.sign_epsilon_iob)) {
     return false;
   }
   return true;
 }
 
-bool CawMonitor::rule_violated(const CawRule& rule,
-                               const Observation& obs) const {
+bool CawMonitor::violated(const CawRule& rule, double beta,
+                          const Observation& obs) const {
   if (!context_active(rule, obs)) return false;
 
-  const auto it = config_.thresholds.find(rule.param);
-  assert(it != config_.thresholds.end() && "unbound CAW threshold");
-  const double beta = it->second;
+  assert(!std::isnan(beta) && "unbound CAW threshold");
   const double subject =
       rule.subject == RuleSubject::kIob ? obs.iob : obs.bg;
   const bool in_band = rule.upper_bound ? subject < beta : subject > beta;
@@ -127,13 +139,25 @@ bool CawMonitor::rule_violated(const CawRule& rule,
   return obs.action == rule.action;  // forbidden action taken
 }
 
+bool CawMonitor::rule_violated(const CawRule& rule,
+                               const Observation& obs) const {
+  const auto& thresholds = shared_->config.thresholds;
+  const auto it = thresholds.find(rule.param);
+  return violated(rule,
+                  it != thresholds.end()
+                      ? it->second
+                      : std::numeric_limits<double>::quiet_NaN(),
+                  obs);
+}
+
 Decision CawMonitor::observe(const Observation& obs) {
   Decision d;
-  for (const CawRule& rule : caw_rules()) {
-    if (rule_violated(rule, obs)) {
+  const auto& rules = caw_rules();
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (violated(rules[i], shared_->beta[i], obs)) {
       d.alarm = true;
-      d.predicted = rule.hazard;
-      d.rule_id = rule.id;
+      d.predicted = rules[i].hazard;
+      d.rule_id = rules[i].id;
       return d;
     }
   }

@@ -82,21 +82,25 @@ struct CawConfig {
 [[nodiscard]] std::map<std::string, double> default_thresholds(
     double steady_state_basal_iob_u);
 
+/// Stateless rule evaluator. A monitor's configuration is immutable and
+/// shared by its clones: serving opens one clone per session, so a
+/// patient's thresholds are held once however many sessions watch it.
 class CawMonitor final : public Monitor {
  public:
+  /// Resolves each rule's beta from config.thresholds once. A rule whose
+  /// threshold is unbound never fires (and asserts in debug builds when
+  /// evaluated); context_active() needs no thresholds at all.
   explicit CawMonitor(CawConfig config);
 
   void reset() override {}
   [[nodiscard]] Decision observe(const Observation& obs) override;
   [[nodiscard]] const std::string& name() const override {
-    return config_.name;
+    return shared_->config.name;
   }
+  /// Shares this monitor's configuration and resolved thresholds.
   [[nodiscard]] std::unique_ptr<Monitor> clone() const override;
 
-  [[nodiscard]] const CawConfig& config() const { return config_; }
-  void set_threshold(const std::string& param, double value) {
-    config_.thresholds[param] = value;
-  }
+  [[nodiscard]] const CawConfig& config() const { return shared_->config; }
 
   /// Does `rule` fire (violation) under `obs` with the current thresholds?
   [[nodiscard]] bool rule_violated(const CawRule& rule,
@@ -107,7 +111,16 @@ class CawMonitor final : public Monitor {
                                     const Observation& obs) const;
 
  private:
-  CawConfig config_;
+  struct Shared {
+    CawConfig config;
+    /// beta[i] is caw_rules()[i]'s threshold (NaN when unbound).
+    std::vector<double> beta;
+  };
+
+  [[nodiscard]] bool violated(const CawRule& rule, double beta,
+                              const Observation& obs) const;
+
+  std::shared_ptr<const Shared> shared_;
 };
 
 /// Export rule `r` as the STL formula of Eq. 1 over the trace variables

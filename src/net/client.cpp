@@ -22,6 +22,13 @@ std::string errno_message(const char* what) {
 
 }  // namespace
 
+template <WireMessage Msg>
+void BlockingClient::send(const Msg& msg) {
+  out_.clear();
+  append_frame(out_, msg);
+  send_raw(out_.data(), out_.size());
+}
+
 BlockingClient::BlockingClient(const std::string& host, std::uint16_t port,
                                const std::string& client_name)
     : decoder_("server " + host + ":" + std::to_string(port)) {
@@ -46,8 +53,7 @@ BlockingClient::BlockingClient(const std::string& host, std::uint16_t port,
   const int one = 1;
   (void)setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-  send_frame(encode(HelloMsg{.protocol_version = kNetVersion,
-                             .client_name = client_name}));
+  send(HelloMsg{.protocol_version = kNetVersion, .client_name = client_name});
   const HelloAckMsg ack = decode_hello_ack(wait_for(FrameKind::kHelloAck));
   if (ack.protocol_version != kNetVersion) {
     throw ProtocolError("server speaks protocol version " +
@@ -77,8 +83,9 @@ void BlockingClient::send_raw(const void* data, std::size_t n) {
 }
 
 void BlockingClient::send_frame(const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  send_raw(bytes.data(), bytes.size());
+  out_.clear();
+  append_frame(out_, frame);
+  send_raw(out_.data(), out_.size());
 }
 
 Frame BlockingClient::recv_frame() {
@@ -130,10 +137,10 @@ void BlockingClient::open_session(std::uint64_t token,
                                   std::int32_t patient_index,
                                   std::uint32_t max_retries) {
   for (std::uint32_t attempt = 0;; ++attempt) {
-    send_frame(encode(OpenSessionMsg{.token = token,
-                                     .patient_id = patient_id,
-                                     .monitor = monitor,
-                                     .patient_index = patient_index}));
+    send(OpenSessionMsg{.token = token,
+                        .patient_id = patient_id,
+                        .monitor = monitor,
+                        .patient_index = patient_index});
     Frame frame = wait_for_any(FrameKind::kOpenAck, FrameKind::kReject);
     if (frame.kind == FrameKind::kReject) {
       RejectMsg reject = decode_reject(frame);
@@ -165,7 +172,7 @@ void BlockingClient::open_session(std::uint64_t token,
 
 void BlockingClient::send_tick(std::uint64_t token, std::uint64_t seq,
                                const aps::monitor::Observation& obs) {
-  send_frame(encode(TickMsg{.token = token, .seq = seq, .obs = obs}));
+  send(TickMsg{.token = token, .seq = seq, .obs = obs});
 }
 
 DecisionMsg BlockingClient::recv_decision() {
@@ -186,7 +193,7 @@ TickReply BlockingClient::recv_reply() {
 }
 
 CloseAckMsg BlockingClient::close_session(std::uint64_t token) {
-  send_frame(encode(CloseSessionMsg{.token = token}));
+  send(CloseSessionMsg{.token = token});
   const CloseAckMsg ack = decode_close_ack(wait_for(FrameKind::kCloseAck));
   if (ack.token != token) {
     throw ProtocolError("close ack for token " + std::to_string(ack.token) +

@@ -94,6 +94,9 @@ class BlockingClient {
   }
 
  private:
+  /// Encode `msg` in place into out_ and send it.
+  template <WireMessage Msg>
+  void send(const Msg& msg);
   /// Block until a frame of `kind` arrives; parks everything else.
   Frame wait_for(FrameKind kind);
   /// Block until a frame of either kind arrives; parks everything else.
@@ -101,6 +104,7 @@ class BlockingClient {
 
   int fd_ = -1;
   FrameDecoder decoder_;
+  std::vector<std::uint8_t> out_;  ///< reused send buffer
   std::deque<Frame> inbox_;
   std::uint64_t generation_ = 0;
   std::uint64_t bytes_sent_ = 0;

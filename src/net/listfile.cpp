@@ -10,24 +10,8 @@ namespace aps::net {
 
 namespace {
 
-void write_record_header(std::ofstream& out, const std::string& path,
-                         RecordKind kind,
-                         const std::vector<std::uint8_t>& payload) {
-  const auto kind_byte = static_cast<std::uint8_t>(kind);
-  std::uint32_t crc = aps::io::crc32(&kind_byte, 1);
-  crc = aps::io::crc32(payload.data(), payload.size(), crc);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  out.put(static_cast<char>(kind_byte));
-  out.write(reinterpret_cast<const char*>(&len), sizeof len);
-  out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
-  if (!payload.empty()) {
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-  }
-  if (!out) {
-    throw aps::io::IoError("write failure on listfile '" + path + "'");
-  }
-}
+/// u8 kind | u32 payload_len | u32 crc ahead of every record payload.
+constexpr std::size_t kRecordHeaderSize = 1 + 2 * sizeof(std::uint32_t);
 
 }  // namespace
 
@@ -56,14 +40,23 @@ ListfileWriter::~ListfileWriter() {
   }
 }
 
-void ListfileWriter::append(RecordKind kind,
-                            aps::io::BinaryWriter&& payload) {
+template <typename WritePayload>
+void ListfileWriter::append(RecordKind kind, WritePayload&& write) {
   if (finished_) {
     throw aps::io::IoError("listfile '" + path_ +
                            "' already finished, cannot append");
   }
-  const std::vector<std::uint8_t> bytes = payload.take();
-  write_record_header(out_, path_, kind, bytes);
+  const std::size_t start = encode_in_place(buf_, kRecordHeaderSize, write);
+  const auto kind_byte = static_cast<std::uint8_t>(kind);
+  const std::uint8_t* payload = buf_.data() + start + kRecordHeaderSize;
+  const auto len =
+      static_cast<std::uint32_t>(buf_.size() - start - kRecordHeaderSize);
+  const std::uint32_t crc =
+      aps::io::crc32(payload, len, aps::io::crc32(&kind_byte, 1));
+  std::uint8_t* header = buf_.data() + start;
+  header[0] = kind_byte;
+  std::memcpy(header + 1, &len, sizeof len);
+  std::memcpy(header + 1 + sizeof len, &crc, sizeof crc);
   if (kind == RecordKind::kSync) return;
   ++records_;
   if (++since_sync_ >= kSyncInterval) {
@@ -72,14 +65,15 @@ void ListfileWriter::append(RecordKind kind,
 }
 
 void ListfileWriter::write_sync() {
-  aps::io::BinaryWriter payload;
-  payload.u64(records_);
-  append(RecordKind::kSync, std::move(payload));
+  append(RecordKind::kSync,
+         [this](aps::io::BinaryWriter& w) { w.u64(records_); });
   since_sync_ = 0;
-  // Durability point: everything up to this sync reaches the OS now, so
-  // a recorder killed mid-record (no destructor, no finish()) still
-  // leaves a file replayable through the last sync — not whatever the
-  // stdio buffer happened to hold.
+  // Durability point: the records buffered since the last sync reach the
+  // OS now, so a recorder killed mid-record (no destructor, no finish())
+  // still leaves a file replayable through the last sync.
+  out_.write(reinterpret_cast<const char*>(buf_.data()),
+             static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
   out_.flush();
   if (!out_) {
     throw aps::io::IoError("flush failure on listfile '" + path_ + "'");
@@ -87,44 +81,39 @@ void ListfileWriter::write_sync() {
 }
 
 void ListfileWriter::record_open(const OpenRecord& record) {
-  aps::io::BinaryWriter payload;
-  payload.u64(record.key);
-  payload.str(record.patient_id);
-  payload.str(record.monitor);
-  payload.i32(record.patient_index);
-  append(RecordKind::kOpen, std::move(payload));
+  append(RecordKind::kOpen, [&record](aps::io::BinaryWriter& w) {
+    w.u64(record.key);
+    w.str(record.patient_id);
+    w.str(record.monitor);
+    w.i32(record.patient_index);
+  });
 }
 
 void ListfileWriter::record_tick(const TickRecord& record) {
-  aps::io::BinaryWriter payload;
-  payload.u64(record.key);
-  payload.u64(record.seq);
-  write_observation(payload, record.obs);
-  append(RecordKind::kTick, std::move(payload));
+  append(RecordKind::kTick, [&record](aps::io::BinaryWriter& w) {
+    w.u64(record.key);
+    w.u64(record.seq);
+    write_observation(w, record.obs);
+  });
 }
 
 void ListfileWriter::record_decision(const DecisionRecord& record) {
-  aps::io::BinaryWriter payload;
-  payload.u64(record.key);
-  payload.u64(record.seq);
-  write_decision(payload, record.decision);
-  append(RecordKind::kDecision, std::move(payload));
+  append(RecordKind::kDecision, [&record](aps::io::BinaryWriter& w) {
+    w.u64(record.key);
+    w.u64(record.seq);
+    write_decision(w, record.decision);
+  });
 }
 
 void ListfileWriter::record_close(const CloseRecord& record) {
-  aps::io::BinaryWriter payload;
-  payload.u64(record.key);
-  append(RecordKind::kClose, std::move(payload));
+  append(RecordKind::kClose,
+         [&record](aps::io::BinaryWriter& w) { w.u64(record.key); });
 }
 
 void ListfileWriter::finish() {
   if (finished_) return;
   write_sync();
   finished_ = true;
-  out_.flush();
-  if (!out_) {
-    throw aps::io::IoError("flush failure on listfile '" + path_ + "'");
-  }
 }
 
 // ---- ListfileReader --------------------------------------------------------

@@ -26,8 +26,9 @@
 // complete record, reported via truncated(). Corruption that truncation
 // cannot produce (bad CRC on a complete record, unknown kind, hostile
 // length) always throws. Sync records carrying the running record count
-// are written every kSyncInterval records and on finish(), and the stream
-// is flushed at every sync so a SIGKILLed recorder loses at most the
+// are written every kSyncInterval records and on finish(). The writer
+// encodes records in place into one buffer and hands it to the stream,
+// flushed, at every sync, so a SIGKILLed recorder loses at most the
 // records since the last sync point.
 #pragma once
 
@@ -110,11 +111,18 @@ class ListfileWriter {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  void append(RecordKind kind, aps::io::BinaryWriter&& payload);
+  /// Encode one record in place at the end of buf_; `write` fills the
+  /// payload through an io::BinaryWriter.
+  template <typename WritePayload>
+  void append(RecordKind kind, WritePayload&& write);
+  /// Append a sync record and hand the buffer to the stream (flushed).
   void write_sync();
 
   std::string path_;
   std::ofstream out_;
+  /// Records since the last sync, encoded in place; written to out_ and
+  /// flushed at each sync, so the durability point is the sync record.
+  std::vector<std::uint8_t> buf_;
   std::uint64_t records_ = 0;        ///< payload records (syncs excluded)
   std::uint64_t since_sync_ = 0;
   bool finished_ = false;

@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -12,14 +13,14 @@ using aps::io::BinaryWriter;
 
 /// Little-endian scalar helpers for the fixed-layout frame header (the
 /// payload goes through the shared BinaryWriter/BinaryReader codec).
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+void put_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v & 0xFFu);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+void put_u32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
   }
 }
 
@@ -56,10 +57,6 @@ void expect_drained(const BinaryReader& in, FrameKind kind) {
   }
 }
 
-[[nodiscard]] Frame finish_frame(FrameKind kind, BinaryWriter&& payload) {
-  return Frame{kind, std::move(payload).take()};
-}
-
 }  // namespace
 
 const char* frame_kind_name(FrameKind kind) {
@@ -78,19 +75,34 @@ const char* frame_kind_name(FrameKind kind) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  if (frame.payload.size() > kMaxFramePayload) {
+void seal_frame(std::vector<std::uint8_t>& out, std::size_t start,
+                FrameKind kind) {
+  const std::size_t payload_len = out.size() - start - kFrameHeaderSize;
+  if (payload_len > kMaxFramePayload) {
+    out.resize(start);
     throw ProtocolError("frame payload exceeds the protocol maximum");
   }
+  std::uint8_t* header = out.data() + start;
+  put_u32(header, kNetMagic);
+  put_u16(header + 4, kNetVersion);
+  put_u16(header + 6, static_cast<std::uint16_t>(kind));
+  put_u32(header + 8, static_cast<std::uint32_t>(payload_len));
+  put_u32(header + 12, aps::io::crc32(header, 12));
+  put_u32(header + 16,
+          aps::io::crc32(header + kFrameHeaderSize, payload_len));
+}
+
+void append_frame(std::vector<std::uint8_t>& out, const Frame& frame) {
+  const std::size_t start = out.size();
+  out.resize(start + kFrameHeaderSize);
+  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  seal_frame(out, start, frame.kind);
+}
+
+std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderSize + frame.payload.size());
-  put_u32(out, kNetMagic);
-  put_u16(out, kNetVersion);
-  put_u16(out, static_cast<std::uint16_t>(frame.kind));
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  put_u32(out, aps::io::crc32(out.data(), out.size()));
-  put_u32(out, aps::io::crc32(frame.payload.data(), frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  append_frame(out, frame);
   return out;
 }
 
@@ -186,6 +198,15 @@ aps::monitor::Observation read_observation(BinaryReader& in) {
   return obs;
 }
 
+bool observation_finite(const aps::monitor::Observation& obs) {
+  for (const double v : {obs.time_min, obs.bg, obs.bg_rate, obs.iob,
+                         obs.iob_rate, obs.commanded_rate, obs.previous_rate,
+                         obs.basal_rate, obs.isf}) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
 void write_decision(BinaryWriter& out,
                     const aps::monitor::Decision& decision) {
   out.u8(decision.alarm ? 1 : 0);
@@ -213,11 +234,9 @@ aps::monitor::Decision read_decision(BinaryReader& in) {
 
 // ---- Typed encode / decode -------------------------------------------------
 
-Frame encode(const HelloMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const HelloMsg& msg) {
   out.u32(msg.protocol_version);
   out.str(msg.client_name);
-  return finish_frame(FrameKind::kHello, std::move(out));
 }
 
 HelloMsg decode_hello(const Frame& frame) {
@@ -229,12 +248,10 @@ HelloMsg decode_hello(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const HelloAckMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const HelloAckMsg& msg) {
   out.u32(msg.protocol_version);
   out.u64(msg.generation);
   out.str(msg.server_name);
-  return finish_frame(FrameKind::kHelloAck, std::move(out));
 }
 
 HelloAckMsg decode_hello_ack(const Frame& frame) {
@@ -247,13 +264,11 @@ HelloAckMsg decode_hello_ack(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const OpenSessionMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const OpenSessionMsg& msg) {
   out.u64(msg.token);
   out.str(msg.patient_id);
   out.str(msg.monitor);
   out.i32(msg.patient_index);
-  return finish_frame(FrameKind::kOpenSession, std::move(out));
 }
 
 OpenSessionMsg decode_open_session(const Frame& frame) {
@@ -267,12 +282,10 @@ OpenSessionMsg decode_open_session(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const OpenAckMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const OpenAckMsg& msg) {
   out.u64(msg.token);
   out.u8(msg.ok ? 1 : 0);
   out.str(msg.error);
-  return finish_frame(FrameKind::kOpenAck, std::move(out));
 }
 
 OpenAckMsg decode_open_ack(const Frame& frame) {
@@ -285,12 +298,10 @@ OpenAckMsg decode_open_ack(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const TickMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const TickMsg& msg) {
   out.u64(msg.token);
   out.u64(msg.seq);
   write_observation(out, msg.obs);
-  return finish_frame(FrameKind::kTick, std::move(out));
 }
 
 TickMsg decode_tick(const Frame& frame) {
@@ -303,12 +314,10 @@ TickMsg decode_tick(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const DecisionMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const DecisionMsg& msg) {
   out.u64(msg.token);
   out.u64(msg.seq);
   write_decision(out, msg.decision);
-  return finish_frame(FrameKind::kDecision, std::move(out));
 }
 
 DecisionMsg decode_decision(const Frame& frame) {
@@ -321,10 +330,8 @@ DecisionMsg decode_decision(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const CloseSessionMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const CloseSessionMsg& msg) {
   out.u64(msg.token);
-  return finish_frame(FrameKind::kCloseSession, std::move(out));
 }
 
 CloseSessionMsg decode_close_session(const Frame& frame) {
@@ -335,12 +342,10 @@ CloseSessionMsg decode_close_session(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const CloseAckMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const CloseAckMsg& msg) {
   out.u64(msg.token);
   out.u64(msg.cycles);
   out.u64(msg.alarms);
-  return finish_frame(FrameKind::kCloseAck, std::move(out));
 }
 
 CloseAckMsg decode_close_ack(const Frame& frame) {
@@ -353,11 +358,9 @@ CloseAckMsg decode_close_ack(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const ErrorMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const ErrorMsg& msg) {
   out.u32(msg.code);
   out.str(msg.message);
-  return finish_frame(FrameKind::kError, std::move(out));
 }
 
 ErrorMsg decode_error(const Frame& frame) {
@@ -369,14 +372,12 @@ ErrorMsg decode_error(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const RejectMsg& msg) {
-  BinaryWriter out;
+void write_payload(BinaryWriter& out, const RejectMsg& msg) {
   out.u64(msg.token);
   out.u64(msg.seq);
   out.u8(msg.reason);
   out.u32(msg.retry_after_ms);
   out.str(msg.message);
-  return finish_frame(FrameKind::kReject, std::move(out));
 }
 
 RejectMsg decode_reject(const Frame& frame) {
@@ -385,9 +386,9 @@ RejectMsg decode_reject(const Frame& frame) {
   msg.token = in.u64();
   msg.seq = in.u64();
   msg.reason = in.u8();
-  // Reason 0 ("not rejected") makes no sense on the wire; 1..2 are the
+  // Reason 0 ("not rejected") makes no sense on the wire; 1..3 are the
   // serve::RejectReason values this version defines.
-  if (msg.reason == 0 || msg.reason > 2) {
+  if (msg.reason == 0 || msg.reason > kMaxRejectReason) {
     throw ProtocolError("out-of-range reject reason " +
                         std::to_string(msg.reason));
   }

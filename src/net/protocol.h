@@ -25,6 +25,7 @@
 // input; the fuzz suite (tests/net_protocol_test.cpp) runs under ASan.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -64,6 +65,9 @@ enum class FrameKind : std::uint16_t {
 };
 inline constexpr std::uint16_t kFrameKindMax = 10;
 
+/// Highest serve::RejectReason a kReject frame may carry.
+inline constexpr std::uint8_t kMaxRejectReason = 3;
+
 [[nodiscard]] const char* frame_kind_name(FrameKind kind);
 
 struct Frame {
@@ -71,7 +75,32 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Serialize one frame (header + CRCs + payload) ready for the socket.
+/// The one in-place encoder behind every wire frame and listfile record:
+/// reserves `header_size` bytes at the end of `out`, then lets
+/// `write(io::BinaryWriter&)` append the payload straight behind them.
+/// Returns the offset of the reserved header, which the caller fills in
+/// from the payload that follows it (length, CRCs), so the socket and
+/// listfile paths never build a payload in a buffer of its own.
+template <typename WritePayload>
+std::size_t encode_in_place(std::vector<std::uint8_t>& out,
+                            std::size_t header_size, WritePayload&& write) {
+  const std::size_t start = out.size();
+  out.resize(start + header_size);
+  aps::io::BinaryWriter payload(out);
+  write(payload);
+  return start;
+}
+
+/// Fill in the frame header at `out[start]` for the payload behind it
+/// (everything from start + kFrameHeaderSize to the end of `out`). An
+/// oversized payload is cut off again and throws ProtocolError.
+void seal_frame(std::vector<std::uint8_t>& out, std::size_t start,
+                FrameKind kind);
+
+/// Append an already-built frame to `out`.
+void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);
+
+/// Serialize one frame (header + CRCs + payload) into a fresh buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Incremental frame parser for one connection: feed() whatever the socket
@@ -100,17 +129,20 @@ class FrameDecoder {
 // ---- Typed payloads --------------------------------------------------------
 
 struct HelloMsg {
+  static constexpr FrameKind kKind = FrameKind::kHello;
   std::uint32_t protocol_version = kNetVersion;
   std::string client_name;
 };
 
 struct HelloAckMsg {
+  static constexpr FrameKind kKind = FrameKind::kHelloAck;
   std::uint32_t protocol_version = kNetVersion;
   std::uint64_t generation = 0;  ///< serving engine model generation
   std::string server_name;
 };
 
 struct OpenSessionMsg {
+  static constexpr FrameKind kKind = FrameKind::kOpenSession;
   std::uint64_t token = 0;  ///< client-chosen id echoed in every reply
   std::string patient_id;
   std::string monitor;
@@ -118,34 +150,40 @@ struct OpenSessionMsg {
 };
 
 struct OpenAckMsg {
+  static constexpr FrameKind kKind = FrameKind::kOpenAck;
   std::uint64_t token = 0;
   bool ok = false;
   std::string error;  ///< empty when ok
 };
 
 struct TickMsg {
+  static constexpr FrameKind kKind = FrameKind::kTick;
   std::uint64_t token = 0;
   std::uint64_t seq = 0;  ///< client sequence, echoed in the decision
   aps::monitor::Observation obs;
 };
 
 struct DecisionMsg {
+  static constexpr FrameKind kKind = FrameKind::kDecision;
   std::uint64_t token = 0;
   std::uint64_t seq = 0;
   aps::monitor::Decision decision;
 };
 
 struct CloseSessionMsg {
+  static constexpr FrameKind kKind = FrameKind::kCloseSession;
   std::uint64_t token = 0;
 };
 
 struct CloseAckMsg {
+  static constexpr FrameKind kKind = FrameKind::kCloseAck;
   std::uint64_t token = 0;
   std::uint64_t cycles = 0;
   std::uint64_t alarms = 0;
 };
 
 struct ErrorMsg {
+  static constexpr FrameKind kKind = FrameKind::kError;
   std::uint32_t code = 0;
   std::string message;
 };
@@ -154,9 +192,11 @@ struct ErrorMsg {
 /// overload outcome: the connection stays up and the client should back
 /// off for retry_after_ms before retrying. Sent in place of kOpenAck when
 /// a session open is shed, and in place of kDecision (seq echoed) when a
-/// tick is dropped for an over-quota tenant. `reason` carries
-/// serve::RejectReason values (1 = open shed, 2 = over-quota tick).
+/// tick is dropped for an over-quota tenant or carries a non-finite
+/// observation. `reason` carries serve::RejectReason values (1 = open
+/// shed, 2 = over-quota tick, 3 = invalid observation).
 struct RejectMsg {
+  static constexpr FrameKind kKind = FrameKind::kReject;
   std::uint64_t token = 0;
   std::uint64_t seq = 0;  ///< 0 for open rejections
   std::uint8_t reason = 0;
@@ -164,16 +204,43 @@ struct RejectMsg {
   std::string message;
 };
 
-[[nodiscard]] Frame encode(const HelloMsg& msg);
-[[nodiscard]] Frame encode(const HelloAckMsg& msg);
-[[nodiscard]] Frame encode(const OpenSessionMsg& msg);
-[[nodiscard]] Frame encode(const OpenAckMsg& msg);
-[[nodiscard]] Frame encode(const TickMsg& msg);
-[[nodiscard]] Frame encode(const DecisionMsg& msg);
-[[nodiscard]] Frame encode(const CloseSessionMsg& msg);
-[[nodiscard]] Frame encode(const CloseAckMsg& msg);
-[[nodiscard]] Frame encode(const ErrorMsg& msg);
-[[nodiscard]] Frame encode(const RejectMsg& msg);
+// Payload writers, one per message; the frame kind is the message's
+// kKind.
+void write_payload(aps::io::BinaryWriter& out, const HelloMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const HelloAckMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const OpenSessionMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const OpenAckMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const TickMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const DecisionMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const CloseSessionMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const CloseAckMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const ErrorMsg& msg);
+void write_payload(aps::io::BinaryWriter& out, const RejectMsg& msg);
+
+template <typename Msg>
+concept WireMessage = requires(aps::io::BinaryWriter& out, const Msg& msg) {
+  { Msg::kKind } -> std::convertible_to<FrameKind>;
+  write_payload(out, msg);
+};
+
+/// Append `msg` as one complete frame to `out`, encoded in place — the
+/// socket path (server replies, client requests).
+template <WireMessage Msg>
+void append_frame(std::vector<std::uint8_t>& out, const Msg& msg) {
+  const std::size_t start =
+      encode_in_place(out, kFrameHeaderSize, [&msg](aps::io::BinaryWriter& w) {
+        write_payload(w, msg);
+      });
+  seal_frame(out, start, Msg::kKind);
+}
+
+/// `msg` as a standalone Frame (its payload in a buffer of its own).
+template <WireMessage Msg>
+[[nodiscard]] Frame encode(const Msg& msg) {
+  aps::io::BinaryWriter out;
+  write_payload(out, msg);
+  return Frame{Msg::kKind, out.take()};
+}
 
 // Decoders validate the frame kind, every enum, and that the payload is
 // consumed exactly; ProtocolError otherwise.
@@ -194,6 +261,11 @@ void write_observation(aps::io::BinaryWriter& out,
                        const aps::monitor::Observation& obs);
 [[nodiscard]] aps::monitor::Observation read_observation(
     aps::io::BinaryReader& in);
+/// True when every floating-point field of `obs` is finite. NaN and
+/// +-inf pass every CRC and decode check, but no monitor is defined on
+/// them: the ingest server answers such a tick with a kReject (reason 3,
+/// invalid observation) and never feeds, records or drift-merges it.
+[[nodiscard]] bool observation_finite(const aps::monitor::Observation& obs);
 void write_decision(aps::io::BinaryWriter& out,
                     const aps::monitor::Decision& decision);
 [[nodiscard]] aps::monitor::Decision read_decision(aps::io::BinaryReader& in);

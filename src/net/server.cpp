@@ -43,7 +43,9 @@ void set_nonblocking_checks(int fd) {
 
 struct IngestServer::Impl {
   struct PendingEvent {
-    enum class Kind : std::uint8_t { kTick, kClose };
+    /// kInvalidTick: a tick with a non-finite observation field, answered
+    /// with a kReject in batch order and never fed.
+    enum class Kind : std::uint8_t { kTick, kInvalidTick, kClose };
     Kind kind = Kind::kTick;
     std::uint64_t token = 0;
     std::uint64_t seq = 0;
@@ -65,6 +67,7 @@ struct IngestServer::Impl {
     bool hello_done = false;
     bool paused = false;      ///< EPOLLIN removed until the next tick drain
     bool want_write = false;  ///< EPOLLOUT armed for a partial outbuf
+    bool dirty = false;       ///< listed in `dirty` for the next flush
   };
 
   aps::serve::EngineGroup& group;
@@ -81,6 +84,8 @@ struct IngestServer::Impl {
   std::atomic<std::size_t> open_count{0};
 
   std::map<int, Connection> connections;  ///< fd -> state, IO thread only
+  /// Connections with frames appended since the last flush_pending().
+  std::vector<int> dirty;
   std::unique_ptr<ListfileWriter> listfile;
 
   // Metric handles, resolved once (per-frame-kind counters included).
@@ -90,12 +95,14 @@ struct IngestServer::Impl {
   aps::obs::Counter* c_rejected = nullptr;
   aps::obs::Counter* c_bytes_in = nullptr;
   aps::obs::Counter* c_bytes_out = nullptr;
+  aps::obs::Counter* c_writes = nullptr;
   aps::obs::Counter* c_protocol_errors = nullptr;
   aps::obs::Counter* c_ticks = nullptr;
   aps::obs::Counter* c_batches = nullptr;
   aps::obs::Counter* c_pauses = nullptr;
   aps::obs::Counter* c_drop_disconnect = nullptr;
   aps::obs::Counter* c_drop_closed = nullptr;
+  aps::obs::Counter* c_drop_invalid = nullptr;
   aps::obs::Counter* c_frames_in[kFrameKindMax + 1] = {};
   aps::obs::Counter* c_frames_out[kFrameKindMax + 1] = {};
   aps::obs::Histogram* h_batch = nullptr;
@@ -130,6 +137,8 @@ struct IngestServer::Impl {
                                    "bytes read from ingest sockets");
     c_bytes_out = &registry.counter("net_bytes_out_total", {},
                                     "bytes written to ingest sockets");
+    c_writes = &registry.counter("net_writes_total", {},
+                                 "send() calls that moved bytes");
     c_protocol_errors = &registry.counter(
         "net_protocol_errors_total", {},
         "connections dropped for malformed or hostile frames");
@@ -146,6 +155,8 @@ struct IngestServer::Impl {
                           "queued events dropped before reaching the engine");
     c_drop_closed = &registry.counter("net_frames_dropped_total",
                                       {{"reason", "closed_session"}});
+    c_drop_invalid = &registry.counter("net_frames_dropped_total",
+                                       {{"reason", "invalid_observation"}});
     for (std::uint16_t k = 1; k <= kFrameKindMax; ++k) {
       const char* kind = frame_kind_name(static_cast<FrameKind>(k));
       c_frames_in[k] =
@@ -319,6 +330,7 @@ struct IngestServer::Impl {
         if ((events[i].events & EPOLLOUT) != 0) flush_outbuf(it->second);
         if ((events[i].events & EPOLLIN) != 0) handle_readable(fd);
       }
+      flush_pending();  // replies to this wave's control frames
       const bool due = config.tick_interval_ms == 0 ||
                        clock::now() >= next_tick;
       if (pending_events() > 0 && due) {
@@ -424,22 +436,20 @@ struct IngestServer::Impl {
       }
       const HelloMsg hello = decode_hello(frame);
       if (hello.protocol_version != kNetVersion) {
-        const int fd = conn.fd;
-        (void)send_frame(conn,
-                         encode(ErrorMsg{
-                             .code = 1,
-                             .message = "unsupported protocol version " +
-                                        std::to_string(
-                                            hello.protocol_version)}));
-        drop_connection(fd, "version mismatch");
+        send_and_drop(conn,
+                      ErrorMsg{.code = 1,
+                               .message = "unsupported protocol version " +
+                                          std::to_string(
+                                              hello.protocol_version)},
+                      "version mismatch");
         return false;
       }
       conn.tenant = std::string(aps::serve::tenant_of(hello.client_name));
       conn.hello_done = true;
-      return send_frame(
-          conn, encode(HelloAckMsg{.protocol_version = kNetVersion,
-                                   .generation = group.generation(),
-                                   .server_name = config.server_name}));
+      send(conn, HelloAckMsg{.protocol_version = kNetVersion,
+                             .generation = group.generation(),
+                             .server_name = config.server_name});
+      return true;
     }
 
     switch (frame.kind) {
@@ -463,23 +473,27 @@ struct IngestServer::Impl {
           } catch (const aps::serve::ShedError& err) {
             // Overload, not failure: typed reject so the client backs
             // off and retries; the connection stays up.
-            return send_frame(
-                conn,
-                encode(RejectMsg{
-                    .token = msg.token,
-                    .seq = 0,
-                    .reason = static_cast<std::uint8_t>(err.reason()),
-                    .retry_after_ms = err.retry_after_ms(),
-                    .message = err.what()}));
+            send(conn,
+                 RejectMsg{.token = msg.token,
+                           .seq = 0,
+                           .reason = static_cast<std::uint8_t>(err.reason()),
+                           .retry_after_ms = err.retry_after_ms(),
+                           .message = err.what()});
+            return true;
           } catch (const std::exception& err) {
             ack.error = err.what();
           }
         }
-        return send_frame(conn, encode(ack));
+        send(conn, ack);
+        return true;
       }
       case FrameKind::kTick: {
         const TickMsg msg = decode_tick(frame);
-        conn.events.push_back({.kind = PendingEvent::Kind::kTick,
+        // A non-finite tick still queues, so its reject keeps its place
+        // among the connection's replies.
+        conn.events.push_back({.kind = observation_finite(msg.obs)
+                                           ? PendingEvent::Kind::kTick
+                                           : PendingEvent::Kind::kInvalidTick,
                                .token = msg.token,
                                .seq = msg.seq,
                                .obs = msg.obs});
@@ -517,15 +531,22 @@ struct IngestServer::Impl {
 
   // ---- Tick: drain queues through the group --------------------------------
 
+  // Batch bookkeeping points at connections directly: nothing drops a
+  // connection between draining the queues and queueing the replies
+  // (send() only appends), so the pointers outlive both reply loops.
+
+  /// One tick's place in the batch's reply order. A fed tick indexes its
+  /// input; an invalid one (input == kNotFed) is answered with a reject.
   struct BatchSlot {
-    int fd = -1;
+    static constexpr std::size_t kNotFed = static_cast<std::size_t>(-1);
+    Connection* conn = nullptr;
     std::uint64_t token = 0;
     std::uint64_t seq = 0;
-    aps::serve::SessionId session = 0;
+    std::size_t input = kNotFed;
   };
 
   struct PendingClose {
-    int fd = -1;
+    Connection* conn = nullptr;
     std::uint64_t token = 0;
     aps::serve::SessionId session = 0;
   };
@@ -539,94 +560,90 @@ struct IngestServer::Impl {
       if (inputs.size() >= config.max_batch) break;
       while (!conn.events.empty() && inputs.size() < config.max_batch) {
         PendingEvent& ev = conn.events.front();
-        if (ev.kind == PendingEvent::Kind::kTick) {
-          const auto sit = conn.sessions.find(ev.token);
-          if (sit == conn.sessions.end()) {
-            c_drop_closed->add(1);  // tick arrived after the token's close
-          } else {
-            // NOT recorded to the listfile yet: admission may shed this
-            // tick, and shed ticks must stay out of the record so replay
-            // reproduces exactly the served stream.
-            inputs.push_back({sit->second, ev.obs});
-            slots.push_back({.fd = fd,
-                             .token = ev.token,
-                             .seq = ev.seq,
-                             .session = sit->second});
-          }
+        const auto sit = conn.sessions.find(ev.token);
+        if (sit == conn.sessions.end()) {
+          c_drop_closed->add(1);  // event arrived after the token's close
+        } else if (ev.kind == PendingEvent::Kind::kTick) {
+          // NOT recorded to the listfile yet: admission may shed this
+          // tick, and shed ticks must stay out of the record so replay
+          // reproduces exactly the served stream.
+          slots.push_back({.conn = &conn,
+                           .token = ev.token,
+                           .seq = ev.seq,
+                           .input = inputs.size()});
+          inputs.push_back({sit->second, ev.obs});
+        } else if (ev.kind == PendingEvent::Kind::kInvalidTick) {
+          c_drop_invalid->add(1);
+          slots.push_back({.conn = &conn, .token = ev.token, .seq = ev.seq});
         } else {
-          const auto sit = conn.sessions.find(ev.token);
-          if (sit == conn.sessions.end()) {
-            c_drop_closed->add(1);
-          } else {
-            // Unmap the token now so ticks queued behind the close are
-            // dropped instead of fed to a closing session; the engine
-            // close itself waits until after the batch below feeds the
-            // ticks queued ahead of it.
-            closes.push_back(
-                {.fd = fd, .token = ev.token, .session = sit->second});
-            conn.sessions.erase(sit);
-          }
+          // Unmap the token now so ticks queued behind the close are
+          // dropped instead of fed to a closing session; the engine
+          // close itself waits until after the batch below feeds the
+          // ticks queued ahead of it.
+          closes.push_back(
+              {.conn = &conn, .token = ev.token, .session = sit->second});
+          conn.sessions.erase(sit);
         }
         conn.events.pop_front();
       }
     }
 
+    std::vector<aps::monitor::Decision> decisions(inputs.size());
+    std::vector<aps::serve::TickOutcome> outcomes(inputs.size());
     if (!inputs.empty()) {
-      std::vector<aps::monitor::Decision> decisions(inputs.size());
-      std::vector<aps::serve::TickOutcome> outcomes(inputs.size());
       group.feed(inputs, decisions, outcomes);
       c_batches->add(1);
       h_batch->observe(static_cast<double>(inputs.size()));
-      std::uint64_t served = 0;
-      for (std::size_t i = 0; i < decisions.size(); ++i) {
-        const BatchSlot& slot = slots[i];
-        if (!outcomes[i].served()) {
-          // Shed tick: typed reject (seq echoed so the client can match
-          // it) instead of a decision; nothing reaches the listfile.
-          auto cit = connections.find(slot.fd);
-          if (cit == connections.end()) continue;  // client left mid-tick
-          (void)send_frame(
-              cit->second,
-              encode(RejectMsg{
-                  .token = slot.token,
-                  .seq = slot.seq,
-                  .reason = static_cast<std::uint8_t>(outcomes[i].reason),
-                  .retry_after_ms =
-                      group.admission().config().retry_after_ms,
-                  .message = "tick shed: tenant over quota"}));
-          continue;
-        }
-        ++served;
-        if (listfile) {
-          // Served ticks only, adjacent to their decisions, in batch
-          // order — the replayed stream is exactly the served stream.
-          listfile->record_tick({.key = slot.session,
-                                 .seq = slot.seq,
-                                 .obs = inputs[i].obs});
-          listfile->record_decision({.key = slot.session,
-                                     .seq = slot.seq,
-                                     .decision = decisions[i]});
-        }
-        auto cit = connections.find(slot.fd);
-        if (cit == connections.end()) continue;  // client left mid-tick
-        (void)send_frame(cit->second,
-                         encode(DecisionMsg{.token = slot.token,
-                                            .seq = slot.seq,
-                                            .decision = decisions[i]}));
-      }
-      c_ticks->add(served);
     }
+    std::uint64_t served = 0;
+    for (const BatchSlot& slot : slots) {
+      if (slot.input == BatchSlot::kNotFed) {
+        send(*slot.conn,
+             RejectMsg{.token = slot.token,
+                       .seq = slot.seq,
+                       .reason = static_cast<std::uint8_t>(
+                           aps::serve::RejectReason::kInvalidObservation),
+                       .retry_after_ms = 0,
+                       .message = "tick rejected: non-finite observation"});
+        continue;
+      }
+      const std::size_t i = slot.input;
+      if (!outcomes[i].served()) {
+        // Shed tick: typed reject (seq echoed so the client can match
+        // it) instead of a decision; nothing reaches the listfile.
+        send(*slot.conn,
+             RejectMsg{.token = slot.token,
+                       .seq = slot.seq,
+                       .reason = static_cast<std::uint8_t>(outcomes[i].reason),
+                       .retry_after_ms =
+                           group.admission().config().retry_after_ms,
+                       .message = "tick shed: tenant over quota"});
+        continue;
+      }
+      ++served;
+      if (listfile) {
+        // Served ticks only, adjacent to their decisions, in batch
+        // order — the replayed stream is exactly the served stream.
+        listfile->record_tick({.key = inputs[i].session,
+                               .seq = slot.seq,
+                               .obs = inputs[i].obs});
+        listfile->record_decision({.key = inputs[i].session,
+                                   .seq = slot.seq,
+                                   .decision = decisions[i]});
+      }
+      send(*slot.conn, DecisionMsg{.token = slot.token,
+                                   .seq = slot.seq,
+                                   .decision = decisions[i]});
+    }
+    c_ticks->add(served);
 
     for (const auto& close : closes) {
       const aps::serve::SessionStats st = group.stats(close.session);
       group.close_session(close.session);
       if (listfile) listfile->record_close({.key = close.session});
-      auto cit = connections.find(close.fd);
-      if (cit == connections.end()) continue;  // client left mid-tick
-      (void)send_frame(cit->second,
-                       encode(CloseAckMsg{.token = close.token,
-                                          .cycles = st.cycles,
-                                          .alarms = st.alarms}));
+      send(*close.conn, CloseAckMsg{.token = close.token,
+                                    .cycles = st.cycles,
+                                    .alarms = st.alarms});
     }
 
     // Resume paused connections; their decoders may hold buffered frames
@@ -648,24 +665,44 @@ struct IngestServer::Impl {
         protocol_failure(fd, err.what());
       }
     }
+    flush_pending();  // one write per connection for the whole batch
   }
 
   // ---- Writes --------------------------------------------------------------
+  //
+  // Replies are only appended here; sockets are written by flush_pending()
+  // once per epoll wave and once per tick, so a batch's frames leave in one
+  // send() per connection. A connection is never dropped while a caller
+  // holds a reference to it: the slow-consumer bound is enforced at the
+  // flush, after the decision loop.
 
-  /// Queue + flush one frame. Returns false when the connection was
-  /// dropped (slow consumer) — `conn` is then dangling and the caller
-  /// must stop touching it.
-  [[nodiscard]] bool send_frame(Connection& conn, const Frame& frame) {
-    const std::vector<std::uint8_t> bytes = encode_frame(frame);
-    c_frames_out[static_cast<std::uint16_t>(frame.kind)]->add(1);
-    h_frame_out->observe(static_cast<double>(bytes.size()));
-    conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
-    flush_outbuf(conn);
-    if (conn.outbuf.size() - conn.out_pos > kMaxOutbufBytes) {
-      drop_connection(conn.fd, "slow consumer");
-      return false;
+  /// Encode `msg` in place at the end of the connection's outbuf.
+  template <WireMessage Msg>
+  void send(Connection& conn, const Msg& msg) {
+    const std::size_t before = conn.outbuf.size();
+    append_frame(conn.outbuf, msg);
+    c_frames_out[static_cast<std::uint16_t>(Msg::kKind)]->add(1);
+    h_frame_out->observe(static_cast<double>(conn.outbuf.size() - before));
+    if (!conn.dirty) {
+      conn.dirty = true;
+      dirty.push_back(conn.fd);
     }
-    return true;
+  }
+
+  /// Write every connection with appended frames; drop those whose
+  /// unsent backlog still exceeds the slow-consumer bound.
+  void flush_pending() {
+    for (const int fd : dirty) {
+      auto it = connections.find(fd);
+      if (it == connections.end()) continue;  // dropped since appending
+      Connection& conn = it->second;
+      conn.dirty = false;
+      flush_outbuf(conn);
+      if (conn.outbuf.size() - conn.out_pos > kMaxOutbufBytes) {
+        drop_connection(fd, "slow consumer");
+      }
+    }
+    dirty.clear();
   }
 
   void flush_outbuf(Connection& conn) {
@@ -674,6 +711,7 @@ struct IngestServer::Impl {
           ::send(conn.fd, conn.outbuf.data() + conn.out_pos,
                  conn.outbuf.size() - conn.out_pos, MSG_NOSIGNAL);
       if (n > 0) {
+        c_writes->add(1);
         c_bytes_out->add(static_cast<std::uint64_t>(n));
         conn.out_pos += static_cast<std::size_t>(n);
         continue;
@@ -710,21 +748,22 @@ struct IngestServer::Impl {
 
   // ---- Teardown ------------------------------------------------------------
 
+  /// Last words: queue `msg` behind whatever the connection still owes,
+  /// make one best-effort write, then drop it.
+  template <WireMessage Msg>
+  void send_and_drop(Connection& conn, const Msg& msg,
+                     const std::string& reason) {
+    send(conn, msg);
+    flush_outbuf(conn);
+    drop_connection(conn.fd, reason);
+  }
+
   void protocol_failure(int fd, const std::string& reason) {
     c_protocol_errors->add(1);
     auto it = connections.find(fd);
-    if (it != connections.end()) {
-      // Best effort: tell the peer why before dropping it.
-      const std::vector<std::uint8_t> bytes =
-          encode_frame(encode(ErrorMsg{.code = 2, .message = reason}));
-      const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        c_bytes_out->add(static_cast<std::uint64_t>(n));
-        c_frames_out[static_cast<std::uint16_t>(FrameKind::kError)]->add(1);
-        h_frame_out->observe(static_cast<double>(bytes.size()));
-      }
-    }
-    drop_connection(fd, reason);
+    if (it == connections.end()) return;
+    // Best effort: tell the peer why before dropping it.
+    send_and_drop(it->second, ErrorMsg{.code = 2, .message = reason}, reason);
   }
 
   void drop_connection(int fd, const std::string& /*reason*/) {
@@ -780,13 +819,16 @@ ServerStats IngestServer::stats() const {
       reg.counter_value("net_frames_dropped_total",
                         {{"reason", "disconnect"}}) +
       reg.counter_value("net_frames_dropped_total",
-                        {{"reason", "closed_session"}});
+                        {{"reason", "closed_session"}}) +
+      reg.counter_value("net_frames_dropped_total",
+                        {{"reason", "invalid_observation"}});
   s.ticks_fed = reg.counter_value("net_ticks_total");
   s.batches = reg.counter_value("net_tick_batches_total");
   s.backpressure_pauses =
       reg.counter_value("net_backpressure_pauses_total");
   s.bytes_in = reg.counter_value("net_bytes_in_total");
   s.bytes_out = reg.counter_value("net_bytes_out_total");
+  s.writes = reg.counter_value("net_writes_total");
   return s;
 }
 

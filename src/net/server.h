@@ -7,22 +7,34 @@
 //
 // Ticks are NOT fed one-by-one: each connection parks decoded ticks in a
 // bounded per-connection event queue, and every tick_interval the IO
-// thread drains ALL queues into one group.feed() batch, then writes each
-// decision frame back to its connection. The group routes every tick to
-// its session's owning replica by the id's replica bits, so the door
-// scales with the replica count without knowing the ring exists. A
-// connection whose queue fills stops being read (its EPOLLIN is dropped)
+// thread drains ALL queues into one group.feed() batch. The group routes
+// every tick to its session's owning replica by the id's replica bits, so
+// the door scales with the replica count without knowing the ring exists.
+// A connection whose queue fills stops being read (its EPOLLIN is dropped)
 // until the next tick drains it — backpressure lands on the client's TCP
 // window instead of server memory. Protocol errors (bad CRC, hostile
 // length, out-of-range enum) get a best-effort kError frame and the
 // connection dropped; the server never crashes on hostile bytes.
 //
+// Write path: a reply is never written on its own. Every frame (acks,
+// decisions, rejects) is encoded in place at the end of its connection's
+// output buffer, and each connection with new bytes is flushed once at
+// the end of every epoll wave and once at the end of every tick — so a
+// tick batch costs one send() per connection, not one per decision. A
+// socket that cannot take everything keeps the rest buffered and arms
+// EPOLLOUT. The 16 MiB slow-consumer bound is checked at the flush, after
+// the decision loop, so no connection is dropped while a reply is being
+// built for it.
+//
 // When the group sheds load (its serve::AdmissionController), refusals
 // are NOT errors: a shed open or dropped tick is answered with a typed
 // kReject frame carrying the reason and a retry_after_ms backoff hint,
-// and the connection stays up. Shed ticks are excluded from the listfile
-// (only served ticks and their decisions are recorded, adjacently), so
-// replay stays bit-identical.
+// and the connection stays up. A tick whose observation holds a NaN or
+// +-inf field is refused the same way (reason invalid_observation) at the
+// door: it is answered in batch order but never fed to a model, recorded,
+// or merged into drift. Shed and refused ticks are excluded from the
+// listfile (only served ticks and their decisions are recorded,
+// adjacently), so replay stays bit-identical.
 //
 // With ServerConfig::listfile set, every open/tick/decision/close is also
 // appended to a session listfile (net/listfile.h) in group-consumption
@@ -32,8 +44,10 @@
 //   net_connections{state="open"}            gauge
 //   net_connections_total{state=...}         accepted|closed|rejected
 //   net_bytes_in_total / net_bytes_out_total
+//   net_writes_total                         send() calls that moved bytes
 //   net_frames_total{dir,kind}               per-direction, per-frame-kind
-//   net_frames_dropped_total{reason}         queue_full|disconnect|closed
+//   net_frames_dropped_total{reason}         disconnect|closed_session|
+//                                            invalid_observation
 //   net_protocol_errors_total
 //   net_ticks_total                          observations served
 //   net_backpressure_pauses_total
@@ -88,6 +102,7 @@ struct ServerStats {
   std::uint64_t backpressure_pauses = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
+  std::uint64_t writes = 0;         ///< send() calls that moved bytes
 };
 
 class IngestServer {

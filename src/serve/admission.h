@@ -70,6 +70,8 @@ enum class RejectReason : std::uint8_t {
   kNone = 0,           ///< not rejected (a served tick's outcome)
   kOverloadOpen = 1,   ///< new sessions rejected while shedding
   kOverQuotaTick = 2,  ///< tick dropped: tenant over its token bucket
+  /// tick refused at the ingest door: a non-finite observation field
+  kInvalidObservation = 3,
 };
 
 /// Per-input verdict from an admission-aware feed. A shed input carries a

@@ -2,13 +2,16 @@
 // bit-identical Decision stream, and malformed files must fail loudly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/artifact_io.h"
 #include "monitor/guideline.h"
@@ -198,10 +201,111 @@ TEST_F(IoTest, BundleTrainingStatsRoundTrip) {
     const auto& want = bundle.training_stats->features[f];
     const auto& got = loaded.training_stats->features[f];
     EXPECT_EQ(got.count, want.count);
-    EXPECT_EQ(got.sum, want.sum);        // bit-exact f64 round-trip
-    EXPECT_EQ(got.sum_sq, want.sum_sq);
+    EXPECT_EQ(got.mean(), want.mean());  // bit-exact f64 round-trip
+    EXPECT_EQ(got.m2, want.m2);
     EXPECT_EQ(got.min, want.min);
     EXPECT_EQ(got.max, want.max);
+  }
+}
+
+TEST_F(IoTest, VersionOneTrainingStatsStillLoad) {
+  // Version 1 of the stats section stored raw sums (sum, sum of squares)
+  // where version 2 stores Welford moments. Rewrite a saved section back
+  // into the version 1 layout and check the moments come back.
+  core::ArtifactBundle bundle;
+  bundle.artifacts = testutil::synth_artifacts(2);
+  obs::TrainingStats stats;
+  obs::FeatureSummary feature;
+  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
+    feature.add(x);
+  }
+  stats.features.push_back(feature);
+  bundle.training_stats =
+      std::make_shared<const obs::TrainingStats>(std::move(stats));
+  io::save_bundle(bundle, path("v2_stats.aps"));
+
+  std::string bytes;
+  {
+    std::ifstream in(path("v2_stats.aps"), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Section: u32 marker "STAT", u32 version, u64 features, then per
+  // feature u64 count, f64, f64, f64 min, f64 max.
+  const std::size_t marker = bytes.rfind("TATS");
+  ASSERT_NE(marker, std::string::npos);
+  const std::uint32_t v1 = 1;
+  const double sum = 40.0;
+  const double sum_sq = 232.0;
+  std::memcpy(bytes.data() + marker + 4, &v1, sizeof v1);
+  std::memcpy(bytes.data() + marker + 24, &sum, sizeof sum);
+  std::memcpy(bytes.data() + marker + 32, &sum_sq, sizeof sum_sq);
+  {
+    std::ofstream out(path("v1_stats.aps"), std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const core::ArtifactBundle loaded = io::load_bundle(path("v1_stats.aps"));
+  ASSERT_NE(loaded.training_stats, nullptr);
+  ASSERT_EQ(loaded.training_stats->features.size(), 1u);
+  const auto& got = loaded.training_stats->features[0];
+  EXPECT_EQ(got.count, 8u);
+  EXPECT_DOUBLE_EQ(got.mean(), 5.0);
+  EXPECT_DOUBLE_EQ(got.variance(), 4.0);
+  EXPECT_EQ(got.min, 2.0);
+  EXPECT_EQ(got.max, 9.0);
+}
+
+// ---- CRC-32 -----------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 (IEEE, reflected), the definition the table
+/// implementation must reproduce.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(IoCrc32, CheckValueAndEmptyInput) {
+  const std::string check = "123456789";
+  EXPECT_EQ(io::crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(nullptr, 0), 0u);
+}
+
+TEST(IoCrc32, ChainedSeedEqualsOneShot) {
+  std::vector<std::uint8_t> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+  }
+  const std::uint32_t whole = io::crc32(data.data(), data.size());
+  for (const std::size_t cut : {0u, 1u, 7u, 8u, 9u, 500u, 999u, 1000u}) {
+    const std::uint32_t head = io::crc32(data.data(), cut);
+    EXPECT_EQ(io::crc32(data.data() + cut, data.size() - cut, head), whole)
+        << "cut at " << cut;
+  }
+}
+
+TEST(IoCrc32, SlicedFormMatchesBitwiseReference) {
+  std::vector<std::uint8_t> data(320);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(io::crc32(p, len), reference_crc32(p, len))
+          << "offset " << offset << ", length " << len;
+      ASSERT_EQ(io::crc32(p, len, 0x12345678u),
+                reference_crc32(p, len, 0x12345678u))
+          << "seeded, offset " << offset << ", length " << len;
+    }
   }
 }
 

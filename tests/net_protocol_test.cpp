@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -109,8 +111,8 @@ TEST(NetProtocol, TypedFieldsSurviveTheRoundTrip) {
 }
 
 TEST(NetProtocol, RejectFrameRoundTripsAndGuardsItsReason) {
-  // Both wire-legal reasons survive the round trip with every field.
-  for (const std::uint8_t reason : {1, 2}) {
+  // Every wire-legal reason survives the round trip with every field.
+  for (const std::uint8_t reason : {1, 2, 3}) {
     const net::RejectMsg msg{.token = 7,
                              .seq = reason == 1 ? 0u : 31u,
                              .reason = reason,
@@ -125,7 +127,7 @@ TEST(NetProtocol, RejectFrameRoundTripsAndGuardsItsReason) {
   }
   // Reason 0 ("not rejected") and anything past the defined range are
   // hostile on the wire — rejected before the caller sees the message.
-  for (const std::uint8_t reason : {0, 3, 200}) {
+  for (const std::uint8_t reason : {0, 4, 200}) {
     io::BinaryWriter w;
     w.u64(7);
     w.u64(0);
@@ -143,6 +145,41 @@ TEST(NetProtocol, RejectFrameRoundTripsAndGuardsItsReason) {
         .message = ""});
     frame.payload.push_back(0xAA);
     EXPECT_THROW((void)net::decode_reject(frame), net::ProtocolError);
+  }
+}
+
+TEST(NetProtocol, NonFiniteTicksDecodeIntactAndAreFlaggedInvalid) {
+  // NaN and +-inf are legal IEEE bytes: a tick carrying one passes the
+  // header and payload CRCs and decodes bit-exactly, and only the
+  // observation check tells the server to answer it with a reject.
+  Rng rng(29);
+  const auto clean = testutil::synth_observation(rng, 90.0);
+  EXPECT_TRUE(net::observation_finite(clean));
+  using Field = double monitor::Observation::*;
+  const Field fields[] = {
+      &monitor::Observation::time_min,   &monitor::Observation::bg,
+      &monitor::Observation::bg_rate,    &monitor::Observation::iob,
+      &monitor::Observation::iob_rate,   &monitor::Observation::commanded_rate,
+      &monitor::Observation::previous_rate, &monitor::Observation::basal_rate,
+      &monitor::Observation::isf};
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const Field field : fields) {
+    for (const double bad : bad_values) {
+      auto obs = clean;
+      obs.*field = bad;
+      const net::TickMsg tick{.token = 4, .seq = 8, .obs = obs};
+      net::FrameDecoder decoder("test");
+      decoder.feed(net::encode_frame(net::encode(tick)));
+      const auto frame = decoder.next();
+      ASSERT_TRUE(frame.has_value());
+      const auto decoded = net::decode_tick(*frame);
+      EXPECT_EQ(decoded.token, 4u);
+      EXPECT_EQ(decoded.seq, 8u);
+      EXPECT_EQ(std::memcmp(&(decoded.obs.*field), &bad, sizeof bad), 0);
+      EXPECT_FALSE(net::observation_finite(decoded.obs));
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -383,6 +384,115 @@ TEST(NetServer, BackpressurePausesReadsWithoutDroppingAnything) {
                                    {{"reason", "closed_session"}}),
             0u);
   EXPECT_EQ(registry.counter_value("net_ticks_total"), kBlast);
+}
+
+TEST(NetServer, NonFiniteTicksAreRejectedAndTheSessionStaysOpen) {
+  // NaN and +-inf pass every CRC and decode check. The door answers such a
+  // tick with a typed reject in its place among the session's replies; it
+  // is never fed, never recorded, and the session keeps serving.
+  const auto bundle = rule_bundle();
+  obs::Registry registry;
+  serve::EngineGroup group({.replicas = 1, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
+  const std::string listfile = "net_invalid_obs.listfile";
+  net::ServerConfig config;
+  config.registry = &registry;
+  config.listfile = listfile;
+  net::IngestServer server(group, config);
+  server.start();
+
+  net::BlockingClient client("127.0.0.1", server.port(), "sensor glitch");
+  client.open_session(5, "glitch/session", "cawt", 2);
+  const auto stream = testutil::synth_stream(10, 808);
+  auto inputs = stream;
+  inputs[1].bg = std::numeric_limits<double>::quiet_NaN();
+  inputs[2].iob = std::numeric_limits<double>::infinity();
+  inputs[3].isf = -std::numeric_limits<double>::infinity();
+  // Pipelined, so finite and non-finite ticks share batches.
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    client.send_tick(5, k, inputs[k]);
+  }
+  auto reference = core::factory_from_bundle(bundle, "cawt")(2);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const net::TickReply reply = client.recv_reply();
+    const bool invalid = k >= 1 && k <= 3;
+    ASSERT_EQ(reply.served, !invalid) << "seq " << k;
+    if (invalid) {
+      EXPECT_EQ(reply.reject.seq, k);
+      EXPECT_EQ(reply.reject.token, 5u);
+      EXPECT_EQ(reply.reject.reason,
+                static_cast<std::uint8_t>(
+                    serve::RejectReason::kInvalidObservation));
+      continue;
+    }
+    ASSERT_EQ(reply.decision.seq, k) << "replies out of batch order";
+    EXPECT_TRUE(testutil::decisions_equal(reply.decision.decision,
+                                          reference->observe(stream[k])))
+        << "seq " << k;
+  }
+  const auto ack = client.close_session(5);
+  EXPECT_EQ(ack.cycles, 7u);  // the three rejected ticks were never fed
+  server.stop();
+
+  EXPECT_EQ(registry.counter_value("net_frames_dropped_total",
+                                   {{"reason", "invalid_observation"}}),
+            3u);
+  EXPECT_EQ(server.stats().frames_dropped, 3u);
+  EXPECT_EQ(registry.counter_value("net_ticks_total"), 7u);
+  EXPECT_EQ(registry.counter_value("net_protocol_errors_total"), 0u);
+
+  serve::MonitorEngine fresh;
+  fresh.register_bundle(bundle);
+  const net::ReplayResult replayed = net::replay_listfile(listfile, fresh);
+  EXPECT_EQ(replayed.ticks, 7u);
+  EXPECT_EQ(replayed.compared, 7u);
+  EXPECT_EQ(replayed.mismatches, 0u);
+  EXPECT_EQ(replayed.unmatched, 0u);
+  std::remove(listfile.c_str());
+}
+
+TEST(NetServer, PipelinedTicksCostOneWritePerBatch) {
+  // The write path appends every reply to its connection's buffer and
+  // flushes once per tick batch: a pipelined burst costs at most one
+  // send() per batch, plus one per control reply (open/close acks) and
+  // one per retry after EAGAIN (none here: the client drains promptly and
+  // the burst is far below a socket buffer).
+  const auto bundle = rule_bundle();
+  obs::Registry registry;
+  serve::EngineGroup group({.replicas = 1, .engine = {.registry = &registry}});
+  group.register_bundle(bundle);
+  net::ServerConfig config;
+  config.registry = &registry;
+  config.tick_interval_ms = 5;  // let the burst gather into few batches
+  net::IngestServer server(group, config);
+  server.start();
+
+  net::BlockingClient client("127.0.0.1", server.port(), "pipeliner");
+  client.open_session(1, "pipe/a", "cawot", 0);
+  client.open_session(2, "pipe/b", "guideline", 1);
+
+  constexpr std::size_t kBurst = 200;
+  const auto stream = testutil::synth_stream(kBurst, 99);
+  std::vector<std::uint8_t> burst;
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    net::append_frame(burst, net::TickMsg{.token = 1 + k % 2,
+                                          .seq = k / 2,
+                                          .obs = stream[k]});
+  }
+  client.send_raw(burst.data(), burst.size());
+  for (std::size_t k = 0; k < kBurst; ++k) (void)client.recv_decision();
+  (void)client.close_session(1);
+  (void)client.close_session(2);
+  server.stop();  // joins the IO thread: every counter is final
+
+  const net::ServerStats stats = server.stats();
+  // hello ack, two open acks, two close acks
+  constexpr std::uint64_t kControlReplies = 5;
+  EXPECT_EQ(stats.ticks_fed, kBurst);
+  EXPECT_LT(stats.batches, kBurst / 4) << "the burst was not batched";
+  EXPECT_LE(stats.writes, stats.batches + kControlReplies)
+      << stats.writes << " writes for " << stats.batches << " tick batches";
+  EXPECT_EQ(stats.bytes_out, client.bytes_received());
 }
 
 TEST(NetServer, ConnectionCeilingRejectsTheOverflow) {

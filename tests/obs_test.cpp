@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -383,6 +384,49 @@ TEST(ObsDrift, FeatureSummaryMoments) {
   EXPECT_EQ(a.count, f.count);
   EXPECT_DOUBLE_EQ(a.mean(), f.mean());
   EXPECT_DOUBLE_EQ(a.variance(), f.variance());
+}
+
+TEST(ObsDrift, FeatureSummaryStaysAccurateFarFromZero) {
+  // 1e9 + N(0, 1): the naive sum_sq/n - mean^2 cancels every significant
+  // digit of the variance here; Welford moments keep it, and merging two
+  // halves (Chan et al.) matches the one-pass summary.
+  // The noise is standardized to mean 0 and variance exactly 1 before the
+  // offset is added, so the summary's variance must come out as 1.
+  std::mt19937_64 gen(7);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::vector<double> noise(100000);
+  for (auto& z : noise) z = normal(gen);
+  double mean = 0.0;
+  for (const double z : noise) mean += z;
+  mean /= static_cast<double>(noise.size());
+  double var = 0.0;
+  for (const double z : noise) var += (z - mean) * (z - mean);
+  var /= static_cast<double>(noise.size());
+  std::vector<double> xs(noise.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = 1e9 + (noise[i] - mean) / std::sqrt(var);
+  }
+
+  obs::FeatureSummary whole;
+  for (const double x : xs) whole.add(x);
+  EXPECT_NEAR(whole.variance(), 1.0, 1e-6);
+  EXPECT_NEAR(whole.mean(), 1e9, 1e-6);
+
+  obs::FeatureSummary a;
+  obs::FeatureSummary b;
+  for (std::size_t i = 0; i < xs.size() / 2; ++i) a.add(xs[i]);
+  for (std::size_t i = xs.size() / 2; i < xs.size(); ++i) b.add(xs[i]);
+  a.merge(b);
+  EXPECT_EQ(a.count, whole.count);
+  EXPECT_NEAR(a.mean(), whole.mean(), 1e-12 * whole.mean());
+  EXPECT_NEAR(a.variance(), whole.variance(), 1e-12 * whole.variance());
+
+  // Merging into or from an empty summary is the identity.
+  obs::FeatureSummary empty;
+  empty.merge(whole);
+  EXPECT_EQ(empty.variance(), whole.variance());
+  whole.merge(obs::FeatureSummary{});
+  EXPECT_EQ(empty.variance(), whole.variance());
 }
 
 TEST(ObsDrift, TrainingStatsFromRowMajorSamples) {
