@@ -1,9 +1,10 @@
-// Small fixed-size thread pool used to run fault-injection campaigns in
-// parallel. Tasks are independent simulations; the pool offers a simple
-// parallel_for over an index range with deterministic result placement
-// (results are written by index, so ordering never depends on scheduling).
+// Small fixed-size thread pool used to run fault-injection campaigns and
+// training chunks in parallel. The only entry point is parallel_for over an
+// index range with deterministic result placement (results are written by
+// index, so ordering never depends on scheduling).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -23,15 +24,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not throw.
-  void submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have completed.
-  void wait_idle();
-
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
+  /// Workers claim indices one at a time, and each call waits only on its
+  /// own indices, so concurrent callers never wait on each other's work.
+  /// An outside caller only waits; a call made from inside one of this
+  /// pool's tasks also claims indices itself, so nesting cannot deadlock.
+  /// Idle workers poll briefly before parking, so back-to-back calls skip
+  /// most wake-ups. fn must not throw.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -39,10 +40,10 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
+  /// tasks_.size(), readable without the lock by workers polling for work.
+  std::atomic<std::size_t> queued_{0};
   std::mutex mutex_;
   std::condition_variable task_cv_;
-  std::condition_variable idle_cv_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 

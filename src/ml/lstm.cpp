@@ -15,7 +15,7 @@ namespace {
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 double gate_tanh(double x) { return std::tanh(x); }
 
-std::vector<double> softmax(std::vector<double> logits) {
+void softmax_in_place(std::span<double> logits) {
   const double max_logit =
       *std::max_element(logits.begin(), logits.end());
   double sum = 0.0;
@@ -24,6 +24,10 @@ std::vector<double> softmax(std::vector<double> logits) {
     sum += v;
   }
   for (auto& v : logits) v /= sum;
+}
+
+std::vector<double> softmax(std::vector<double> logits) {
+  softmax_in_place(logits);
   return logits;
 }
 
@@ -74,45 +78,29 @@ Matrix Lstm::standardize_window(const Matrix& window) const {
   return out;
 }
 
-// The forward/backward cores work over flat, step-major scratch buffers
-// (one allocation per field, reused across steps) instead of
-// vector-of-vector caches: for 6-step windows the arithmetic is identical
-// but the hot loops stop churning the allocator, which is worth ~2x on
-// both training and streaming inference.
+namespace {
 
-std::vector<double> Lstm::forward(const Matrix& window,
-                                  std::vector<LayerCache>* cache) const {
+/// Samples per gradient/loss chunk. Fixed (never derived from the thread
+/// count) so the chunk partition and reduction order are identical no
+/// matter how many workers execute them.
+constexpr std::size_t kLstmChunkSamples = 8;
+
+}  // namespace
+
+std::vector<double> Lstm::forward(const Matrix& window) const {
   const std::size_t steps = window.rows();
-
-  if (cache != nullptr) cache->assign(layers_.size(), LayerCache{});
 
   // current: layer input, flat step-major [t * width + j].
   std::size_t width = window.cols();
   std::vector<double> current(window.raw().begin(), window.raw().end());
   std::vector<double> next;
   std::vector<double> h, c, z;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const auto& layer = layers_[l];
+  for (const auto& layer : layers_) {
     const std::size_t h_size = layer.hidden;
     h.assign(h_size, 0.0);
     c.assign(h_size, 0.0);
     z.resize(4 * h_size);
     next.assign(steps * h_size, 0.0);
-
-    LayerCache* lc = cache != nullptr ? &(*cache)[l] : nullptr;
-    if (lc != nullptr) {
-      lc->width = width;
-      lc->hidden = h_size;
-      lc->inputs = current;
-      lc->i.resize(steps * h_size);
-      lc->f.resize(steps * h_size);
-      lc->g.resize(steps * h_size);
-      lc->o.resize(steps * h_size);
-      lc->c.resize(steps * h_size);
-      lc->h.resize(steps * h_size);
-      lc->tanh_c.resize(steps * h_size);
-    }
-
     for (std::size_t t = 0; t < steps; ++t) {
       for (std::size_t j = 0; j < 4 * h_size; ++j) z[j] = layer.b.at(0, j);
       const std::span<const double> x_t(current.data() + t * width, width);
@@ -126,19 +114,8 @@ std::vector<double> Lstm::forward(const Matrix& window,
         const double gg = gate_tanh(z[2 * h_size + j]);
         const double go = sigmoid(z[3 * h_size + j]);
         c[j] = gf * c[j] + gi * gg;
-        const double tanh_c = gate_tanh(c[j]);
-        h[j] = go * tanh_c;
+        h[j] = go * gate_tanh(c[j]);
         out_t[j] = h[j];
-        if (lc != nullptr) {
-          const std::size_t at = t * h_size + j;
-          lc->i[at] = gi;
-          lc->f[at] = gf;
-          lc->g[at] = gg;
-          lc->o[at] = go;
-          lc->c[at] = c[j];
-          lc->h[at] = h[j];
-          lc->tanh_c[at] = tanh_c;
-        }
       }
     }
     width = h_size;
@@ -156,165 +133,287 @@ std::vector<double> Lstm::forward(const Matrix& window,
   return softmax(std::move(logits));
 }
 
-double Lstm::backward(const Matrix& window, int label, double weight,
-                      std::vector<Gradients>& layer_grads,
-                      Matrix& head_w_grad, Matrix& head_b_grad) const {
-  std::vector<LayerCache> cache;
-  const std::vector<double> probs = forward(window, &cache);
-  const std::size_t steps = window.rows();
-
-  const auto lbl = static_cast<std::size_t>(label);
-  const double loss =
-      -weight * std::log(std::max(probs[lbl], 1e-12));
-
-  // dLoss/dlogits.
-  std::vector<double> dlogits(probs.size());
-  for (std::size_t cidx = 0; cidx < probs.size(); ++cidx) {
-    dlogits[cidx] = weight * (probs[cidx] - (cidx == lbl ? 1.0 : 0.0));
+Lstm::StackGradients Lstm::zero_gradients() const {
+  StackGradients grads;
+  grads.layers.reserve(layers_.size());
+  for (const auto& layer : layers_) {
+    grads.layers.push_back(Gradients{Matrix(layer.w.rows(), layer.w.cols()),
+                                     Matrix(layer.u.rows(), layer.u.cols()),
+                                     Matrix(1, layer.b.cols())});
   }
-
-  const double* last_h =
-      cache.back().h.data() + (steps - 1) * cache.back().hidden;
-  for (std::size_t j = 0; j < head_w.rows(); ++j) {
-    for (std::size_t cidx = 0; cidx < head_w.cols(); ++cidx) {
-      head_w_grad.at(j, cidx) += last_h[j] * dlogits[cidx];
-    }
-  }
-  for (std::size_t cidx = 0; cidx < head_b.cols(); ++cidx) {
-    head_b_grad.at(0, cidx) += dlogits[cidx];
-  }
-
-  // Gradient of the loss wrt the top layer's hidden output at each step
-  // (flat step-major): only the last step receives signal from the head.
-  std::vector<double> dh_out(steps * layers_.back().hidden, 0.0);
-  for (std::size_t j = 0; j < layers_.back().hidden; ++j) {
-    double s = 0.0;
-    for (std::size_t cidx = 0; cidx < head_w.cols(); ++cidx) {
-      s += head_w.at(j, cidx) * dlogits[cidx];
-    }
-    dh_out[(steps - 1) * layers_.back().hidden + j] = s;
-  }
-
-  // BPTT layer by layer, top to bottom.
-  std::vector<double> dx, dh, dz, dc, dh_next, dc_next;
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    const auto& layer = layers_[l];
-    const auto& lc = cache[l];
-    const std::size_t h_size = layer.hidden;
-    const std::size_t in_size = layer.w.rows();
-    auto& grads = layer_grads[l];
-
-    dx.assign(steps * in_size, 0.0);
-    dh.resize(h_size);
-    dz.resize(4 * h_size);
-    dc.resize(h_size);
-    dh_next.assign(h_size, 0.0);
-    dc_next.assign(h_size, 0.0);
-
-    for (std::size_t t = steps; t-- > 0;) {
-      const std::size_t base = t * h_size;
-      for (std::size_t j = 0; j < h_size; ++j) {
-        dh[j] = dh_out[base + j] + dh_next[j];
-      }
-      for (std::size_t j = 0; j < h_size; ++j) {
-        const double tanh_c = lc.tanh_c[base + j];
-        const double go = lc.o[base + j];
-        dc[j] = dh[j] * go * (1.0 - tanh_c * tanh_c) + dc_next[j];
-        const double gi = lc.i[base + j];
-        const double gf = lc.f[base + j];
-        const double gg = lc.g[base + j];
-        const double c_prev = t > 0 ? lc.c[base - h_size + j] : 0.0;
-        // Gate pre-activation gradients.
-        dz[j] = dc[j] * gg * gi * (1.0 - gi);                    // input gate
-        dz[h_size + j] = dc[j] * c_prev * gf * (1.0 - gf);       // forget
-        dz[2 * h_size + j] = dc[j] * gi * (1.0 - gg * gg);       // candidate
-        dz[3 * h_size + j] = dh[j] * tanh_c * go * (1.0 - go);   // output
-        dc_next[j] = dc[j] * gf;
-      }
-      // Parameter gradients.
-      const double* x_t = lc.inputs.data() + t * in_size;
-      for (std::size_t r = 0; r < in_size; ++r) {
-        const double xr = x_t[r];
-        if (xr == 0.0) continue;
-        double* grad_row = grads.w.raw().data() + r * 4 * h_size;
-        for (std::size_t jj = 0; jj < 4 * h_size; ++jj) {
-          grad_row[jj] += xr * dz[jj];
-        }
-      }
-      if (t > 0) {
-        const double* h_prev = lc.h.data() + base - h_size;
-        for (std::size_t r = 0; r < h_size; ++r) {
-          const double hr = h_prev[r];
-          if (hr == 0.0) continue;
-          double* grad_row = grads.u.raw().data() + r * 4 * h_size;
-          for (std::size_t jj = 0; jj < 4 * h_size; ++jj) {
-            grad_row[jj] += hr * dz[jj];
-          }
-        }
-      }
-      for (std::size_t jj = 0; jj < 4 * h_size; ++jj) {
-        grads.b.raw()[jj] += dz[jj];
-      }
-      // Propagate to previous step's hidden and this step's input.
-      for (std::size_t r = 0; r < h_size; ++r) {
-        double s = 0.0;
-        const double* u_row = layer.u.data() + r * 4 * h_size;
-        for (std::size_t jj = 0; jj < 4 * h_size; ++jj) {
-          s += u_row[jj] * dz[jj];
-        }
-        dh_next[r] = s;
-      }
-      double* dx_t = dx.data() + t * in_size;
-      for (std::size_t r = 0; r < in_size; ++r) {
-        double s = 0.0;
-        const double* w_row = layer.w.data() + r * 4 * h_size;
-        for (std::size_t jj = 0; jj < 4 * h_size; ++jj) {
-          s += w_row[jj] * dz[jj];
-        }
-        dx_t[r] = s;
-      }
-    }
-    dh_out.swap(dx);  // becomes the output-gradient of the layer below
-  }
-  return loss;
+  grads.head_w = Matrix(head_w.rows(), head_w.cols());
+  grads.head_b = Matrix(1, head_b.cols());
+  return grads;
 }
 
-namespace {
+std::vector<Matrix*> Lstm::StackGradients::matrices() {
+  std::vector<Matrix*> out;
+  for (auto& layer : layers) {
+    out.insert(out.end(), {&layer.w, &layer.u, &layer.b});
+  }
+  out.insert(out.end(), {&head_w, &head_b});
+  return out;
+}
 
-/// Samples per gradient/loss chunk. Fixed (never derived from the thread
-/// count) so the chunk partition and reduction order are identical no
-/// matter how many workers execute them.
-constexpr std::size_t kLstmChunkSamples = 8;
+void Lstm::shape_workspace(ChunkWorkspace& ws, std::size_t lanes,
+                           std::size_t steps, std::size_t features) const {
+  ws.lanes = lanes;
+  ws.steps = steps;
+  const std::size_t rows = lanes * steps;
+  // Buffers reused by every layer get the widest layer's size.
+  std::size_t widest = features;
+  ws.layers.resize(layers_.size());
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const std::size_t h_size = layers_[l].hidden;
+    LayerCache& lc = ws.layers[l];
+    for (auto* v : {&lc.i, &lc.f, &lc.g, &lc.o, &lc.c, &lc.h, &lc.tanh_c}) {
+      v->resize(rows * h_size);
+    }
+    widest = std::max(widest, h_size);
+  }
+  ws.x.resize(rows * features);
+  ws.label.resize(lanes);
+  ws.weight.resize(lanes);
+  ws.z.resize(lanes * 4 * widest);
+  ws.probs.resize(lanes * head_b.cols());
+  ws.dh_out.resize(rows * widest);
+  ws.dx.resize(rows * widest);
+  ws.dh_next.resize(lanes * widest);
+  ws.dc_next.resize(lanes * widest);
+  ws.dz_rows.resize(rows * 4 * widest);
+  ws.in_rows.resize(rows * widest);
+  ws.h_rows.resize(rows * widest);
+}
 
-}  // namespace
+void Lstm::load_chunk(const SequenceDataset& data,
+                      std::span<const std::size_t> indices,
+                      std::span<const double> cw, ChunkWorkspace& ws) const {
+  const std::size_t lanes = indices.size();
+  const std::size_t steps = data.steps();
+  const std::size_t width = data.features();
+  shape_workspace(ws, lanes, steps, width);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const Matrix& window = data.sequences[indices[lane]];
+    assert(window.rows() == steps && window.cols() == width);
+    for (std::size_t t = 0; t < steps; ++t) {
+      double* row = ws.x.data() + (t * lanes + lane) * width;
+      std::copy_n(window.data() + t * width, width, row);
+      standardize_row(std::span<double>(row, width));
+    }
+    const auto label = static_cast<std::size_t>(data.labels[indices[lane]]);
+    ws.label[lane] = label;
+    ws.weight[lane] = cw.empty() ? 1.0 : cw[label];
+  }
+}
+
+// Batched like predict_batch_standardized: per step, one bias fill and two
+// B-row GEMMs, whose row `lane` performs exactly forward()'s per-window
+// op sequence, then forward()'s gate expressions, cached for BPTT.
+void Lstm::forward_chunk(ChunkWorkspace& ws) const {
+  const std::size_t lanes = ws.lanes;
+  const std::size_t steps = ws.steps;
+  const double* in = ws.x.data();
+  std::size_t width = ws.x.size() / (steps * lanes);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const auto& layer = layers_[l];
+    const std::size_t h_size = layer.hidden;
+    LayerCache& lc = ws.layers[l];
+    for (std::size_t t = 0; t < steps; ++t) {
+      double* z = ws.z.data();
+      kernels::fill_bias_rows(z, layer.b.data(), lanes, 4 * h_size);
+      kernels::gemm_accum(in + t * lanes * width, layer.w.data(), z, lanes,
+                          width, 4 * h_size);
+      // At t == 0 the hidden state is all zeros, which the GEMM's zero
+      // skip would pass over anyway.
+      if (t > 0) {
+        kernels::gemm_accum(lc.h.data() + (t - 1) * lanes * h_size,
+                            layer.u.data(), z, lanes, h_size, 4 * h_size);
+      }
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const double* zr = z + lane * 4 * h_size;
+        const std::size_t base = (t * lanes + lane) * h_size;
+        for (std::size_t j = 0; j < h_size; ++j) {
+          const std::size_t at = base + j;
+          const double c_prev = t > 0 ? lc.c[at - lanes * h_size] : 0.0;
+          lc.i[at] = sigmoid(zr[j]);
+          lc.f[at] = sigmoid(zr[h_size + j]);
+          lc.g[at] = gate_tanh(zr[2 * h_size + j]);
+          lc.o[at] = sigmoid(zr[3 * h_size + j]);
+          lc.c[at] = lc.f[at] * c_prev + lc.i[at] * lc.g[at];
+          lc.tanh_c[at] = gate_tanh(lc.c[at]);
+          lc.h[at] = lc.o[at] * lc.tanh_c[at];
+        }
+      }
+    }
+    in = lc.h.data();
+    width = h_size;
+  }
+
+  // Dense head on each lane's final hidden state: one B-row GEMM.
+  const std::size_t classes = head_b.cols();
+  kernels::fill_bias_rows(ws.probs.data(), head_b.data(), lanes, classes);
+  kernels::gemm_accum(in + (steps - 1) * lanes * width, head_w.data(),
+                      ws.probs.data(), lanes, width, classes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    softmax_in_place(std::span<double>(ws.probs.data() + lane * classes,
+                                       classes));
+  }
+}
+
+void Lstm::backward_chunk(ChunkWorkspace& ws) const {
+  const std::size_t lanes = ws.lanes;
+  const std::size_t steps = ws.steps;
+  const std::size_t rows = lanes * steps;
+  const std::size_t classes = head_b.cols();
+  StackGradients& grads = ws.grads;
+  // Row of (lane, t) in the stacked BPTT operands.
+  const auto grad_row = [steps](std::size_t lane, std::size_t t) {
+    return lane * steps + (steps - 1 - t);
+  };
+
+  // dLoss/dlogits, in place over the probabilities.
+  double* dlogits = ws.probs.data();
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t cidx = 0; cidx < classes; ++cidx) {
+      double& v = dlogits[lane * classes + cidx];
+      v = ws.weight[lane] * (v - (cidx == ws.label[lane] ? 1.0 : 0.0));
+    }
+  }
+
+  const std::size_t top = layers_.back().hidden;
+  const double* last_h =
+      ws.layers.back().h.data() + (steps - 1) * lanes * top;
+  // The per-window head gradient had no zero skip; the skip only drops
+  // +-0 terms, which leave a sum that started at +0 unchanged.
+  kernels::gemm_tn_accum(last_h, dlogits, grads.head_w.data(), lanes, top,
+                         classes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t cidx = 0; cidx < classes; ++cidx) {
+      grads.head_b.at(0, cidx) += dlogits[lane * classes + cidx];
+    }
+  }
+
+  // Gradient of the loss wrt the top layer's hidden output at each step:
+  // only the last step receives signal from the head.
+  std::fill_n(ws.dh_out.data(), steps * lanes * top, 0.0);
+  kernels::gemm_nt(dlogits, head_w.data(),
+                   ws.dh_out.data() + (steps - 1) * lanes * top, lanes,
+                   classes, top);
+
+  // BPTT layer by layer, top to bottom.
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    const auto& layer = layers_[l];
+    const LayerCache& lc = ws.layers[l];
+    const std::size_t h_size = layer.hidden;
+    const std::size_t gates = 4 * h_size;
+    const std::size_t in_size = layer.w.rows();
+    const double* inputs = l == 0 ? ws.x.data() : ws.layers[l - 1].h.data();
+
+    std::fill_n(ws.dh_next.data(), lanes * h_size, 0.0);
+    std::fill_n(ws.dc_next.data(), lanes * h_size, 0.0);
+
+    for (std::size_t t = steps; t-- > 0;) {
+      double* dz = ws.z.data();
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const std::size_t base = (t * lanes + lane) * h_size;
+        double* dzr = dz + lane * gates;
+        double* dh_next = ws.dh_next.data() + lane * h_size;
+        double* dc_next = ws.dc_next.data() + lane * h_size;
+        for (std::size_t j = 0; j < h_size; ++j) {
+          const std::size_t at = base + j;
+          const double dh = ws.dh_out[at] + dh_next[j];
+          const double tanh_c = lc.tanh_c[at];
+          const double go = lc.o[at];
+          const double dc = dh * go * (1.0 - tanh_c * tanh_c) + dc_next[j];
+          const double gi = lc.i[at];
+          const double gf = lc.f[at];
+          const double gg = lc.g[at];
+          const double c_prev = t > 0 ? lc.c[at - lanes * h_size] : 0.0;
+          // Gate pre-activation gradients.
+          dzr[j] = dc * gg * gi * (1.0 - gi);                    // input gate
+          dzr[h_size + j] = dc * c_prev * gf * (1.0 - gf);       // forget
+          dzr[2 * h_size + j] = dc * gi * (1.0 - gg * gg);       // candidate
+          dzr[3 * h_size + j] = dh * tanh_c * go * (1.0 - go);   // output
+          dc_next[j] = dc * gf;
+        }
+        std::copy_n(dzr, gates,
+                    ws.dz_rows.data() + grad_row(lane, t) * gates);
+      }
+      // Propagate to the previous step's hidden state and this step's
+      // input: fresh ascending-k dot products, no zero skip.
+      kernels::gemm_nt(dz, layer.u.data(), ws.dh_next.data(), lanes, gates,
+                       h_size);
+      if (l > 0) {  // the bottom layer's input gradient is not needed
+        kernels::gemm_nt(dz, layer.w.data(),
+                         ws.dx.data() + t * lanes * in_size, lanes, gates,
+                         in_size);
+      }
+    }
+
+    // Parameter gradients: one fused-transpose GEMM per matrix over the
+    // stacked rows, whose ascending-row order with the zero skip is the
+    // per-window accumulation. h_{-1} is a zero row, skipped like the
+    // t > 0 guard of a per-window pass.
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      for (std::size_t t = 0; t < steps; ++t) {
+        const std::size_t row = grad_row(lane, t);
+        std::copy_n(inputs + (t * lanes + lane) * in_size, in_size,
+                    ws.in_rows.data() + row * in_size);
+        double* h_prev = ws.h_rows.data() + row * h_size;
+        if (t == 0) {
+          std::fill_n(h_prev, h_size, 0.0);
+        } else {
+          std::copy_n(lc.h.data() + ((t - 1) * lanes + lane) * h_size, h_size,
+                      h_prev);
+        }
+      }
+    }
+    auto& lg = grads.layers[l];
+    kernels::gemm_tn_accum(ws.in_rows.data(), ws.dz_rows.data(), lg.w.data(),
+                           rows, in_size, gates);
+    kernels::gemm_tn_accum(ws.h_rows.data(), ws.dz_rows.data(), lg.u.data(),
+                           rows, h_size, gates);
+    for (std::size_t row = 0; row < rows; ++row) {
+      const double* dzr = ws.dz_rows.data() + row * gates;
+      for (std::size_t jj = 0; jj < gates; ++jj) lg.b.raw()[jj] += dzr[jj];
+    }
+    if (l > 0) ws.dh_out.swap(ws.dx);  // output gradient of the layer below
+  }
+}
 
 double Lstm::evaluate_loss(const SequenceDataset& data,
                            std::span<const std::size_t> indices,
                            std::span<const double> cw,
+                           std::span<ChunkWorkspace> workspaces,
                            aps::ThreadPool* pool) const {
   if (indices.empty()) return 0.0;
   const std::size_t chunks =
       (indices.size() + kLstmChunkSamples - 1) / kLstmChunkSamples;
   std::vector<double> loss_sum(chunks, 0.0);
   std::vector<double> weight_sum(chunks, 0.0);
-  const auto run_chunk = [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kLstmChunkSamples;
-    const std::size_t end =
-        std::min(indices.size(), begin + kLstmChunkSamples);
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      const std::size_t i = indices[pos];
-      const Matrix window = standardize_window(data.sequences[i]);
-      const auto probs = forward(window, nullptr);
-      const auto label = static_cast<std::size_t>(data.labels[i]);
-      const double w = cw.empty() ? 1.0 : cw[label];
-      weight_sum[chunk] += w;
-      loss_sum[chunk] -= w * std::log(std::max(probs[label], 1e-12));
+  // Workspace `slot` serves chunks slot, slot + slots, ...; the per-chunk
+  // sums do not depend on which slot computed them.
+  const std::size_t slots = std::min(chunks, workspaces.size());
+  const auto run_slot = [&](std::size_t slot) {
+    ChunkWorkspace& ws = workspaces[slot];
+    for (std::size_t chunk = slot; chunk < chunks; chunk += slots) {
+      const std::size_t begin = chunk * kLstmChunkSamples;
+      const std::size_t end =
+          std::min(indices.size(), begin + kLstmChunkSamples);
+      load_chunk(data, indices.subspan(begin, end - begin), cw, ws);
+      forward_chunk(ws);
+      const std::size_t classes = head_b.cols();
+      for (std::size_t lane = 0; lane < ws.lanes; ++lane) {
+        const double p = ws.probs[lane * classes + ws.label[lane]];
+        weight_sum[chunk] += ws.weight[lane];
+        loss_sum[chunk] -= ws.weight[lane] * std::log(std::max(p, 1e-12));
+      }
     }
   };
-  if (pool != nullptr && chunks > 1) {
-    pool->parallel_for(chunks, run_chunk);
+  if (pool != nullptr && slots > 1) {
+    pool->parallel_for(slots, run_slot);
   } else {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
+    for (std::size_t slot = 0; slot < slots; ++slot) run_slot(slot);
   }
   double loss = 0.0;
   double weights = 0.0;
@@ -376,6 +475,23 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
   long step = 0;
   epoch_losses_.clear();
 
+  // One workspace per chunk of a full minibatch, reused by every step and
+  // validation pass of this call. They are sized here, on the calling
+  // thread: sized by the pool's workers, the buffers would be freed into
+  // the workers' malloc arenas when fit returns and stay resident.
+  std::vector<ChunkWorkspace> workspaces(
+      (config_.batch_size + kLstmChunkSamples - 1) / kLstmChunkSamples);
+  for (auto& ws : workspaces) {
+    ws.grads = zero_gradients();
+    shape_workspace(ws, kLstmChunkSamples, data.steps(), data.features());
+  }
+  StackGradients total = zero_gradients();
+  const auto zero = [](StackGradients& grads) {
+    for (Matrix* m : grads.matrices()) {
+      std::fill(m->raw().begin(), m->raw().end(), 0.0);
+    }
+  };
+
   for (int epoch = 0; epoch < config_.max_epochs; ++epoch) {
     std::shuffle(train_idx.begin(), train_idx.end(), rng.engine());
     for (std::size_t start = 0; start < train_idx.size();
@@ -383,46 +499,24 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
       const std::size_t end =
           std::min(train_idx.size(), start + config_.batch_size);
 
-      const auto make_grads = [&] {
-        std::vector<Gradients> grads;
-        grads.reserve(layers_.size());
-        for (const auto& layer : layers_) {
-          Gradients g;
-          g.w = Matrix(layer.w.rows(), layer.w.cols());
-          g.u = Matrix(layer.u.rows(), layer.u.cols());
-          g.b = Matrix(1, layer.b.cols());
-          grads.push_back(std::move(g));
-        }
-        return grads;
-      };
-
-      // Chunk-parallel BPTT: samples are independent, so each fixed-size
-      // chunk accumulates its own gradients; reduction in chunk order
-      // keeps the update thread-count invariant.
+      // Chunk-parallel BPTT: each fixed-size chunk accumulates its own
+      // gradients; reduction in chunk order keeps the update thread-count
+      // invariant.
       const std::size_t batch_n = end - start;
       const std::size_t chunks =
           (batch_n + kLstmChunkSamples - 1) / kLstmChunkSamples;
-      struct ChunkGrads {
-        std::vector<Gradients> layers;
-        Matrix head_w, head_b;
-      };
-      std::vector<ChunkGrads> partial(chunks);
       const auto run_chunk = [&](std::size_t chunk) {
-        ChunkGrads& grads = partial[chunk];
-        grads.layers = make_grads();
-        grads.head_w = Matrix(head_w.rows(), head_w.cols());
-        grads.head_b = Matrix(1, head_b.cols());
+        ChunkWorkspace& ws = workspaces[chunk];
+        zero(ws.grads);
         const std::size_t chunk_begin = start + chunk * kLstmChunkSamples;
         const std::size_t chunk_end =
             std::min(end, chunk_begin + kLstmChunkSamples);
-        for (std::size_t pos = chunk_begin; pos < chunk_end; ++pos) {
-          const std::size_t i = train_idx[pos];
-          const Matrix window = standardize_window(data.sequences[i]);
-          const auto label = static_cast<std::size_t>(data.labels[i]);
-          const double w = cw.empty() ? 1.0 : cw[label];
-          backward(window, data.labels[i], w, grads.layers, grads.head_w,
-                   grads.head_b);
-        }
+        load_chunk(data,
+                   std::span<const std::size_t>(train_idx).subspan(
+                       chunk_begin, chunk_end - chunk_begin),
+                   cw, ws);
+        forward_chunk(ws);
+        backward_chunk(ws);
       };
       if (pool != nullptr && chunks > 1) {
         pool->parallel_for(chunks, run_chunk);
@@ -432,53 +526,38 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
         }
       }
 
-      std::vector<Gradients> layer_grads = make_grads();
-      Matrix head_w_grad(head_w.rows(), head_w.cols());
-      Matrix head_b_grad(1, head_b.cols());
-      for (const ChunkGrads& grads : partial) {
-        for (std::size_t l = 0; l < layers_.size(); ++l) {
-          for (std::size_t i = 0; i < layer_grads[l].w.raw().size(); ++i) {
-            layer_grads[l].w.raw()[i] += grads.layers[l].w.raw()[i];
+      zero(total);
+      const std::vector<Matrix*> sums = total.matrices();
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+        const std::vector<Matrix*> part = workspaces[chunk].grads.matrices();
+        for (std::size_t k = 0; k < sums.size(); ++k) {
+          auto& acc = sums[k]->raw();
+          for (std::size_t i = 0; i < acc.size(); ++i) {
+            acc[i] += part[k]->raw()[i];
           }
-          for (std::size_t i = 0; i < layer_grads[l].u.raw().size(); ++i) {
-            layer_grads[l].u.raw()[i] += grads.layers[l].u.raw()[i];
-          }
-          for (std::size_t i = 0; i < layer_grads[l].b.raw().size(); ++i) {
-            layer_grads[l].b.raw()[i] += grads.layers[l].b.raw()[i];
-          }
-        }
-        for (std::size_t i = 0; i < head_w_grad.raw().size(); ++i) {
-          head_w_grad.raw()[i] += grads.head_w.raw()[i];
-        }
-        for (std::size_t i = 0; i < head_b_grad.raw().size(); ++i) {
-          head_b_grad.raw()[i] += grads.head_b.raw()[i];
         }
       }
       const double inv_batch = 1.0 / static_cast<double>(batch_n);
-      for (auto& g : layer_grads) {
-        for (auto& v : g.w.raw()) v *= inv_batch;
-        for (auto& v : g.u.raw()) v *= inv_batch;
-        for (auto& v : g.b.raw()) v *= inv_batch;
+      for (Matrix* m : sums) {
+        for (auto& v : m->raw()) v *= inv_batch;
       }
-      for (auto& v : head_w_grad.raw()) v *= inv_batch;
-      for (auto& v : head_b_grad.raw()) v *= inv_batch;
 
       ++step;
       for (std::size_t l = 0; l < layers_.size(); ++l) {
-        layers_[l].w_adam.update(layers_[l].w, layer_grads[l].w,
+        layers_[l].w_adam.update(layers_[l].w, total.layers[l].w,
                                  config_.adam, step);
-        layers_[l].u_adam.update(layers_[l].u, layer_grads[l].u,
+        layers_[l].u_adam.update(layers_[l].u, total.layers[l].u,
                                  config_.adam, step);
-        layers_[l].b_adam.update(layers_[l].b, layer_grads[l].b,
+        layers_[l].b_adam.update(layers_[l].b, total.layers[l].b,
                                  config_.adam, step);
       }
-      head_w_adam_.update(head_w, head_w_grad, config_.adam, step);
-      head_b_adam_.update(head_b, head_b_grad, config_.adam, step);
+      head_w_adam_.update(head_w, total.head_w, config_.adam, step);
+      head_b_adam_.update(head_b, total.head_b, config_.adam, step);
     }
 
-    const double val_loss = val_idx.empty()
-                                ? evaluate_loss(data, train_idx, cw, pool)
-                                : evaluate_loss(data, val_idx, cw, pool);
+    const double val_loss =
+        evaluate_loss(data, val_idx.empty() ? train_idx : val_idx, cw,
+                      workspaces, pool);
     epoch_losses_.push_back(val_loss);
     if (val_loss < best_val - 1e-5) {
       best_val = val_loss;
@@ -501,7 +580,7 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
 
 std::vector<double> Lstm::predict_proba(const Matrix& window) const {
   assert(trained());
-  return forward(standardize_window(window), nullptr);
+  return forward(standardize_window(window));
 }
 
 int Lstm::predict(const Matrix& window) const {

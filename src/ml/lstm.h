@@ -40,10 +40,11 @@ class Lstm {
  public:
   explicit Lstm(LstmConfig config = {});
 
-  /// Train; returns best validation loss. With a pool, each minibatch's
-  /// per-sample BPTT runs chunk-parallel with a deterministic reduction
-  /// order, so the trained weights are bit-identical for every thread
-  /// count.
+  /// Train; returns best validation loss. Each minibatch is cut into
+  /// fixed 8-window chunks, and each chunk runs one batched BPTT pass on
+  /// the kernel layer. With a pool the chunks run in parallel and are
+  /// reduced in chunk order, so the trained weights are bit-identical for
+  /// every thread count, and to backpropagating one window at a time.
   double fit(const SequenceDataset& data, aps::ThreadPool* pool = nullptr);
 
   /// Probability per class for one (steps x features) window.
@@ -106,17 +107,43 @@ class Lstm {
     std::size_t hidden = 0;
   };
 
-  /// Per-layer cached values for BPTT, flat step-major ([t * dim + j]) so
-  /// one backward pass costs a handful of allocations instead of hundreds.
-  struct LayerCache {
-    std::size_t width = 0;   ///< input features of this layer
-    std::size_t hidden = 0;
-    std::vector<double> inputs;  ///< steps x width
-    std::vector<double> i, f, g, o, c, h, tanh_c;  ///< steps x hidden
-  };
-
   struct Gradients {
     Matrix w, u, b;
+  };
+
+  /// Gradient accumulators for every layer plus the dense head.
+  struct StackGradients {
+    std::vector<Gradients> layers;
+    Matrix head_w, head_b;
+    /// Every accumulator, in a fixed order.
+    [[nodiscard]] std::vector<Matrix*> matrices();
+  };
+
+  /// Forward activations of one layer over a chunk of B windows, lane-major:
+  /// (t, lane, j) lives at [(t * B + lane) * hidden + j], so each step's
+  /// B rows form one contiguous (B x hidden) matrix.
+  struct LayerCache {
+    std::vector<double> i, f, g, o, c, h, tanh_c;  ///< steps x B x hidden
+  };
+
+  /// Buffers for one chunk's forward and BPTT pass, sized by
+  /// shape_workspace. fit() owns one per chunk slot and reuses it for
+  /// every minibatch and validation pass.
+  struct ChunkWorkspace {
+    std::size_t lanes = 0;
+    std::size_t steps = 0;
+    std::vector<double> x;  ///< standardized inputs, steps x B x features
+    std::vector<std::size_t> label;  ///< per lane
+    std::vector<double> weight;      ///< per-lane class weight
+    std::vector<LayerCache> layers;
+    std::vector<double> z;      ///< B x 4H: gate pre-activations, then dz
+    std::vector<double> probs;  ///< B x classes: softmax, then dlogits
+    std::vector<double> dh_out, dx;  ///< steps x B x (output / input) width
+    std::vector<double> dh_next, dc_next;  ///< B x hidden
+    /// BPTT operands stacked in gradient order, one row per (lane
+    /// ascending, t descending): dz, the layer input, and h_{t-1}.
+    std::vector<double> dz_rows, in_rows, h_rows;
+    StackGradients grads;
   };
 
   /// Float32 mirror of the stack, flat row-major per matrix.
@@ -133,19 +160,34 @@ class Lstm {
   };
 
   void init_layers(std::size_t input_features);
-  /// Run the stack over one window; fills caches when `cache != nullptr`.
-  [[nodiscard]] std::vector<double> forward(const Matrix& window,
-                                            std::vector<LayerCache>* cache) const;
-  /// BPTT for one sample; accumulates into grads; returns sample loss.
-  /// Const (touches no member state), so chunks backpropagate in parallel.
-  double backward(const Matrix& window, int label, double weight,
-                  std::vector<Gradients>& layer_grads, Matrix& head_w_grad,
-                  Matrix& head_b_grad) const;
+  /// Run the stack over one standardized window.
+  [[nodiscard]] std::vector<double> forward(const Matrix& window) const;
+  [[nodiscard]] StackGradients zero_gradients() const;
+  /// Size every buffer of ws for a chunk of `lanes` windows. Buffers only
+  /// grow, so a workspace shaped for a full chunk never reallocates.
+  void shape_workspace(ChunkWorkspace& ws, std::size_t lanes,
+                       std::size_t steps, std::size_t features) const;
+  /// Gather the indexed windows (standardized) with their labels and class
+  /// weights into ws, lane-major.
+  void load_chunk(const SequenceDataset& data,
+                  std::span<const std::size_t> indices,
+                  std::span<const double> cw, ChunkWorkspace& ws) const;
+  /// Forward pass over the loaded chunk, caching every gate for BPTT;
+  /// leaves each lane's class probabilities in ws.probs. Row `lane` runs
+  /// the same op sequence as forward() on that window alone.
+  void forward_chunk(ChunkWorkspace& ws) const;
+  /// BPTT over the chunk after forward_chunk, accumulating into ws.grads
+  /// in the per-window order (window ascending, t descending), so the sums
+  /// match backpropagating each window alone.
+  void backward_chunk(ChunkWorkspace& ws) const;
 
+  /// Class-weighted mean cross-entropy over `indices`, in fixed chunks
+  /// spread over the workspaces.
   [[nodiscard]] double evaluate_loss(const SequenceDataset& data,
                                      std::span<const std::size_t> indices,
                                      std::span<const double> cw,
-                                     aps::ThreadPool* pool = nullptr) const;
+                                     std::span<ChunkWorkspace> workspaces,
+                                     aps::ThreadPool* pool) const;
   [[nodiscard]] Matrix standardize_window(const Matrix& window) const;
   [[nodiscard]] std::shared_ptr<const F32Weights> f32_weights() const;
   /// Float32 batched forward over a standardized lane-major buffer; fills

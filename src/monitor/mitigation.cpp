@@ -1,6 +1,7 @@
 #include "monitor/mitigation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -9,9 +10,12 @@ namespace aps::monitor {
 
 double mitigate_rate(const Decision& decision, const Observation& obs,
                      const MitigationConfig& config) {
-  if (!(config.max_basal_factor >= 1.0)) {
+  // An infinite factor would pass a bare >= 1 check, and inf * a zero
+  // basal is a NaN delivery rate.
+  if (!(std::isfinite(config.max_basal_factor) &&
+        config.max_basal_factor >= 1.0)) {
     throw std::invalid_argument(
-        "mitigate_rate: max_basal_factor must be >= 1, got " +
+        "mitigate_rate: max_basal_factor must be finite and >= 1, got " +
         std::to_string(config.max_basal_factor));
   }
   if (!decision.alarm) return obs.commanded_rate;
@@ -31,6 +35,7 @@ double mitigate_rate(const Decision& decision, const Observation& obs,
       // profile sensitivity, delivered across one hour.
       const double excess = std::max(0.0, obs.bg - 120.0);
       const double needed_u = obs.isf > 0.0 ? excess / obs.isf : 0.0;
+      assert(obs.basal_rate <= max_rate);  // std::clamp needs lo <= hi
       return std::clamp(obs.basal_rate + needed_u, obs.basal_rate, max_rate);
     }
     case aps::HazardType::kNone:

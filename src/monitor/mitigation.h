@@ -28,7 +28,8 @@ struct MitigationConfig {
 /// Rate (U/h) to deliver given the monitor's decision; returns the
 /// commanded rate unchanged when there is no alarm, or when the
 /// observation's basal rate is negative or non-finite. Throws
-/// std::invalid_argument when config.max_basal_factor is below 1.
+/// std::invalid_argument when config.max_basal_factor is below 1 or not
+/// finite.
 [[nodiscard]] double mitigate_rate(const Decision& decision,
                                    const Observation& obs,
                                    const MitigationConfig& config = {});

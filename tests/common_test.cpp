@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -149,14 +150,69 @@ TEST(ThreadPool, ParallelForCoversRange) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&done] { done++; });
+TEST(ThreadPool, ParallelForEdgeSizes) {
+  ThreadPool pool(3);
+  int calls = 0;
+  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+
+  std::vector<std::size_t> seen;
+  pool.parallel_for(1, [&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, std::vector<std::size_t>{0});
+
+  // Far more indices than threads: each runs exactly once.
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, NestedParallelForCompletes) {
+  // With one worker the outer task holds the only thread, so the inner
+  // call must make progress on the caller's own thread.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(4 * 16);
+    pool.parallel_for(4, [&](std::size_t outer) {
+      pool.parallel_for(16, [&](std::size_t inner) {
+        hits[outer * 16 + inner]++;
+      });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "threads=" << threads;
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 8);
+}
+
+TEST(ThreadPool, ConcurrentCallersWaitOnlyForTheirOwnIndices) {
+  ThreadPool pool(2);
+  std::atomic<bool> blocker_started{false};
+  std::atomic<bool> release{false};
+  // Caller A's index 0 occupies one worker until released (two indices,
+  // so the call goes through the workers rather than running inline).
+  std::thread caller_a([&] {
+    pool.parallel_for(2, [&](std::size_t i) {
+      if (i != 0) return;
+      blocker_started = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!blocker_started) std::this_thread::yield();
+
+  // Caller B must finish on the other worker while A's index still runs.
+  std::atomic<int> b_done{0};
+  std::atomic<bool> b_returned{false};
+  std::thread caller_b([&] {
+    pool.parallel_for(8, [&](std::size_t) { b_done++; });
+    b_returned = true;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!b_returned && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(b_returned.load()) << "caller B waited on caller A's index";
+  release = true;
+  caller_a.join();
+  caller_b.join();
+  EXPECT_EQ(b_done.load(), 8);
 }
 
 TEST(CliFlags, ParsesAllSyntaxes) {

@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ml/decision_tree.h"
+#include "ml/kernels/kernels.h"
 #include "ml/lstm.h"
 #include "ml/mlp.h"
 
@@ -414,7 +417,7 @@ TEST(Mlp, FitMatchesPreKernelGoldenTrajectory) {
     const auto& losses = mlp.epoch_losses();
     ASSERT_EQ(losses.size(), kGolden.size()) << "threads=" << threads;
     for (std::size_t e = 0; e < kGolden.size(); ++e) {
-      EXPECT_NEAR(losses[e], kGolden[e], 1e-10)
+      EXPECT_EQ(losses[e], kGolden[e])
           << "threads=" << threads << " epoch " << e;
     }
   }
@@ -437,10 +440,105 @@ TEST(Lstm, FitMatchesPreKernelGoldenTrajectory) {
     const auto& losses = lstm.epoch_losses();
     ASSERT_EQ(losses.size(), kGolden.size()) << "threads=" << threads;
     for (std::size_t e = 0; e < kGolden.size(); ++e) {
-      EXPECT_NEAR(losses[e], kGolden[e], 1e-10)
+      EXPECT_EQ(losses[e], kGolden[e])
           << "threads=" << threads << " epoch " << e;
     }
   }
+}
+
+// Two stacked layers, so the gradient reaching the bottom layer goes
+// through the upper layer's input (dx) propagation. 250 windows leave 213
+// for training: the last minibatch holds 21 samples and its last 8-sample
+// gradient chunk holds 5, and the 37 validation windows end on a 5-sample
+// chunk too. Goldens were recorded exactly (17 significant digits
+// round-trip) from the per-window BPTT implementation; training must
+// reproduce them bit for bit on every kernel backend, with no pool and
+// with pools of 1 and 4.
+void expect_two_layer_fit_matches(const AdamConfig& adam,
+                                  const std::vector<double>& golden_losses,
+                                  const std::vector<double>& golden_probes) {
+  aps::Rng rng(67);
+  const auto data = window_mean_task(250, rng);
+  // Restores the ambient dispatch choice even when an ASSERT returns early.
+  struct BackendGuard {
+    kernels::Backend saved = kernels::active_backend();
+    ~BackendGuard() { kernels::set_backend(saved); }
+  } guard;
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    for (const std::size_t threads :
+         {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+      LstmConfig config;
+      config.hidden_units = {8, 4};
+      config.max_epochs = 5;
+      config.seed = 91;
+      config.adam = adam;
+      Lstm lstm(config);
+      std::unique_ptr<aps::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<aps::ThreadPool>(threads);
+      (void)lstm.fit(data, pool.get());
+      std::vector<double> probes;
+      for (std::size_t i = 0; i < 12; ++i) {
+        const auto probs = lstm.predict_proba(data.sequences[i]);
+        probes.insert(probes.end(), probs.begin(), probs.end());
+      }
+      const std::string where = std::string("backend=") +
+                                kernels::to_string(backend) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(lstm.epoch_losses().size(), golden_losses.size()) << where;
+      for (std::size_t e = 0; e < golden_losses.size(); ++e) {
+        EXPECT_EQ(lstm.epoch_losses()[e], golden_losses[e])
+            << where << " epoch " << e;
+      }
+      ASSERT_EQ(probes.size(), golden_probes.size()) << where;
+      for (std::size_t i = 0; i < golden_probes.size(); ++i) {
+        EXPECT_EQ(probes[i], golden_probes[i]) << where << " probe " << i;
+      }
+    }
+  }
+}
+
+TEST(Lstm, TwoLayerFitMatchesRecordedGoldens) {
+  expect_two_layer_fit_matches(
+      AdamConfig{},
+      {
+      0.81650643566049319, 0.79283569800372933, 0.7703857685889014,
+      0.74943133792859928, 0.73014672999421315},
+      {
+      0.54917627069324715, 0.4508237293067528, 0.54261364867733919,
+      0.45738635132266076, 0.50277380843065544, 0.49722619156934461,
+      0.51934561424055359, 0.48065438575944636, 0.53802108159723672,
+      0.46197891840276323, 0.51581532654283191, 0.48418467345716815,
+      0.46301840472926487, 0.53698159527073508, 0.5493546935971626,
+      0.45064530640283745, 0.52592583033722629, 0.47407416966277366,
+      0.52194408736526032, 0.47805591263473962, 0.51651927158048594,
+      0.48348072841951406, 0.51678213702493803, 0.48321786297506203});
+}
+
+// Adam normalizes each step to about lr * sign(g), which absorbs a last-bit
+// change in a gradient before it reaches the weights. With beta1 = 0 and an
+// epsilon far above every |g|, the update is lr / epsilon * g: plain SGD
+// (step size ~1 here) that carries every gradient bit into the weights, so
+// these goldens pin the BPTT arithmetic itself.
+TEST(Lstm, TwoLayerSgdFitMatchesRecordedGoldens) {
+  AdamConfig sgd;
+  sgd.beta1 = 0.0;
+  sgd.epsilon = 1e3;
+  sgd.learning_rate = 1e3;
+  expect_two_layer_fit_matches(
+      sgd,
+      {
+        0.60658256765771212, 0.17797621238176328, 0.3735161101022052,
+        0.076166447863194778, 0.074785236730734159},
+      {
+        0.020961906871700485, 0.97903809312829959, 0.020991835325054282,
+        0.97900816467494578, 0.97864946726300339, 0.021350532736996646,
+        0.12966872732175977, 0.87033127267824029, 0.023414943926054237,
+        0.97658505607394563, 0.03611296713289941, 0.96388703286710053,
+        0.93765719265515179, 0.062342807344848157, 0.022814721655159527,
+        0.97718527834484059, 0.42284448484767551, 0.57715551515232444,
+        0.96183545141586935, 0.038164548584130521, 0.97962012722284209,
+        0.020379872777157915, 0.94507817143231743, 0.054921828567682462});
 }
 
 // --- Float32 inference path ---------------------------------------------------

@@ -299,6 +299,27 @@ TEST(Mitigation, BasalFactorBelowOneIsRejected) {
                std::invalid_argument);
 }
 
+TEST(Mitigation, InfiniteBasalFactorIsRejected) {
+  // +inf passes a bare >= 1 check; with a zero basal the fixed-max cap
+  // would be inf * 0 = NaN, handed to the pump as a delivery rate.
+  Decision d;
+  d.alarm = true;
+  d.predicted = HazardType::kH2TooLittleInsulin;
+  auto obs = base_obs();
+  obs.basal_rate = 0.0;
+  MitigationConfig config;
+  config.max_basal_factor = std::numeric_limits<double>::infinity();
+  for (const auto policy :
+       {MitigationPolicy::kFixedMax, MitigationPolicy::kContextScaled}) {
+    config.policy = policy;
+    EXPECT_THROW((void)mitigate_rate(d, obs, config), std::invalid_argument);
+  }
+  // The largest finite factor still yields a finite rate.
+  config.policy = MitigationPolicy::kFixedMax;
+  config.max_basal_factor = std::numeric_limits<double>::max();
+  EXPECT_EQ(mitigate_rate(d, obs, config), 0.0);
+}
+
 TEST(Mitigation, FaultedBasalPassesCommandThrough) {
   // A negative or non-finite basal rate leaves no safe corrective range:
   // every alarm passes the controller's command through unmitigated.
