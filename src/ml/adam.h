@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "ml/kernels/kernels.h"
 #include "ml/matrix.h"
 
 namespace aps::ml {
@@ -25,19 +26,15 @@ class AdamState {
   /// global step used for bias correction.
   void update(Matrix& param, const Matrix& grad, const AdamConfig& cfg,
               long t) {
-    const double bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
-    const double bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
-    auto& m = m_.raw();
-    auto& v = v_.raw();
-    auto& p = param.raw();
-    const auto& g = grad.raw();
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g[i];
-      v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g[i] * g[i];
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      p[i] -= cfg.learning_rate * mhat / (std::sqrt(vhat) + cfg.epsilon);
-    }
+    kernels::AdamStep step;
+    step.learning_rate = cfg.learning_rate;
+    step.beta1 = cfg.beta1;
+    step.beta2 = cfg.beta2;
+    step.epsilon = cfg.epsilon;
+    step.bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
+    step.bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
+    kernels::adam_update(param.data(), m_.data(), v_.data(), grad.data(),
+                         param.size(), step);
   }
 
  private:

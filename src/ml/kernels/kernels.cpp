@@ -255,6 +255,25 @@ void lstm_gates_f32(const float* z, float* c, float* h, float* out,
   }
 }
 
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, const AdamStep& step) {
+  switch (active_backend()) {
+#if defined(APS_HAVE_AVX2)
+    case Backend::kAvx2:
+      avx2::adam_update(p, m, v, g, n, step);
+      return;
+#endif
+#if defined(__aarch64__)
+    case Backend::kNeon:
+      neon::adam_update(p, m, v, g, n, step);
+      return;
+#endif
+    default:
+      adam_update_range(p, m, v, g, 0, n, step);
+      return;
+  }
+}
+
 // ---- single-implementation passes ------------------------------------------
 // Element-independent loops whose arithmetic has no accumulation order to
 // preserve; the autovectorizer handles them, and results are width-invariant.
@@ -291,10 +310,9 @@ void fill_bias_rows(double* z, const double* bias, std::size_t rows,
   }
 }
 
+// The store is unconditional so the loop vectorizes into compare + select.
 void relu(double* x, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    if (x[i] < 0.0) x[i] = 0.0;
-  }
+  for (std::size_t i = 0; i < size; ++i) x[i] = x[i] < 0.0 ? 0.0 : x[i];
 }
 
 void affine(const double* x, double a, double b, double* out, std::size_t n) {
@@ -338,9 +356,7 @@ void add_bias_rows_f32(float* z, const float* bias, std::size_t rows,
 }
 
 void relu_f32(float* x, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    if (x[i] < 0.0f) x[i] = 0.0f;
-  }
+  for (std::size_t i = 0; i < size; ++i) x[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
 
 float fast_expf(float x) { return fast_expf_impl(x); }

@@ -16,7 +16,13 @@
 // the build pins -ffp-contract=off), and the legacy skip of zero left-hand
 // multipliers. SIMD vectorizes across OUTPUT COLUMNS only, which reorders
 // nothing, so float64 results are bit-identical across scalar/AVX2/NEON
-// and to the pre-kernel code. The float32 kernels share the ordering (so
+// and to the pre-kernel code. The SIMD backends take the zero skip without
+// a branch per multiplier: a row (or, for gemm_tn_accum, a column) of the
+// left-hand operand that holds a zero is first compacted into the
+// ascending list of its nonzero indices, and every column tile walks that
+// list. The skip set is the scalar `== 0.0` test's (so -0.0 is skipped
+// and NaN is not) and the order stays ascending, so each output element
+// still sees the same operation sequence. The float32 kernels share the ordering (so
 // they too are backend-invariant bitwise) but are only tolerance-pinned
 // (<= 1e-4 on probabilities) against the float64 reference; they never
 // skip zeros and use a polynomial expf/tanhf in the gate update.
@@ -70,9 +76,29 @@ void add_bias_rows(double* z, const double* bias, std::size_t rows,
 void fill_bias_rows(double* z, const double* bias, std::size_t rows,
                     std::size_t cols);
 
-/// In-place ReLU with the legacy `v < 0 ? 0 : v` semantics (-0.0 passes
-/// through untouched, exactly like the pre-kernel loop).
+/// In-place ReLU with the legacy `v < 0 ? 0 : v` semantics (-0.0 and NaN
+/// pass through untouched, exactly like the pre-kernel loop).
 void relu(double* x, std::size_t size);
+
+/// Scalars of one Adam step (bias corrections bc1 = 1 - beta1^t and
+/// bc2 = 1 - beta2^t are computed once per step by the caller).
+struct AdamStep {
+  double learning_rate = 0.0;
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double epsilon = 0.0;
+  double bc1 = 1.0;
+  double bc2 = 1.0;
+};
+
+/// One Adam update over n parameters, per element:
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   p -= learning_rate * (m / bc1) / (sqrt(v / bc2) + epsilon)
+/// Mul, add, div and sqrt are all correctly rounded, so the vector
+/// backends are bit-identical to the scalar loop.
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, const AdamStep& step);
 
 /// out[i] = a * x[i] + b — the fused axpy used for batched robustness
 /// margins in src/learn (r = mu - beta / beta - mu as a = +-1, b = -+beta;

@@ -6,10 +6,11 @@
 // Every float64 kernel vectorizes across OUTPUT COLUMNS only and keeps the
 // scalar backend's per-element operation sequence: ascending-k accumulation,
 // separate _mm256_mul_pd / _mm256_add_pd (never FMA), and the legacy zero
-// skip on the left-hand multiplier. That makes the results bit-identical to
-// the scalar backend — the j-tiling (4 ymm accumulators, 16 columns per
-// tile) only changes how many elements advance together, not any element's
-// arithmetic.
+// skip on the left-hand multiplier, taken through a compacted index list
+// instead of a branch per multiplier. That makes the results bit-identical
+// to the scalar backend — the j-tiling (up to 8 ymm accumulators, 32
+// columns per tile) only changes how many elements advance together, not
+// any element's arithmetic.
 #if defined(APS_HAVE_AVX2)
 
 #include <immintrin.h>
@@ -20,109 +21,100 @@
 
 namespace aps::ml::kernels::avx2 {
 
+namespace {
+
+/// One tile of kVecs 4-wide column vectors starting at column j:
+/// crow[j + c] += sum over t < count of a[k * astride] * b[k * n + j + c],
+/// k = t (dense) or k = ks[t] (the compacted nonzero list), in ascending t.
+/// The dense form has no skip test at all: its caller saw no zero
+/// multiplier, so nothing would be skipped.
+template <bool kSparse, int kVecs>
+inline void accum_tile(const double* a, std::size_t astride,
+                       const std::size_t* ks, std::size_t count,
+                       const double* b, std::size_t n, double* crow,
+                       std::size_t j) {
+  __m256d acc[kVecs];
+  for (int q = 0; q < kVecs; ++q) acc[q] = _mm256_loadu_pd(crow + j + 4 * q);
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::size_t k = kSparse ? ks[t] : t;
+    const __m256d va = _mm256_set1_pd(a[k * astride]);
+    const double* brow = b + k * n + j;
+    for (int q = 0; q < kVecs; ++q) {
+      acc[q] = _mm256_add_pd(acc[q],
+                             _mm256_mul_pd(va, _mm256_loadu_pd(brow + 4 * q)));
+    }
+  }
+  for (int q = 0; q < kVecs; ++q) _mm256_storeu_pd(crow + j + 4 * q, acc[q]);
+}
+
+/// A whole output row (or, for gemm_tn_accum, column of a): 32-, 16- and
+/// 4-column tiles, then a scalar tail with the same per-element sequence.
+template <bool kSparse>
+void accum_tiles(const double* a, std::size_t astride, const std::size_t* ks,
+                 std::size_t count, const double* b, std::size_t n,
+                 double* crow) {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    accum_tile<kSparse, 8>(a, astride, ks, count, b, n, crow, j);
+  }
+  for (; j + 16 <= n; j += 16) {
+    accum_tile<kSparse, 4>(a, astride, ks, count, b, n, crow, j);
+  }
+  for (; j + 4 <= n; j += 4) {
+    accum_tile<kSparse, 1>(a, astride, ks, count, b, n, crow, j);
+  }
+  for (; j < n; ++j) {
+    double s = crow[j];
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t k = kSparse ? ks[t] : t;
+      s += a[k * astride] * b[k * n + j];
+    }
+    crow[j] = s;
+  }
+}
+
+bool has_zero(const double* a, std::size_t count) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d any = zero;
+  std::size_t t = 0;
+  for (; t + 4 <= count; t += 4) {
+    any = _mm256_or_pd(
+        any, _mm256_cmp_pd(_mm256_loadu_pd(a + t), zero, _CMP_EQ_OQ));
+  }
+  bool found = _mm256_movemask_pd(any) != 0;
+  for (; t < count; ++t) found |= a[t] == 0.0;
+  return found;
+}
+
+}  // namespace
+
 void gemm_accum(const double* a, const double* b, double* c, std::size_t m,
                 std::size_t kd, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
     const double* arow = a + i * kd;
     double* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256d acc0 = _mm256_loadu_pd(crow + j);
-      __m256d acc1 = _mm256_loadu_pd(crow + j + 4);
-      __m256d acc2 = _mm256_loadu_pd(crow + j + 8);
-      __m256d acc3 = _mm256_loadu_pd(crow + j + 12);
-      for (std::size_t k = 0; k < kd; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        const __m256d va = _mm256_set1_pd(aik);
-        const double* brow = b + k * n + j;
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(brow)));
-        acc1 =
-            _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(brow + 4)));
-        acc2 =
-            _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(brow + 8)));
-        acc3 =
-            _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(brow + 12)));
-      }
-      _mm256_storeu_pd(crow + j, acc0);
-      _mm256_storeu_pd(crow + j + 4, acc1);
-      _mm256_storeu_pd(crow + j + 8, acc2);
-      _mm256_storeu_pd(crow + j + 12, acc3);
+    if (!has_zero(arow, kd)) {
+      accum_tiles<false>(arow, 1, nullptr, kd, b, n, crow);
+      continue;
     }
-    for (; j + 4 <= n; j += 4) {
-      __m256d acc = _mm256_loadu_pd(crow + j);
-      for (std::size_t k = 0; k < kd; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        acc = _mm256_add_pd(
-            acc, _mm256_mul_pd(_mm256_set1_pd(aik),
-                               _mm256_loadu_pd(b + k * n + j)));
-      }
-      _mm256_storeu_pd(crow + j, acc);
-    }
-    for (; j < n; ++j) {
-      double s = crow[j];
-      for (std::size_t k = 0; k < kd; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        s += aik * b[k * n + j];
-      }
-      crow[j] = s;
-    }
+    std::size_t* idx = index_buffer(kd);
+    const std::size_t cnt = compact_nonzero(arow, 1, kd, idx);
+    accum_tiles<true>(arow, 1, idx, cnt, b, n, crow);
   }
 }
 
 void gemm_tn_accum(const double* a, const double* b, double* c,
                    std::size_t rows, std::size_t m, std::size_t n) {
-  // Restructured to i-outer / j-tile / r-inner; element (i, j) still
-  // receives its terms in ascending r with the a(r, i) == 0 skip, exactly
-  // like the scalar backend's r-outer form.
+  // i-outer / j-tile / r-inner: element (i, j) still receives its terms in
+  // ascending r with the a(r, i) == 0 skip, exactly like the scalar
+  // backend's r-outer form.
+  std::size_t* idx = index_buffer(rows);
   for (std::size_t i = 0; i < m; ++i) {
-    const double* acol = a + i;
-    double* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256d acc0 = _mm256_loadu_pd(crow + j);
-      __m256d acc1 = _mm256_loadu_pd(crow + j + 4);
-      __m256d acc2 = _mm256_loadu_pd(crow + j + 8);
-      __m256d acc3 = _mm256_loadu_pd(crow + j + 12);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double ari = acol[r * m];
-        if (ari == 0.0) continue;
-        const __m256d va = _mm256_set1_pd(ari);
-        const double* brow = b + r * n + j;
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(brow)));
-        acc1 =
-            _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(brow + 4)));
-        acc2 =
-            _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(brow + 8)));
-        acc3 =
-            _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(brow + 12)));
-      }
-      _mm256_storeu_pd(crow + j, acc0);
-      _mm256_storeu_pd(crow + j + 4, acc1);
-      _mm256_storeu_pd(crow + j + 8, acc2);
-      _mm256_storeu_pd(crow + j + 12, acc3);
-    }
-    for (; j + 4 <= n; j += 4) {
-      __m256d acc = _mm256_loadu_pd(crow + j);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double ari = acol[r * m];
-        if (ari == 0.0) continue;
-        acc = _mm256_add_pd(
-            acc, _mm256_mul_pd(_mm256_set1_pd(ari),
-                               _mm256_loadu_pd(b + r * n + j)));
-      }
-      _mm256_storeu_pd(crow + j, acc);
-    }
-    for (; j < n; ++j) {
-      double s = crow[j];
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double ari = acol[r * m];
-        if (ari == 0.0) continue;
-        s += ari * b[r * n + j];
-      }
-      crow[j] = s;
+    const std::size_t cnt = compact_nonzero(a + i, m, rows, idx);
+    if (cnt == rows) {
+      accum_tiles<false>(a + i, m, nullptr, rows, b, n, c + i * n);
+    } else if (cnt > 0) {
+      accum_tiles<true>(a + i, m, idx, cnt, b, n, c + i * n);
     }
   }
 }
@@ -228,6 +220,36 @@ void lstm_gates_f32(const float* z, float* c, float* h, float* out,
   // Same portable body as the scalar backend, compiled in this TU so the
   // autovectorizer emits the 8-wide AVX2 form of the identical arithmetic.
   lstm_gates_f32_portable(z, c, h, out, lanes, hidden);
+}
+
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, const AdamStep& step) {
+  const __m256d lr = _mm256_set1_pd(step.learning_rate);
+  const __m256d b1 = _mm256_set1_pd(step.beta1);
+  const __m256d b2 = _mm256_set1_pd(step.beta2);
+  const __m256d c1 = _mm256_set1_pd(1.0 - step.beta1);
+  const __m256d c2 = _mm256_set1_pd(1.0 - step.beta2);
+  const __m256d bc1 = _mm256_set1_pd(step.bc1);
+  const __m256d bc2 = _mm256_set1_pd(step.bc2);
+  const __m256d eps = _mm256_set1_pd(step.epsilon);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d gi = _mm256_loadu_pd(g + i);
+    const __m256d mi = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + i)),
+                                     _mm256_mul_pd(c1, gi));
+    const __m256d vi =
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + i)),
+                      _mm256_mul_pd(_mm256_mul_pd(c2, gi), gi));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    const __m256d mhat = _mm256_div_pd(mi, bc1);
+    const __m256d vhat = _mm256_div_pd(vi, bc2);
+    const __m256d upd =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm256_storeu_pd(p + i, _mm256_sub_pd(_mm256_loadu_pd(p + i), upd));
+  }
+  adam_update_range(p, m, v, g, i, n, step);
 }
 
 }  // namespace aps::ml::kernels::avx2

@@ -4,7 +4,8 @@
 // Two things live here:
 //  1. extern declarations of the per-backend entry points the dispatcher in
 //     kernels.cpp routes to;
-//  2. the shared portable bodies (polynomial expf/tanhf and the float32
+//  2. the shared portable bodies (the zero-skip compaction and its index
+//     buffer, the scalar Adam loop, polynomial expf/tanhf and the float32
 //     fused gate pass) in an ANONYMOUS namespace, so every backend TU
 //     compiles its own copy with its own codegen flags (the AVX2 TU gets
 //     8-wide float vectorization of the very same arithmetic). The math is
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "ml/kernels/kernels.h"
 
@@ -33,6 +35,8 @@ void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n);
 void lstm_gates_f32(const float* z, float* c, float* h, float* out,
                     std::size_t lanes, std::size_t hidden);
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, const AdamStep& step);
 }  // namespace avx2
 #endif
 
@@ -48,10 +52,49 @@ void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n);
 void lstm_gates_f32(const float* z, float* c, float* h, float* out,
                     std::size_t lanes, std::size_t hidden);
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, const AdamStep& step);
 }  // namespace neon
 #endif
 
 namespace {
+
+/// Writes the ascending positions t < count whose multiplier
+/// a[t * stride] is nonzero (by the scalar `!= 0.0` test, so -0.0 is
+/// dropped and NaN kept) to idx and returns how many there are. Branch
+/// free: every position is written, and only a nonzero one advances the
+/// cursor, so no unpredictable zero pattern costs a mispredict.
+inline std::size_t compact_nonzero(const double* a, std::size_t stride,
+                                   std::size_t count, std::size_t* idx) {
+  std::size_t cnt = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    idx[cnt] = t;
+    cnt += static_cast<std::size_t>(a[t * stride] != 0.0);
+  }
+  return cnt;
+}
+
+/// Per-thread index list for compact_nonzero; grows to the longest row or
+/// column seen and is then reused.
+inline std::size_t* index_buffer(std::size_t count) {
+  thread_local std::vector<std::size_t> idx;
+  if (idx.size() < count) idx.resize(count);
+  return idx.data();
+}
+
+/// The scalar Adam loop over [begin, end): the reference for the vector
+/// backends, which also use it for their tails.
+inline void adam_update_range(double* p, double* m, double* v,
+                              const double* g, std::size_t begin,
+                              std::size_t end, const AdamStep& s) {
+  for (std::size_t i = begin; i < end; ++i) {
+    m[i] = s.beta1 * m[i] + (1.0 - s.beta1) * g[i];
+    v[i] = s.beta2 * v[i] + (1.0 - s.beta2) * g[i] * g[i];
+    const double mhat = m[i] / s.bc1;
+    const double vhat = v[i] / s.bc2;
+    p[i] -= s.learning_rate * mhat / (std::sqrt(vhat) + s.epsilon);
+  }
+}
 
 /// Cephes-style expf: range-reduce x = n*ln2 + r, evaluate a degree-5
 /// polynomial on r, scale by 2^n through the exponent bits. Relative error

@@ -12,31 +12,29 @@ namespace aps::ml {
 
 namespace {
 
-void softmax_rows(Matrix& logits) {
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
+/// Rows per gradient chunk. Fixed (never derived from the thread count) so
+/// the chunk partition — and with it every dropout stream and reduction
+/// order — is identical no matter how many workers execute it.
+constexpr std::size_t kGradChunkRows = 16;
+
+void softmax_rows(double* logits, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* row = logits + r * cols;
     double max_logit = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      max_logit = std::max(max_logit, logits.at(r, c));
+    for (std::size_t c = 0; c < cols; ++c) {
+      max_logit = std::max(max_logit, row[c]);
     }
     double sum = 0.0;
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      logits.at(r, c) = std::exp(logits.at(r, c) - max_logit);
-      sum += logits.at(r, c);
+    for (std::size_t c = 0; c < cols; ++c) {
+      row[c] = std::exp(row[c] - max_logit);
+      sum += row[c];
     }
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      logits.at(r, c) /= sum;
-    }
+    for (std::size_t c = 0; c < cols; ++c) row[c] /= sum;
   }
 }
 
-Matrix rows_subset(const Matrix& x, std::span<const std::size_t> idx) {
-  Matrix out(idx.size(), x.cols());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      out.at(r, c) = x.at(idx[r], c);
-    }
-  }
-  return out;
+double class_weight(std::span<const double> cw, std::size_t label) {
+  return cw.empty() ? 1.0 : cw[label];
 }
 
 }  // namespace
@@ -51,188 +49,156 @@ std::size_t Mlp::parameter_count() const {
   return total;
 }
 
-Mlp::ForwardCache Mlp::forward(const Matrix& batch, bool training,
-                               DropoutStream* dropout) const {
-  ForwardCache cache;
-  cache.activations.reserve(weights_.size());
-  cache.activations.push_back(batch);
-  const std::size_t hidden_layers = weights_.size() - 1;
-  const bool drop = training && config_.dropout > 0.0 && dropout != nullptr;
+void Mlp::shape_workspace(ChunkWorkspace& ws, std::size_t rows) const {
+  ws.rows = rows;
+  ws.act.resize(weights_.size());
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    Matrix z = matmul(cache.activations.back(), weights_[l]);
-    kernels::add_bias_rows(z.raw().data(), biases_[l].data(), z.rows(),
-                           z.cols());
-    if (l < hidden_layers) {
-      // ReLU + inverted dropout.
-      kernels::relu(z.raw().data(), z.raw().size());
-      if (drop) {
-        Matrix mask(z.rows(), z.cols(), 1.0);
-        const double inv_keep = 1.0 / (1.0 - config_.dropout);
-        for (std::size_t i = 0; i < z.raw().size(); ++i) {
-          if (dropout->next() < config_.dropout) {
-            mask.raw()[i] = 0.0;
-            z.raw()[i] = 0.0;
-          } else {
-            mask.raw()[i] = inv_keep;
-            z.raw()[i] *= inv_keep;
-          }
-        }
-        cache.masks.push_back(std::move(mask));
-      }
-      cache.activations.push_back(std::move(z));
-    } else {
-      softmax_rows(z);
-      cache.probs = std::move(z);
-    }
+    ws.act[l].resize(rows * weights_[l].rows());
   }
-  return cache;
+  ws.probs.resize(rows * weights_.back().cols());
 }
 
-void Mlp::batch_gradients(const Matrix& batch, std::span<const int> labels,
-                          std::span<const double> cw, DropoutStream* dropout,
-                          std::vector<Matrix>& grad_w,
-                          std::vector<Matrix>& grad_b, double& loss_sum,
-                          double& weight_sum) const {
-  ForwardCache cache = forward(batch, /*training=*/true, dropout);
-  const std::size_t n = batch.rows();
+void Mlp::load_rows(const Matrix& x, std::span<const std::size_t> indices,
+                    ChunkWorkspace& ws) const {
+  shape_workspace(ws, indices.size());
+  const std::size_t width = x.cols();
+  for (std::size_t r = 0; r < indices.size(); ++r) {
+    std::copy_n(x.data() + indices[r] * width, width,
+                ws.act[0].data() + r * width);
+  }
+}
 
-  // Weighted cross-entropy and dLoss/dLogits = probs - onehot (scaled);
-  // normalization by the total batch weight happens after reduction.
-  Matrix delta = cache.probs;
+void Mlp::forward_chunk(ChunkWorkspace& ws, DropoutStream* dropout) const {
+  const std::size_t n = ws.rows;
+  const std::size_t hidden_layers = weights_.size() - 1;
+  const bool drop = config_.dropout > 0.0 && dropout != nullptr;
+  const double inv_keep = 1.0 / (1.0 - config_.dropout);
+  for (std::size_t l = 0; l < weights_.size(); ++l) {
+    const Matrix& w = weights_[l];
+    double* z = l < hidden_layers ? ws.act[l + 1].data() : ws.probs.data();
+    const std::size_t size = n * w.cols();
+    std::fill_n(z, size, 0.0);
+    kernels::gemm_accum(ws.act[l].data(), w.data(), z, n, w.rows(),
+                        w.cols());
+    kernels::add_bias_rows(z, biases_[l].data(), n, w.cols());
+    if (l < hidden_layers) {
+      // ReLU + inverted dropout. The dropped/kept choice is a select, so
+      // the loop has no data-dependent branch.
+      kernels::relu(z, size);
+      if (drop) {
+        for (std::size_t i = 0; i < size; ++i) {
+          const bool dropped = dropout->next() < config_.dropout;
+          z[i] = dropped ? 0.0 : z[i] * inv_keep;
+        }
+      }
+    } else {
+      softmax_rows(z, n, w.cols());
+    }
+  }
+}
+
+void Mlp::backward_chunk(ChunkWorkspace& ws, std::span<const int> y,
+                         std::span<const std::size_t> indices,
+                         std::span<const double> cw) const {
+  const std::size_t n = ws.rows;
+  const std::size_t classes = weights_.back().cols();
+
+  // dLoss/dLogits of the weighted cross-entropy = probs - onehot
+  // (scaled), in place over the probabilities; normalization by the total
+  // batch weight happens after reduction.
   for (std::size_t r = 0; r < n; ++r) {
-    const auto label = static_cast<std::size_t>(labels[r]);
-    const double w = cw.empty() ? 1.0 : cw[label];
-    weight_sum += w;
-    loss_sum -= w * std::log(std::max(cache.probs.at(r, label), 1e-12));
-    for (std::size_t c = 0; c < delta.cols(); ++c) {
-      delta.at(r, c) = w * (cache.probs.at(r, c) -
-                            (c == label ? 1.0 : 0.0));
+    const auto label = static_cast<std::size_t>(y[indices[r]]);
+    const double w = class_weight(cw, label);
+    double* row = ws.probs.data() + r * classes;
+    ws.weight_sum += w;
+    for (std::size_t c = 0; c < classes; ++c) {
+      row[c] = w * (row[c] - (c == label ? 1.0 : 0.0));
     }
   }
 
-  // Backward pass through the dense stack.
+  // A unit passed backward iff its activation is positive; a dropped unit
+  // has activation 0, so the kept units' inverted-dropout scale is the
+  // whole mask.
+  const double keep_scale =
+      config_.dropout > 0.0 ? 1.0 / (1.0 - config_.dropout) : 1.0;
+  const double* delta = ws.probs.data();
   for (std::size_t l = weights_.size(); l-- > 0;) {
-    const Matrix& input = cache.activations[l];
-    const Matrix gw = matmul_tn(input, delta);
-    for (std::size_t i = 0; i < gw.raw().size(); ++i) {
-      grad_w[l].raw()[i] += gw.raw()[i];
-    }
-    for (std::size_t r = 0; r < delta.rows(); ++r) {
-      for (std::size_t c = 0; c < delta.cols(); ++c) {
-        grad_b[l].at(0, c) += delta.at(r, c);
-      }
+    const Matrix& w = weights_[l];
+    const std::size_t out = w.cols();
+    // The chunk gradients start at +0.0, and a sum started at +0.0 never
+    // becomes -0.0, so accumulating here equals adding a fresh product.
+    kernels::gemm_tn_accum(ws.act[l].data(), delta, ws.grad_w[l].data(), n,
+                           w.rows(), out);
+    double* gb = ws.grad_b[l].data();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < out; ++c) gb[c] += delta[r * out + c];
     }
     if (l > 0) {
-      Matrix delta_prev = matmul_nt(delta, weights_[l]);
-      // Through ReLU + dropout of layer l-1 (no mask stored when the
-      // forward ran without dropout).
-      const Matrix& act = cache.activations[l];
-      const Matrix* mask =
-          cache.masks.empty() ? nullptr : &cache.masks[l - 1];
-      for (std::size_t r = 0; r < delta_prev.rows(); ++r) {
-        for (std::size_t c = 0; c < delta_prev.cols(); ++c) {
-          const bool active = act.at(r, c) > 0.0;
-          const double m = mask != nullptr ? mask->at(r, c) : 1.0;
-          delta_prev.at(r, c) *= active ? m : 0.0;
-        }
+      double* prev = ws.delta_prev.data();
+      kernels::gemm_nt(delta, w.data(), prev, n, out, w.rows());
+      const double* act = ws.act[l].data();
+      for (std::size_t i = 0; i < n * w.rows(); ++i) {
+        prev[i] *= act[i] > 0.0 ? keep_scale : 0.0;
       }
-      delta = std::move(delta_prev);
+      ws.delta.swap(ws.delta_prev);
+      delta = ws.delta.data();
     }
   }
 }
 
-namespace {
-
-/// Rows per gradient chunk. Fixed (never derived from the thread count) so
-/// the chunk partition — and with it every dropout stream and reduction
-/// order — is identical no matter how many workers execute it.
-constexpr std::size_t kGradChunkRows = 16;
-
-}  // namespace
-
-double Mlp::train_batch(const Matrix& batch, std::span<const int> labels,
-                        std::span<const double> cw, long step,
-                        aps::ThreadPool* pool) {
-  const std::size_t n = batch.rows();
-  const std::size_t chunks = (n + kGradChunkRows - 1) / kGradChunkRows;
-
-  struct ChunkGrads {
-    std::vector<Matrix> w, b;
-    double loss_sum = 0.0;
-    double weight_sum = 0.0;
-  };
-  std::vector<ChunkGrads> partial(chunks);
-  const auto run_chunk = [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kGradChunkRows;
-    const std::size_t end = std::min(n, begin + kGradChunkRows);
-    Matrix rows(end - begin, batch.cols());
-    std::copy(batch.raw().begin() + static_cast<long>(begin * batch.cols()),
-              batch.raw().begin() + static_cast<long>(end * batch.cols()),
-              rows.raw().begin());
-    ChunkGrads& grads = partial[chunk];
-    grads.w.reserve(weights_.size());
-    grads.b.reserve(weights_.size());
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-      grads.w.emplace_back(weights_[l].rows(), weights_[l].cols());
-      grads.b.emplace_back(std::size_t{1}, biases_[l].cols());
+void Mlp::infer(std::span<const double> features, std::size_t rows,
+                ChunkWorkspace& ws) const {
+  const std::size_t width = weights_.front().rows();
+  assert(features.size() == rows * width);
+  shape_workspace(ws, rows);
+  std::copy(features.begin(), features.end(), ws.act[0].begin());
+  if (config_.standardize && standardizer_.fitted()) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      standardizer_.transform_row(
+          std::span<double>(ws.act[0].data() + r * width, width));
     }
-    // Per-(step, chunk) dropout stream: independent of both the shuffle
-    // RNG and the executing thread.
-    DropoutStream dropout{derive_seed(
-        derive_seed(dropout_seed_, static_cast<std::uint64_t>(step)), chunk)};
-    batch_gradients(rows, labels.subspan(begin, end - begin), cw, &dropout,
-                    grads.w, grads.b, grads.loss_sum, grads.weight_sum);
+  }
+  forward_chunk(ws, nullptr);
+}
+
+double Mlp::evaluate_loss(const Matrix& x, std::span<const int> y,
+                          std::span<const std::size_t> indices,
+                          std::span<const double> cw,
+                          std::span<ChunkWorkspace> workspaces,
+                          aps::ThreadPool* pool) const {
+  if (indices.empty()) return 0.0;
+  const std::size_t classes = weights_.back().cols();
+  const std::size_t chunks =
+      (indices.size() + kGradChunkRows - 1) / kGradChunkRows;
+  std::vector<double> row_loss(indices.size());
+  // Workspace `slot` serves chunks slot, slot + slots, ...; each row's
+  // loss term does not depend on which slot computed it.
+  const std::size_t slots = std::min(chunks, workspaces.size());
+  const auto run_slot = [&](std::size_t slot) {
+    ChunkWorkspace& ws = workspaces[slot];
+    for (std::size_t chunk = slot; chunk < chunks; chunk += slots) {
+      const std::size_t begin = chunk * kGradChunkRows;
+      const std::size_t end = std::min(indices.size(), begin + kGradChunkRows);
+      load_rows(x, indices.subspan(begin, end - begin), ws);
+      forward_chunk(ws, nullptr);
+      for (std::size_t r = 0; r < ws.rows; ++r) {
+        const auto label = static_cast<std::size_t>(y[indices[begin + r]]);
+        const double p = ws.probs[r * classes + label];
+        row_loss[begin + r] =
+            class_weight(cw, label) * std::log(std::max(p, 1e-12));
+      }
+    }
   };
-  if (pool != nullptr && chunks > 1) {
-    pool->parallel_for(chunks, run_chunk);
+  if (pool != nullptr && slots > 1) {
+    pool->parallel_for(slots, run_slot);
   } else {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
+    for (std::size_t slot = 0; slot < slots; ++slot) run_slot(slot);
   }
-
-  // Deterministic reduction: chunk order, then normalize by the batch
-  // weight and apply one Adam step.
   double loss = 0.0;
   double weight_sum = 0.0;
-  std::vector<Matrix> grad_w;
-  std::vector<Matrix> grad_b;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    grad_w.emplace_back(weights_[l].rows(), weights_[l].cols());
-    grad_b.emplace_back(std::size_t{1}, biases_[l].cols());
-  }
-  for (const ChunkGrads& grads : partial) {
-    loss += grads.loss_sum;
-    weight_sum += grads.weight_sum;
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-      for (std::size_t i = 0; i < grad_w[l].raw().size(); ++i) {
-        grad_w[l].raw()[i] += grads.w[l].raw()[i];
-      }
-      for (std::size_t i = 0; i < grad_b[l].raw().size(); ++i) {
-        grad_b[l].raw()[i] += grads.b[l].raw()[i];
-      }
-    }
-  }
-  const double norm = weight_sum > 0.0 ? weight_sum : 1.0;
-  loss /= norm;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    for (auto& v : grad_w[l].raw()) v /= norm;
-    for (auto& v : grad_b[l].raw()) v /= norm;
-    w_adam_[l].update(weights_[l], grad_w[l], config_.adam, step);
-    b_adam_[l].update(biases_[l], grad_b[l], config_.adam, step);
-  }
-  return loss;
-}
-
-double Mlp::evaluate_loss(const Matrix& x, std::span<const int> labels,
-                          std::span<const double> cw) const {
-  if (x.rows() == 0) return 0.0;
-  const ForwardCache cache = forward(x, /*training=*/false, nullptr);
-  double loss = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto label = static_cast<std::size_t>(labels[r]);
-    const double w = cw.empty() ? 1.0 : cw[label];
-    weight_sum += w;
-    loss -= w * std::log(std::max(cache.probs.at(r, label), 1e-12));
+  for (std::size_t r = 0; r < indices.size(); ++r) {
+    weight_sum += class_weight(cw, static_cast<std::size_t>(y[indices[r]]));
+    loss -= row_loss[r];
   }
   return weight_sum > 0.0 ? loss / weight_sum : 0.0;
 }
@@ -281,11 +247,12 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
     train_idx = order;
     val_idx.clear();
   }
-
-  const Matrix x_val = rows_subset(x_all, val_idx);
-  std::vector<int> y_val;
-  y_val.reserve(val_idx.size());
-  for (const std::size_t i : val_idx) y_val.push_back(data.y[i]);
+  // Without a validation split, the loss is taken over every row in
+  // dataset order.
+  if (val_idx.empty()) {
+    val_idx.resize(data.size());
+    std::iota(val_idx.begin(), val_idx.end(), std::size_t{0});
+  }
 
   std::vector<double> cw;
   if (config_.use_class_weights) cw = class_weights(data);
@@ -297,25 +264,98 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
   long step = 0;
   epoch_losses_.clear();
 
+  // One workspace per chunk of a full minibatch, reused by every step and
+  // validation pass of this call. They are sized here, on the calling
+  // thread: sized by the pool's workers, the buffers would be freed into
+  // the workers' malloc arenas when fit returns and stay resident.
+  std::vector<ChunkWorkspace> workspaces(
+      (config_.batch_size + kGradChunkRows - 1) / kGradChunkRows);
+  std::vector<Matrix> grad_w;
+  std::vector<Matrix> grad_b;
+  for (std::size_t l = 0; l < weights_.size(); ++l) {
+    grad_w.emplace_back(weights_[l].rows(), weights_[l].cols());
+    grad_b.emplace_back(std::size_t{1}, biases_[l].cols());
+  }
+  std::size_t widest_hidden = 0;
+  for (const std::size_t h : config_.hidden_units) {
+    widest_hidden = std::max(widest_hidden, h);
+  }
+  for (auto& ws : workspaces) {
+    shape_workspace(ws, kGradChunkRows);
+    ws.delta.resize(kGradChunkRows * widest_hidden);
+    ws.delta_prev.resize(kGradChunkRows * widest_hidden);
+    ws.grad_w = grad_w;
+    ws.grad_b = grad_b;
+  }
+  const auto zero = [](std::vector<Matrix>& grads) {
+    for (Matrix& g : grads) std::fill(g.raw().begin(), g.raw().end(), 0.0);
+  };
+
   for (int epoch = 0; epoch < config_.max_epochs; ++epoch) {
     std::shuffle(train_idx.begin(), train_idx.end(), rng.engine());
     for (std::size_t start = 0; start < train_idx.size();
          start += config_.batch_size) {
       const std::size_t end =
           std::min(train_idx.size(), start + config_.batch_size);
-      const std::span<const std::size_t> batch_idx(train_idx.data() + start,
-                                                   end - start);
-      const Matrix batch = rows_subset(x_all, batch_idx);
-      std::vector<int> labels;
-      labels.reserve(batch_idx.size());
-      for (const std::size_t i : batch_idx) labels.push_back(data.y[i]);
       ++step;
-      train_batch(batch, labels, cw, step, pool);
+
+      // Chunk-parallel gradients: each fixed-size chunk accumulates its
+      // own; reduction in chunk order keeps the update thread-count
+      // invariant.
+      const std::size_t chunks =
+          (end - start + kGradChunkRows - 1) / kGradChunkRows;
+      const auto run_chunk = [&](std::size_t chunk) {
+        ChunkWorkspace& ws = workspaces[chunk];
+        zero(ws.grad_w);
+        zero(ws.grad_b);
+        ws.weight_sum = 0.0;
+        const std::size_t begin = start + chunk * kGradChunkRows;
+        const auto rows = std::span<const std::size_t>(train_idx).subspan(
+            begin, std::min(end, begin + kGradChunkRows) - begin);
+        // Per-(step, chunk) dropout stream: independent of both the
+        // shuffle RNG and the executing thread.
+        DropoutStream dropout{derive_seed(
+            derive_seed(dropout_seed_, static_cast<std::uint64_t>(step)),
+            chunk)};
+        load_rows(x_all, rows, ws);
+        forward_chunk(ws, &dropout);
+        backward_chunk(ws, data.y, rows, cw);
+      };
+      if (pool != nullptr && chunks > 1) {
+        pool->parallel_for(chunks, run_chunk);
+      } else {
+        for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
+      }
+
+      // Deterministic reduction: chunk order, then normalize by the batch
+      // weight and apply one Adam step.
+      zero(grad_w);
+      zero(grad_b);
+      double weight_sum = 0.0;
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+        const ChunkWorkspace& ws = workspaces[chunk];
+        weight_sum += ws.weight_sum;
+        for (std::size_t l = 0; l < weights_.size(); ++l) {
+          auto& gw = grad_w[l].raw();
+          auto& gb = grad_b[l].raw();
+          for (std::size_t i = 0; i < gw.size(); ++i) {
+            gw[i] += ws.grad_w[l].raw()[i];
+          }
+          for (std::size_t i = 0; i < gb.size(); ++i) {
+            gb[i] += ws.grad_b[l].raw()[i];
+          }
+        }
+      }
+      const double norm = weight_sum > 0.0 ? weight_sum : 1.0;
+      for (std::size_t l = 0; l < weights_.size(); ++l) {
+        for (auto& v : grad_w[l].raw()) v /= norm;
+        for (auto& v : grad_b[l].raw()) v /= norm;
+        w_adam_[l].update(weights_[l], grad_w[l], config_.adam, step);
+        b_adam_[l].update(biases_[l], grad_b[l], config_.adam, step);
+      }
     }
     const double val_loss =
-        val_idx.empty()
-            ? evaluate_loss(x_all, data.y, cw)
-            : evaluate_loss(x_val, y_val, cw);
+        evaluate_loss(x_all, data.y, val_idx, cw, workspaces, pool);
     epoch_losses_.push_back(val_loss);
     if (val_loss < best_val - 1e-5) {
       best_val = val_loss;
@@ -337,20 +377,9 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
 std::vector<double> Mlp::predict_proba(
     std::span<const double> features) const {
   assert(trained());
-  Matrix x(1, features.size());
-  for (std::size_t c = 0; c < features.size(); ++c) {
-    x.at(0, c) = features[c];
-  }
-  if (config_.standardize && standardizer_.fitted()) {
-    std::span<double> row(x.raw().data(), x.cols());
-    standardizer_.transform_row(row);
-  }
-  const ForwardCache cache = forward(x, /*training=*/false, nullptr);
-  std::vector<double> out(cache.probs.cols());
-  for (std::size_t c = 0; c < out.size(); ++c) {
-    out[c] = cache.probs.at(0, c);
-  }
-  return out;
+  ChunkWorkspace ws;
+  infer(features, 1, ws);
+  return ws.probs;
 }
 
 int Mlp::predict(std::span<const double> features) const {
@@ -361,20 +390,16 @@ int Mlp::predict(std::span<const double> features) const {
 
 std::vector<int> Mlp::predict_batch(const Matrix& features) const {
   assert(trained());
-  Matrix x = features;
-  if (config_.standardize && standardizer_.fitted()) {
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      std::span<double> row(x.raw().data() + r * x.cols(), x.cols());
-      standardizer_.transform_row(row);
-    }
-  }
-  const ForwardCache cache = forward(x, /*training=*/false, nullptr);
-  std::vector<int> out(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
+  ChunkWorkspace ws;
+  infer(features.raw(), features.rows(), ws);
+  const std::size_t classes = weights_.back().cols();
+  std::vector<int> out(features.rows());
+  for (std::size_t r = 0; r < features.rows(); ++r) {
     // First-maximum argmax, matching predict()'s std::max_element.
+    const double* row = ws.probs.data() + r * classes;
     std::size_t best = 0;
-    for (std::size_t c = 1; c < cache.probs.cols(); ++c) {
-      if (cache.probs.at(r, c) > cache.probs.at(r, best)) best = c;
+    for (std::size_t c = 1; c < classes; ++c) {
+      if (row[c] > row[best]) best = c;
     }
     out[r] = static_cast<int>(best);
   }

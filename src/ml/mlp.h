@@ -7,7 +7,9 @@
 // Training is data-parallel: each minibatch is cut into fixed-size row
 // chunks whose gradients are computed concurrently (per-chunk dropout
 // streams) and reduced in chunk order, so the trained weights are
-// bit-identical for every thread count, including none.
+// bit-identical for every thread count, including none. Each chunk runs in
+// a workspace that fit() sizes once, so a training step allocates nothing;
+// validation runs the same chunks through the pool.
 #pragma once
 
 #include <cstdint>
@@ -88,10 +90,21 @@ class Mlp {
  private:
   friend struct aps::io::ModelSerde;
 
-  struct ForwardCache {
-    std::vector<Matrix> activations;  ///< activations[0] = input batch
-    std::vector<Matrix> masks;        ///< dropout masks (training+dropout only)
-    Matrix probs;                     ///< softmax output
+  /// Buffers for one chunk's forward and backward pass, sized by
+  /// shape_workspace. fit() owns one per chunk of a full minibatch and
+  /// reuses it for every step and validation pass; inference sizes a
+  /// fresh one for its batch.
+  struct ChunkWorkspace {
+    std::size_t rows = 0;
+    /// act[0]: standardized input rows; act[l]: output of hidden layer l
+    /// (after ReLU and dropout). rows x layer width each.
+    std::vector<std::vector<double>> act;
+    std::vector<double> probs;  ///< rows x classes: softmax, then dLoss/dz
+    /// Training only (sized by fit()): rows x widest hidden layer
+    /// backward buffers, and this chunk's unnormalized gradients.
+    std::vector<double> delta, delta_prev;
+    std::vector<Matrix> grad_w, grad_b;
+    double weight_sum = 0.0;  ///< class weight of the chunk's rows
   };
 
   /// Counter-based dropout stream: cell k of a chunk draws
@@ -114,28 +127,41 @@ class Mlp {
     std::vector<std::size_t> out_dims;
   };
 
-  [[nodiscard]] ForwardCache forward(const Matrix& batch, bool training,
-                                     DropoutStream* dropout) const;
+  /// Size ws's forward buffers for `rows` rows. Capacity only grows, so a
+  /// workspace shaped for a full chunk never reallocates.
+  void shape_workspace(ChunkWorkspace& ws, std::size_t rows) const;
+  /// Gather the indexed rows of the standardized matrix x into ws.act[0].
+  void load_rows(const Matrix& x, std::span<const std::size_t> indices,
+                 ChunkWorkspace& ws) const;
+  /// Forward pass over ws.act[0], keeping every hidden activation for
+  /// backward_chunk; leaves the class probabilities in ws.probs. With a
+  /// dropout stream, hidden units are dropped (inverted dropout).
+  void forward_chunk(ChunkWorkspace& ws, DropoutStream* dropout) const;
+  /// Gradient of the chunk's weighted cross-entropy, accumulated
+  /// unnormalized into ws.grad_w/grad_b (its total class weight into
+  /// ws.weight_sum). Row r's label is y[indices[r]]. Pure w.r.t. the
+  /// network, so chunks run concurrently.
+  void backward_chunk(ChunkWorkspace& ws, std::span<const int> y,
+                      std::span<const std::size_t> indices,
+                      std::span<const double> cw) const;
+  /// Standardize raw feature rows into ws and run the inference forward
+  /// pass; every layer is row-independent, so row r of ws.probs is
+  /// bit-identical to a one-row pass over row r.
+  void infer(std::span<const double> features, std::size_t rows,
+             ChunkWorkspace& ws) const;
   [[nodiscard]] std::shared_ptr<const F32Weights> f32_weights() const;
   /// Forward through the float32 kernels over a standardized batch;
   /// fills `probs` row-major (n x classes), softmax computed in double.
   void forward_f32(const Matrix& x_standardized,
                    std::vector<double>& probs) const;
-  /// Unnormalized gradient of the weighted CE loss over `batch`, added
-  /// into grad_w / grad_b; returns (loss sum, weight sum) via the out
-  /// params. Pure w.r.t. the network, so chunks run concurrently.
-  void batch_gradients(const Matrix& batch, std::span<const int> labels,
-                       std::span<const double> cw, DropoutStream* dropout,
-                       std::vector<Matrix>& grad_w,
-                       std::vector<Matrix>& grad_b, double& loss_sum,
-                       double& weight_sum) const;
-  /// One minibatch gradient step (chunk-parallel); returns the batch loss.
-  double train_batch(const Matrix& batch, std::span<const int> labels,
-                     std::span<const double> cw, long step,
-                     aps::ThreadPool* pool);
-  [[nodiscard]] double evaluate_loss(const Matrix& x,
-                                     std::span<const int> labels,
-                                     std::span<const double> cw) const;
+  /// Class-weighted mean cross-entropy over the indexed rows of x, in
+  /// fixed chunks spread over the workspaces; per-row losses are summed
+  /// in row order, so the result does not depend on the pool.
+  [[nodiscard]] double evaluate_loss(const Matrix& x, std::span<const int> y,
+                                     std::span<const std::size_t> indices,
+                                     std::span<const double> cw,
+                                     std::span<ChunkWorkspace> workspaces,
+                                     aps::ThreadPool* pool) const;
 
   MlpConfig config_;
   std::uint64_t dropout_seed_ = 0;  ///< derived from config seed in fit()

@@ -3,7 +3,9 @@
 // results BIT-IDENTICAL to naive reference loops that replicate the
 // pre-kernel ml::Matrix source verbatim, across awkward shapes (every
 // dimension 1..17, the vector-width straddle 31..33, 64, 257), odd and
-// even inner dimensions, and misaligned operand pointers. The float32
+// even inner dimensions, misaligned operand pointers, and zero densities
+// from none to all (the SIMD zero skip is compacted). adam_update is held
+// to the same bit-identity against the optimizer's scalar loop. The float32
 // kernels must be bitwise backend-invariant and tolerance-close to a
 // float64 reference (max ulp distance is recorded per test); the
 // polynomial fast_expf/fast_tanhf carry their own accuracy pins.
@@ -13,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -272,6 +275,114 @@ TEST(KernelGemmF64, MisalignedOperandsBitIdentical) {
   }
 }
 
+// The SIMD backends take the zero skip through a compacted list of nonzero
+// indices (rows of a for gemm_accum, columns for gemm_tn_accum) and run
+// rows/columns without a zero through a skip-free path. Sweep the zero
+// density from none to all, with one all-zero and one zero-free row in
+// every operand, signed zeros as multipliers, -0.0 accumulator starts
+// (which only a skipped term leaves negative), n across the 32-column tile
+// and its tails, and k = 257 so the index list outgrows 256 entries.
+TEST(KernelGemmF64, CompactedZeroSkipBitIdenticalAcrossDensities) {
+  BackendGuard guard;
+  Rng rng(9001);
+  const std::size_t m = 6;
+  for (const double density : {0.0, 0.5, 0.9, 1.0}) {
+    for (const std::size_t k : {std::size_t{7}, std::size_t{64},
+                                std::size_t{257}}) {
+      for (const std::size_t n :
+           {std::size_t{1}, std::size_t{4}, std::size_t{31}, std::size_t{32},
+            std::size_t{33}, std::size_t{63}, std::size_t{64},
+            std::size_t{65}, std::size_t{128}}) {
+        // a (m x k) and its transpose at (k x m) for gemm_tn_accum.
+        std::vector<double> a(m * k), at(k * m);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            double v = rng.gaussian(0.0, 1.0);
+            const bool zero =
+                i == 0 || (i != 1 && rng.uniform(0.0, 1.0) < density);
+            if (zero) v = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+            a[i * k + kk] = v;
+            at[kk * m + i] = v;
+          }
+        }
+        auto seed = random_vec(m * n, rng, 0.0);
+        for (std::size_t i = 0; i < seed.size(); i += 3) seed[i] = -0.0;
+        const auto b = random_vec(k * n, rng, 0.0);
+        auto want = seed;
+        ref_gemm_accum(a.data(), b.data(), want.data(), m, k, n);
+        auto want_tn = seed;
+        ref_gemm_tn_accum(at.data(), b.data(), want_tn.data(), k, m, n);
+        for (const auto backend : kernels::compiled_backends()) {
+          kernels::set_backend(backend);
+          const std::string where =
+              "density=" + std::to_string(density) + " k=" +
+              std::to_string(k) + " n=" + std::to_string(n) + " backend " +
+              kernels::to_string(backend);
+          auto got = seed;
+          kernels::gemm_accum(a.data(), b.data(), got.data(), m, k, n);
+          ASSERT_TRUE(bitwise_equal(want, got)) << "gemm_accum " << where;
+          auto got_tn = seed;
+          kernels::gemm_tn_accum(at.data(), b.data(), got_tn.data(), k, m, n);
+          ASSERT_TRUE(bitwise_equal(want_tn, got_tn))
+              << "gemm_tn_accum " << where;
+        }
+        // Row 0 is all zeros: its accumulator starts, -0.0 included, must
+        // come back untouched.
+        ASSERT_TRUE(std::signbit(want[0]));
+      }
+    }
+  }
+}
+
+// A term whose multiplier is zero is skipped, not computed: an inf or NaN
+// in the right-hand operand under a zero (+0.0 or -0.0) multiplier must
+// never reach the output, exactly as in the legacy loop. A NaN multiplier
+// is not zero, so it is not skipped: its row comes out NaN.
+TEST(KernelGemmF64, NonFiniteOperandUnderZeroMultiplierStaysSkipped) {
+  BackendGuard guard;
+  Rng rng(4711);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {std::size_t{5}, std::size_t{33},
+                              std::size_t{64}}) {
+    const std::size_t m = 4, k = 9, poisoned = 3;
+    auto a = random_vec(m * k, rng, 0.3);
+    std::vector<double> at(k * m);
+    a[(m - 1) * k] = nan;
+    for (std::size_t i = 0; i < m; ++i) {
+      a[i * k + poisoned] = i % 2 == 0 ? 0.0 : -0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) at[kk * m + i] = a[i * k + kk];
+    }
+    auto b = random_vec(k * n, rng, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+      b[poisoned * n + j] = j % 3 == 0 ? inf : (j % 3 == 1 ? -inf : nan);
+    }
+    for (const auto backend : kernels::compiled_backends()) {
+      kernels::set_backend(backend);
+      std::vector<double> got(m * n, 0.0);
+      kernels::gemm_accum(a.data(), b.data(), got.data(), m, k, n);
+      std::vector<double> got_tn(m * n, 0.0);
+      kernels::gemm_tn_accum(at.data(), b.data(), got_tn.data(), k, m, n);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (i >= (m - 1) * n) {
+          ASSERT_TRUE(std::isnan(got[i]) && std::isnan(got_tn[i]));
+          continue;
+        }
+        ASSERT_TRUE(std::isfinite(got[i]))
+            << "gemm_accum n=" << n << " backend "
+            << kernels::to_string(backend);
+        ASSERT_TRUE(std::isfinite(got_tn[i]))
+            << "gemm_tn_accum n=" << n << " backend "
+            << kernels::to_string(backend);
+      }
+      std::vector<double> want(m * n, 0.0);
+      ref_gemm_accum(a.data(), b.data(), want.data(), m, k, n);
+      ASSERT_TRUE(bitwise_equal(want, got));
+      ASSERT_TRUE(bitwise_equal(want, got_tn));
+    }
+  }
+}
+
 TEST(KernelGemmF64, MatrixPathPinnedToLegacyLoops) {
   // The rewired ml::Matrix entry points must still equal the legacy loop
   // source bit for bit — on the scalar backend AND the dispatch default.
@@ -309,13 +420,30 @@ TEST(KernelElementwiseF64, PassesMatchReferenceAllBackends) {
         ASSERT_EQ(zf[r * cols + c], bias[c]);
       }
     }
-    // relu keeps -0.0 (legacy `v < 0 ? unchanged-to-0 : v` semantics).
-    std::vector<double> x = {-1.5, -0.0, 0.0, 2.5, -1e-300, 3.0};
+    // relu keeps -0.0 and NaN (legacy `v < 0 ? unchanged-to-0 : v`
+    // semantics); 9 elements so vector bodies and tails both see them.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> x = {-1.5, -0.0, 0.0, 2.5, -1e-300,
+                             3.0,  nan,  -0.0, -7.0};
     kernels::relu(x.data(), x.size());
     EXPECT_EQ(x[0], 0.0);
+    EXPECT_FALSE(std::signbit(x[0]));
     EXPECT_TRUE(std::signbit(x[1]));  // -0.0 is not < 0: passes through
     EXPECT_EQ(x[3], 2.5);
     EXPECT_EQ(x[4], 0.0);
+    EXPECT_TRUE(std::isnan(x[6]));  // NaN is not < 0: passes through
+    EXPECT_TRUE(std::signbit(x[7]));
+    EXPECT_EQ(x[8], 0.0);
+    std::vector<float> xf = {-1.5f, -0.0f, 2.5f, std::nanf(""), -3.0f,
+                             0.0f,  4.0f,  -0.0f, -1e-30f};
+    kernels::relu_f32(xf.data(), xf.size());
+    EXPECT_EQ(xf[0], 0.0f);
+    EXPECT_TRUE(std::signbit(xf[1]));
+    EXPECT_EQ(xf[2], 2.5f);
+    EXPECT_TRUE(std::isnan(xf[3]));
+    EXPECT_EQ(xf[4], 0.0f);
+    EXPECT_TRUE(std::signbit(xf[7]));
+    EXPECT_EQ(xf[8], 0.0f);
     // affine is the exact subtraction rewrite used by learn/.
     const auto mu = random_vec(257, rng, 0.0);
     std::vector<double> margins(mu.size());
@@ -334,6 +462,61 @@ TEST(KernelElementwiseF64, PassesMatchReferenceAllBackends) {
     for (std::size_t r = 0; r < tr; ++r) {
       for (std::size_t c = 0; c < tc; ++c) {
         ASSERT_EQ(dst[c * tr + r], src[r * tc + c]);
+      }
+    }
+  }
+}
+
+// adam_update vectorizes the optimizer's expression sequence with vector
+// mul/add/div/sqrt, all correctly rounded: every backend must match the
+// legacy per-element loop bit for bit, over lengths that leave every
+// partial-vector tail, for Adam and for the SGD-like setting the training
+// goldens use.
+TEST(KernelAdamF64, UpdateBitIdenticalToScalarLoopAllBackends) {
+  BackendGuard guard;
+  Rng rng(2718);
+  struct Config {
+    double lr, beta1, beta2, epsilon;
+  };
+  for (const Config cfg : {Config{0.001, 0.9, 0.999, 1e-8},
+                           Config{1e3, 0.0, 0.999, 1e3}}) {
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+          std::size_t{5}, std::size_t{7}, std::size_t{9}, std::size_t{33},
+          std::size_t{257}}) {
+      for (const long t : {1L, 2L, 37L}) {
+        const auto p0 = random_vec(n, rng, 0.0);
+        const auto m0 = random_vec(n, rng, 0.2);
+        auto v0 = random_vec(n, rng, 0.2);
+        for (auto& x : v0) x = x * x;
+        const auto g = random_vec(n, rng, 0.2);
+        kernels::AdamStep step;
+        step.learning_rate = cfg.lr;
+        step.beta1 = cfg.beta1;
+        step.beta2 = cfg.beta2;
+        step.epsilon = cfg.epsilon;
+        step.bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
+        step.bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
+        auto want_p = p0, want_m = m0, want_v = v0;
+        for (std::size_t i = 0; i < n; ++i) {
+          want_m[i] = cfg.beta1 * want_m[i] + (1.0 - cfg.beta1) * g[i];
+          want_v[i] = cfg.beta2 * want_v[i] + (1.0 - cfg.beta2) * g[i] * g[i];
+          const double mhat = want_m[i] / step.bc1;
+          const double vhat = want_v[i] / step.bc2;
+          want_p[i] -= cfg.lr * mhat / (std::sqrt(vhat) + cfg.epsilon);
+        }
+        for (const auto backend : kernels::compiled_backends()) {
+          kernels::set_backend(backend);
+          auto p = p0, mm = m0, v = v0;
+          kernels::adam_update(p.data(), mm.data(), v.data(), g.data(), n,
+                               step);
+          const std::string where = "n=" + std::to_string(n) +
+                                    " t=" + std::to_string(t) + " backend " +
+                                    kernels::to_string(backend);
+          ASSERT_TRUE(bitwise_equal(want_p, p)) << "param " << where;
+          ASSERT_TRUE(bitwise_equal(want_m, mm)) << "m " << where;
+          ASSERT_TRUE(bitwise_equal(want_v, v)) << "v " << where;
+        }
       }
     }
   }

@@ -423,6 +423,75 @@ TEST(Mlp, FitMatchesPreKernelGoldenTrajectory) {
   }
 }
 
+// SGD-like updates (see TwoLayerSgdFitMatchesRecordedGoldens below): with
+// beta1 = 0 and an epsilon far above every |g|, each step carries every
+// gradient bit into the weights, so these goldens pin the MLP's forward,
+// dropout and backward arithmetic, not just its Adam-normalized drift.
+// 250 rows leave 213 for training: the last minibatch holds 21 rows and its
+// last 16-row gradient chunk holds 5, and the 37 validation rows end on a
+// 5-row chunk too. The 40-unit layer spans a 32-column GEMM tile plus its
+// tail, and ReLU plus dropout feed the kernels' zero skip. Recorded exactly
+// (17 significant digits round-trip) from the per-minibatch implementation
+// that copied rows and allocated every chunk's gradients; training must
+// reproduce them bit for bit on every kernel backend, with no pool and with
+// pools of 1 and 4.
+TEST(Mlp, SgdFitMatchesRecordedGoldens) {
+  const std::vector<double> kGoldenLosses = {
+      0.22692998388852997, 0.19303901533522094, 0.065917522444839116,
+      0.039277195975804098, 0.12051177433225395};
+  const std::vector<double> kGoldenProbes = {
+      4.2199682968371036e-06, 0.9999957800317032, 0.99296752076916095,
+      0.0070324792308389759, 3.1157940189871805e-05, 0.99996884205981018,
+      0.98032599884873395, 0.019674001151265993, 0.99481768573579721,
+      0.0051823142642027581, 9.4909721009931849e-05, 0.99990509027898999,
+      3.0746227724574039e-06, 0.99999692537722762, 0.00034430219297287374,
+      0.99965569780702701, 0.99453707335641339, 0.0054629266435865806,
+      0.0022086598072255754, 0.99779134019277438, 3.6309259063251611e-06,
+      0.99999636907409362, 0.92592192875707402, 0.074078071242926063};
+  aps::Rng rng(67);
+  const auto data = axis_separable(250, rng);
+  struct BackendGuard {
+    kernels::Backend saved = kernels::active_backend();
+    ~BackendGuard() { kernels::set_backend(saved); }
+  } guard;
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    for (const std::size_t threads :
+         {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+      MlpConfig config;
+      config.hidden_units = {40, 12};
+      config.max_epochs = 5;
+      config.seed = 91;
+      config.adam.beta1 = 0.0;
+      config.adam.epsilon = 1e3;
+      config.adam.learning_rate = 1e3;
+      Mlp mlp(config);
+      std::unique_ptr<aps::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<aps::ThreadPool>(threads);
+      (void)mlp.fit(data, pool.get());
+      std::vector<double> probes;
+      for (std::size_t i = 0; i < 12; ++i) {
+        const std::span<const double> row(data.x.data() + i * data.x.cols(),
+                                          data.x.cols());
+        const auto probs = mlp.predict_proba(row);
+        probes.insert(probes.end(), probs.begin(), probs.end());
+      }
+      const std::string where = std::string("backend=") +
+                                kernels::to_string(backend) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(mlp.epoch_losses().size(), kGoldenLosses.size()) << where;
+      for (std::size_t e = 0; e < kGoldenLosses.size(); ++e) {
+        EXPECT_EQ(mlp.epoch_losses()[e], kGoldenLosses[e])
+            << where << " epoch " << e;
+      }
+      ASSERT_EQ(probes.size(), kGoldenProbes.size()) << where;
+      for (std::size_t i = 0; i < kGoldenProbes.size(); ++i) {
+        EXPECT_EQ(probes[i], kGoldenProbes[i]) << where << " probe " << i;
+      }
+    }
+  }
+}
+
 TEST(Lstm, FitMatchesPreKernelGoldenTrajectory) {
   const std::vector<double> kGolden = {
       0.73168346344007273, 0.69858709441433431, 0.66704086703239729,
