@@ -51,9 +51,12 @@ int main(int argc, char** argv) {
       histogram(res.tth_min, -60.0, 720.0, static_cast<std::size_t>(13));
   for (std::size_t b = 0; b < bins.size(); ++b) {
     const double lo = -60.0 + static_cast<double>(b) * bin_width;
-    tth.add_row({"[" + TextTable::num(lo, 0) + "," +
-                     TextTable::num(lo + bin_width, 0) + ")",
-                 std::to_string(bins[b])});
+    std::string bin = "[";
+    bin += TextTable::num(lo, 0);
+    bin += ',';
+    bin += TextTable::num(lo + bin_width, 0);
+    bin += ')';
+    tth.add_row({bin, std::to_string(bins[b])});
   }
   tth.print(std::cout);
   std::printf(

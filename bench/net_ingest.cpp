@@ -3,8 +3,9 @@
 //
 //   1. record-live    direct group.feed() batches on a 2-replica
 //                     EngineGroup, recorded to a listfile
-//   2. replay-direct  replay_listfile() re-drives a fresh engine from the
-//                     file (no sockets) and verifies every decision
+//   2. replay-direct  replay_listfile() re-drives a fresh one-replica
+//                     group from the file (no sockets) and verifies every
+//                     decision
 //   3. replay-socket  the same file drives a real IngestServer over a
 //                     2-replica group through a loopback BlockingClient
 //                     (window flow control), and every decision fanned
@@ -274,14 +275,14 @@ int main(int argc, char** argv) {
                 live.latency.p50_us, live.latency.p99_us);
   }
 
-  // 2. Replay the file straight into a fresh engine.
+  // 2. Replay the file straight into a fresh one-replica group.
   net::ReplayResult direct;
   {
-    serve::MonitorEngine engine;
-    engine.register_bundle(bundle);
+    serve::EngineGroup group({.replicas = 1});
+    group.register_bundle(bundle);
     const double rss = aps::bench::peak_rss_mb();
     const auto t0 = std::chrono::steady_clock::now();
-    direct = net::replay_listfile(path, engine);
+    direct = net::replay_listfile(path, group);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -1,14 +1,18 @@
-// Serving-path throughput A/B: monitor cycles/sec through an EngineGroup,
-// per monitor kind, on the sharded SoA backend (one batched model call per
-// shard per tick) versus the retained per-session scalar backend. Every
+// Serving-path throughput A/B: monitor cycles/sec per monitor kind, through
+// an EngineGroup's sharded SoA engines (one batched model call per shard
+// per tick, the "sharded" cells) versus the serving oracle's scalar
+// reference model (tests/serve_oracle.h: one scalar monitor per session,
+// fed in batch order, one reference per replica thread, the "scalar"
+// cells). Every
 // monitor is built from a bundle that was saved to disk and loaded back —
-// the serving deployment path, no retraining. Cells run through an
-// EngineGroup; a cell's cycles/sec counts session-cycles per second of
-// replica engine time (the backends' own serving cost, which every A/B
-// below compares), and "group cycles/s" is the group's throughput over
-// wall time, fan-out to the replica workers included. Per-tick latency
-// percentiles (p50/p95/p99) come from the replica engines' own
-// instrumentation. Everything is recorded into
+// the serving deployment path, no retraining. A cell's cycles/sec counts
+// session-cycles per second of time spent inside the feed — replica
+// engine time for the sharded cells, reference feed time for the scalar
+// ones — which is the serving cost every A/B below compares; "group
+// cycles/s" is the throughput over wall time (for the sharded cells,
+// fan-out to the replica workers included). Per-tick latency percentiles
+// (p50/p95/p99) come from the replica engines' own instrumentation, or
+// from timing each reference feed. Everything is recorded into
 // BENCH_serve_throughput.json (stage per monitor/backend/session-count
 // cell), which the CI smoke step parses to fail on a sharded-vs-scalar
 // throughput regression.
@@ -21,6 +25,8 @@
 //   --ml                 bench DT/MLP/LSTM monitors too (default ON; tiny
 //                        synthetic models) — --ml=0 for rule-based only
 //   --dir=<path>         where the bundle file is written (default /tmp)
+#include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -42,6 +48,7 @@
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/group.h"
+#include "serve_oracle.h"
 #include "sim/stack.h"
 
 namespace {
@@ -211,8 +218,87 @@ serve::LatencySummary measure(serve::MonitorEngine& engine,
   return engine.latency();
 }
 
-const char* backend_name(serve::ServeBackend backend) {
-  return backend == serve::ServeBackend::kSharded ? "sharded" : "scalar";
+/// The scalar cells: the oracle's reference model where the sharded cells
+/// run replica engines — one Reference per replica thread, each serving
+/// every replicas-th session, and all threads starting each tick together
+/// behind a barrier the way a group feed fans a tick out to its replica
+/// workers and waits for all of them. Both sides thus share the replica
+/// count, the per-tick wake-ups and the memory contention. Each thread
+/// times its own feeds; cycles/sec is session-cycles per second of
+/// reference feed time summed over threads, as
+/// LatencySummary::cycles_per_sec sums replica engine time.
+Cell measure_reference(const core::ArtifactBundle& bundle,
+                       const std::string& name, int sessions, int cohort,
+                       std::size_t replicas,
+                       const std::vector<monitor::Observation>& variants,
+                       double budget_ms) {
+  using clock = std::chrono::steady_clock;
+  const std::size_t threads =
+      std::min(replicas, static_cast<std::size_t>(sessions));
+  std::vector<std::vector<double>> tick_us(threads);
+  std::vector<double> feed_s(threads, 0.0);
+  std::vector<std::uint64_t> cycles(threads, 0);
+  const auto start = clock::now();
+  auto measured = start;
+  bool done = false;
+  // Phase 0 ends the warm-up; every later phase is one tick.
+  std::uint64_t phase = 0;
+  std::barrier tick(static_cast<std::ptrdiff_t>(threads), [&]() noexcept {
+    if (phase++ == 0) measured = clock::now();
+    done = std::chrono::duration<double, std::milli>(clock::now() - measured)
+               .count() >= budget_ms;
+  });
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      oracle::Reference reference;
+      reference.register_bundle(bundle);
+      std::vector<serve::SessionInput> batch;
+      for (std::size_t s = t; s < static_cast<std::size_t>(sessions);
+           s += threads) {
+        batch.push_back({reference.open_session(name, static_cast<int>(s) %
+                                                          cohort),
+                         variants[0]});
+      }
+      std::vector<monitor::Decision> decisions(batch.size());
+      for (std::size_t warm = 0; warm < monitor::kLstmWindow; ++warm) {
+        reference.feed(batch, decisions);
+      }
+      tick.arrive_and_wait();
+      for (std::size_t variant = 0; !done;
+           variant = (variant + 1) % variants.size()) {
+        for (auto& input : batch) input.obs = variants[variant];
+        const auto t0 = clock::now();
+        reference.feed(batch, decisions);
+        const double tick_s =
+            std::chrono::duration<double>(clock::now() - t0).count();
+        tick_us[t].push_back(tick_s * 1e6);
+        feed_s[t] += tick_s;
+        cycles[t] += batch.size();
+        tick.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  Cell cell;
+  cell.wall_s = std::chrono::duration<double>(clock::now() - start).count();
+  std::vector<double> ticks;
+  for (std::size_t t = 0; t < threads; ++t) {
+    ticks.insert(ticks.end(), tick_us[t].begin(), tick_us[t].end());
+    cell.latency.seconds += feed_s[t];
+    cell.latency.cycles += cycles[t];
+  }
+  std::sort(ticks.begin(), ticks.end());
+  const auto percentile = [&](double p) {
+    return ticks[static_cast<std::size_t>(
+        p / 100.0 * static_cast<double>(ticks.size() - 1))];
+  };
+  cell.latency.ticks = ticks.size();
+  cell.latency.p50_us = percentile(50.0);
+  cell.latency.p95_us = percentile(95.0);
+  cell.latency.p99_us = percentile(99.0);
+  cell.latency.max_us = ticks.back();
+  return cell;
 }
 
 }  // namespace
@@ -288,23 +374,27 @@ int main(int argc, char** argv) try {
   std::map<std::string, std::map<std::string, std::map<int, double>>> rate;
 
   for (const auto& name : monitors) {
-    for (const serve::ServeBackend backend :
-         {serve::ServeBackend::kScalar, serve::ServeBackend::kSharded}) {
+    for (const std::string backend : {"scalar", "sharded"}) {
       for (const int n : session_counts) {
         const double rss_before_mb = bench::peak_rss_mb();
-        serve::EngineGroup group(
-            {.replicas = replicas, .engine = {.backend = backend}});
-        group.register_bundle(bundle);
-        std::vector<serve::SessionInput> batch;
-        batch.reserve(static_cast<std::size_t>(n));
-        for (int s = 0; s < n; ++s) {
-          const auto id = group.open_session(
-              name + "/patient-" + std::to_string(s), name, s % cohort);
-          batch.push_back({id, variants[0]});
+        Cell cell;
+        if (backend == "scalar") {
+          cell = measure_reference(bundle, name, n, cohort, replicas,
+                                   variants, budget_ms);
+        } else {
+          serve::EngineGroup group({.replicas = replicas});
+          group.register_bundle(bundle);
+          std::vector<serve::SessionInput> batch;
+          batch.reserve(static_cast<std::size_t>(n));
+          for (int s = 0; s < n; ++s) {
+            const auto id = group.open_session(
+                name + "/patient-" + std::to_string(s), name, s % cohort);
+            batch.push_back({id, variants[0]});
+          }
+          cell = measure(group, batch, variants, budget_ms);
         }
-        const Cell cell = measure(group, batch, variants, budget_ms);
         const serve::LatencySummary& m = cell.latency;
-        table.add_row({name, backend_name(backend), std::to_string(n),
+        table.add_row({name, backend, std::to_string(n),
                        std::to_string(m.cycles),
                        TextTable::num(m.cycles_per_sec(), 0),
                        TextTable::num(cell.group_cycles_per_sec(), 0),
@@ -312,8 +402,7 @@ int main(int argc, char** argv) try {
                        TextTable::num(m.p95_us, 1),
                        TextTable::num(m.p99_us, 1),
                        TextTable::num(m.max_us, 1)});
-        recorder.stage_done(
-            name + "/" + backend_name(backend) + "/" + std::to_string(n),
+        recorder.stage_done(name + "/" + backend + "/" + std::to_string(n),
             m.seconds, m.cycles, rss_before_mb,
             {{"sessions", static_cast<double>(n)},
              {"group_cycles_per_sec", cell.group_cycles_per_sec()},
@@ -321,11 +410,11 @@ int main(int argc, char** argv) try {
              {"p95_us", m.p95_us},
              {"p99_us", m.p99_us},
              {"max_us", m.max_us}});
-        rate[name][backend_name(backend)][n] = m.cycles_per_sec();
+        rate[name][backend][n] = m.cycles_per_sec();
       }
     }
   }
-  // Float32 serving lanes (precision = kF32 on the sharded backend) for
+  // Float32 serving lanes (precision = kF32 in the sharded engines) for
   // the two monitors with a float32 kernel path. Stage names keep the
   // 3-part "<kind>/<backend>/<sessions>" shape with a "-f32" kind suffix
   // so the CI JSON gate parses them alongside the f64 cells.
@@ -336,8 +425,7 @@ int main(int argc, char** argv) try {
       const double rss_before_mb = bench::peak_rss_mb();
       serve::EngineGroup group(
           {.replicas = replicas,
-           .engine = {.backend = serve::ServeBackend::kSharded,
-                      .precision = monitor::Precision::kF32}});
+           .engine = {.precision = monitor::Precision::kF32}});
       group.register_bundle(bundle);
       std::vector<serve::SessionInput> batch;
       batch.reserve(static_cast<std::size_t>(n));
@@ -393,10 +481,8 @@ int main(int argc, char** argv) try {
     // scheduler/turbo jitter on shared runners (observed swings of +-7%,
     // larger than the 2% budget the gate enforces).
     serve::MonitorEngine engines[2] = {
-        serve::MonitorEngine(
-            {.backend = serve::ServeBackend::kSharded, .telemetry = true}),
-        serve::MonitorEngine(
-            {.backend = serve::ServeBackend::kSharded, .telemetry = false})};
+        serve::MonitorEngine({.telemetry = true}),
+        serve::MonitorEngine({.telemetry = false})};
     std::vector<serve::SessionInput> batches[2];
     for (const int arm : {0, 1}) {
       engines[arm].register_bundle(bundle);
@@ -463,8 +549,7 @@ int main(int argc, char** argv) try {
     const int n_ab = 64;
     const auto run_cell = [&](monitor::Precision precision,
                               const char* tag) {
-      serve::MonitorEngine engine(
-          {.backend = serve::ServeBackend::kSharded, .precision = precision});
+      serve::MonitorEngine engine({.precision = precision});
       engine.register_bundle(bundle);
       std::vector<serve::SessionInput> batch;
       batch.reserve(static_cast<std::size_t>(n_ab));

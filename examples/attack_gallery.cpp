@@ -75,8 +75,12 @@ int main(int argc, char** argv) {
           lo = std::min(lo, s.true_bg);
           hi = std::max(hi, s.true_bg);
         }
-        return "[" + TextTable::num(lo, 0) + "," + TextTable::num(hi, 0) +
-               "]";
+        std::string out = "[";
+        out += TextTable::num(lo, 0);
+        out += ',';
+        out += TextTable::num(hi, 0);
+        out += ']';
+        return out;
       };
       int rule = -1;
       const int alarm_step = guarded.first_alarm_step();

@@ -39,7 +39,8 @@ aps::stl::Trace to_stl_trace(const aps::sim::SimResult& run) {
   trace.set("IOB", iob);
   trace.set("IOB_rate", iob_rate);
   for (int a = 0; a < 4; ++a) {
-    trace.set("u" + std::to_string(a + 1), actions[static_cast<std::size_t>(a)]);
+    trace.set(std::string("u").append(std::to_string(a + 1)),
+              actions[static_cast<std::size_t>(a)]);
   }
   return trace;
 }

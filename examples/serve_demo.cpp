@@ -3,10 +3,10 @@
 // EngineGroup (as a deployed server would — no retraining), and stream
 // the recorded cohort traces through concurrent per-patient sessions.
 //
-// Each replica engine serves on the sharded SoA backend: sessions of one
-// monitor land in contiguous lanes behind one batched model call per
-// tick, and a hot bundle reload (step 5) bumps the model generation under
-// live sessions without perturbing them.
+// In each replica engine, sessions of one monitor land in contiguous
+// lanes behind one batched model call per tick, and a hot bundle reload
+// (step 5) bumps the model generation under live sessions without
+// perturbing them.
 //
 // Flags:
 //   --dir=<path>        artifact output directory (default serve_artifacts)
@@ -14,12 +14,11 @@
 //   --scenarios=<n>     scenarios replayed per patient (default 6)
 //   --threads=<n>       engine replicas, one worker thread each
 //                       (default: hardware concurrency)
-//   --backend=<name>    "sharded" (default) or "scalar" reference path
 //   --metrics           dump the group's metric registry after serving
 //                       (Prometheus text on stdout; --metrics-json for the
 //                       JSON exposition instead)
 //   --replay=<listfile> skip the cohort stream: re-drive a recorded
-//                       session listfile through a loaded engine and
+//                       session listfile through the loaded group and
 //                       verify the decisions match the recording
 //   --listen=<port>     after serving, open the TCP ingest front door on
 //                       the port (0 = ephemeral) and accept clients until
@@ -118,10 +117,6 @@ int main(int argc, char** argv) try {
   const std::size_t replicas =
       threads > 0 ? static_cast<std::size_t>(threads)
                   : std::max(1u, std::thread::hardware_concurrency());
-  const serve::ServeBackend backend =
-      flags.get_string("backend", "sharded") == "scalar"
-          ? serve::ServeBackend::kScalar
-          : serve::ServeBackend::kSharded;
   const bool metrics_json = flags.get_bool("metrics-json", false);
   const bool metrics = flags.get_bool("metrics", false) || metrics_json;
 
@@ -156,13 +151,11 @@ int main(int argc, char** argv) try {
 
   // 3. Fresh replicas, loaded (not retrained) artifacts.
   const core::ArtifactBundle bundle = io::load_bundle(bundle_path);
-  serve::EngineGroup group(
-      {.replicas = replicas, .engine = {.backend = backend}});
+  serve::EngineGroup group({.replicas = replicas});
   group.register_bundle(bundle);
-  std::printf("[3/5] fresh %zu-replica %s group (generation %ju) loaded "
+  std::printf("[3/5] fresh %zu-replica group (generation %ju) loaded "
               "monitors:",
               group.replicas(),
-              backend == serve::ServeBackend::kSharded ? "sharded" : "scalar",
               static_cast<std::uintmax_t>(group.generation()));
   for (const auto& name : group.registered_monitors()) {
     std::printf(" %s", name.c_str());
@@ -192,15 +185,13 @@ int main(int argc, char** argv) try {
   }
 
   // Replay mode: re-drive a recorded listfile instead of the cohort
-  // stream, through one engine on the caller's thread. The engine must
-  // carry the same bundle the recording ran against for the decision
-  // verification to come back clean.
+  // stream, through the freshly loaded group. It carries the same bundle
+  // the recording ran against, so the decision verification must come
+  // back clean.
   if (flags.has("replay")) {
     const std::string listfile = flags.get_string("replay", "");
     std::printf("[4/5] replaying session listfile %s...\n", listfile.c_str());
-    serve::MonitorEngine engine({.backend = backend});
-    engine.register_bundle(bundle);
-    const net::ReplayResult result = net::replay_listfile(listfile, engine);
+    const net::ReplayResult result = net::replay_listfile(listfile, group);
     std::printf(
         "      %zu sessions (%zu closed), %ju ticks re-driven\n"
         "      %ju decisions compared, %ju mismatches, %ju unmatched -> %s\n",

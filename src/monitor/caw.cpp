@@ -213,9 +213,8 @@ aps::stl::FormulaPtr rule_to_stl(const CawRule& rule,
                                rule.upper_bound ? CmpOp::kLt : CmpOp::kGt,
                                rule.param));
 
-  const std::string action_var =
-      std::string("u") +
-      std::to_string(static_cast<int>(rule.action) + 1);
+  const std::string action_var = std::string("u").append(
+      std::to_string(static_cast<int>(rule.action) + 1));
   FormulaPtr consequent = rule.action_required
                               ? bool_atom(action_var)
                               : negate(bool_atom(action_var));

@@ -100,12 +100,6 @@ Decision MlpMonitor::observe(const Observation& obs) {
   return decision_from_class(model_->predict(features), classes_, obs);
 }
 
-void MlpMonitor::observe_batch(std::span<const Observation> obs,
-                               std::span<Decision> out) {
-  aps::ml::Matrix scratch;
-  predict_step(predict_f64(*model_), classes_, scratch, obs, out);
-}
-
 std::unique_ptr<Monitor> MlpMonitor::clone() const {
   return std::make_unique<MlpMonitor>(*this);
 }

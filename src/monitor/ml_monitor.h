@@ -62,10 +62,6 @@ class MlpMonitor final : public Monitor {
 
   void reset() override {}
   [[nodiscard]] Decision observe(const Observation& obs) override;
-  /// One forward pass for the whole batch (bit-identical to the loop: the
-  /// MLP is row-independent end to end).
-  void observe_batch(std::span<const Observation> obs,
-                     std::span<Decision> out) override;
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] std::unique_ptr<Monitor> clone() const override;
   [[nodiscard]] std::unique_ptr<MonitorBatch> make_batch() const override;

@@ -138,16 +138,6 @@ class Monitor {
 
   [[nodiscard]] virtual Decision observe(const Observation& obs) = 0;
 
-  /// Observe a contiguous stretch of one session's stream, writing out[i]
-  /// for obs[i] (applied in order — the stateful equivalent of calling
-  /// observe() obs.size() times). Monitors whose inference amortizes over
-  /// a batch (e.g. one MLP forward pass for all rows) override this; the
-  /// override must stay bit-identical to the sequential loop.
-  virtual void observe_batch(std::span<const Observation> obs,
-                             std::span<Decision> out) {
-    for (std::size_t i = 0; i < obs.size(); ++i) out[i] = observe(obs[i]);
-  }
-
   [[nodiscard]] virtual const std::string& name() const = 0;
 
   [[nodiscard]] virtual std::unique_ptr<Monitor> clone() const = 0;

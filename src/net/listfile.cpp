@@ -236,7 +236,7 @@ bool decisions_identical(const aps::monitor::Decision& a,
 struct ReplaySession {
   aps::serve::SessionId session = 0;
   std::deque<aps::monitor::Decision> recorded;  ///< from decision records
-  std::deque<aps::monitor::Decision> produced;  ///< from the re-driven engine
+  std::deque<aps::monitor::Decision> produced;  ///< from the re-driven group
 };
 
 void drain_matches(ReplaySession& rs, ReplayResult& result) {
@@ -253,13 +253,13 @@ void drain_matches(ReplaySession& rs, ReplayResult& result) {
 }  // namespace
 
 ReplayResult replay_listfile(const std::string& path,
-                             aps::serve::MonitorEngine& engine,
+                             aps::serve::EngineGroup& group,
                              const ReplayOptions& options) {
   ListfileReader reader(path, options.tolerate_truncation);
   ReplayResult result;
 
   std::unordered_map<std::uint64_t, ReplaySession> sessions;
-  // Pending ticks in file order; flushed through the engine whenever a
+  // Pending ticks in file order; flushed through the group whenever a
   // session boundary or the batch ceiling requires it. Batch composition
   // need not match the live run — monitors are per-session, so only
   // per-session order matters for bit-identical decisions.
@@ -268,7 +268,7 @@ ReplayResult replay_listfile(const std::string& path,
 
   const auto flush = [&] {
     if (batch.empty()) return;
-    const std::vector<aps::monitor::Decision> decisions = engine.feed(batch);
+    const std::vector<aps::monitor::Decision> decisions = group.feed(batch);
     for (std::size_t i = 0; i < decisions.size(); ++i) {
       auto it = sessions.find(batch_keys[i]);
       if (it == sessions.end()) continue;
@@ -287,7 +287,7 @@ ReplayResult replay_listfile(const std::string& path,
       case RecordKind::kOpen: {
         flush();  // the new session's ticks must not precede its open
         ReplaySession rs;
-        rs.session = engine.open_session(record->open.patient_id,
+        rs.session = group.open_session(record->open.patient_id,
                                          record->open.monitor,
                                          record->open.patient_index);
         if (!sessions.emplace(record->open.key, rs).second) {
@@ -330,7 +330,7 @@ ReplayResult replay_listfile(const std::string& path,
                                  std::to_string(record->close.key));
         }
         flush();  // feed this session's pending ticks before closing it
-        engine.close_session(it->second.session);
+        group.close_session(it->second.session);
         result.unmatched +=
             it->second.recorded.size() + it->second.produced.size();
         sessions.erase(it);

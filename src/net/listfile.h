@@ -4,7 +4,7 @@
 // produced, and session closes — with versioned CRC'd records and
 // periodic sync points. One file is three tools at once:
 //
-//   * backtesting / bug repro: ListfileReplayer re-drives a MonitorEngine
+//   * backtesting / bug repro: replay_listfile re-drives an EngineGroup
 //     from the file and the decisions come out byte-identical to the live
 //     run (monitor state is per-session and lane-independent, so only
 //     per-session observation order matters — which the file preserves);
@@ -40,7 +40,7 @@
 
 #include "io/serial.h"
 #include "monitor/monitor.h"
-#include "serve/engine.h"
+#include "serve/group.h"
 
 namespace aps::net {
 
@@ -163,7 +163,7 @@ class ListfileReader {
 };
 
 struct ReplayOptions {
-  /// Flush the pending tick batch into the engine at this size even
+  /// Flush the pending tick batch into the group at this size even
   /// without an open/close boundary forcing it.
   std::size_t max_batch = 4096;
   /// Compare re-driven decisions against the file's decision records.
@@ -176,7 +176,7 @@ struct ReplayOptions {
 struct ReplayResult {
   std::size_t sessions_opened = 0;
   std::size_t sessions_closed = 0;
-  std::uint64_t ticks = 0;       ///< observations re-driven into the engine
+  std::uint64_t ticks = 0;       ///< observations re-driven into the group
   std::uint64_t compared = 0;    ///< decisions checked against the record
   std::uint64_t mismatches = 0;  ///< decisions that differed (0 = golden)
   /// Recorded decisions with no replayed counterpart or vice versa (a
@@ -186,14 +186,15 @@ struct ReplayResult {
   bool truncated = false;
 };
 
-/// Re-drive `engine` from a recorded listfile. The engine must have the
+/// Re-drive `group` from a recorded listfile. The group must have the
 /// same monitors registered as the recording run (same bundle); session
-/// patient ids must be free. Per-session observation order is preserved
-/// exactly, so the decision stream is byte-identical to the live run —
-/// replayed sessions are closed again as the file closes them, and the
-/// result counts any divergence when options.verify is set.
+/// patient ids must be free. Its replica count need not match the
+/// recording's. Per-session observation order is preserved exactly, so the
+/// decision stream is byte-identical to the live run — replayed sessions
+/// are closed again as the file closes them, and the result counts any
+/// divergence when options.verify is set.
 [[nodiscard]] ReplayResult replay_listfile(const std::string& path,
-                                           aps::serve::MonitorEngine& engine,
+                                           aps::serve::EngineGroup& group,
                                            const ReplayOptions& options = {});
 
 }  // namespace aps::net

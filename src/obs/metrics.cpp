@@ -226,8 +226,11 @@ std::string RegistrySnapshot::json() const {
       out += ", \"labels\": {";
       for (std::size_t l = 0; l < s.labels.size(); ++l) {
         if (l > 0) out += ", ";
-        out += "\"" + json_escape(s.labels[l].first) + "\": \"" +
-               json_escape(s.labels[l].second) + "\"";
+        out += '"';
+        out += json_escape(s.labels[l].first);
+        out += "\": \"";
+        out += json_escape(s.labels[l].second);
+        out += '"';
       }
       out += "}";
     }

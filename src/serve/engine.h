@@ -4,10 +4,12 @@
 // Sessions are sharded by (monitor name, model generation): every session
 // of a shard is one contiguous lane behind a single monitor::MonitorBatch,
 // so a control tick costs one DecisionTree/Mlp/Lstm::predict_batch call
-// per shard instead of one model call per session (ServeBackend::kSharded,
-// the default). The pre-shard per-session path is retained as
-// ServeBackend::kScalar — the conformance suite pins the sharded path
-// bit-identical to it.
+// per shard instead of one model call per session. The engine has no
+// second serving path: its reference is one scalar monitor::Monitor per
+// session, kept outside production code in the differential oracle
+// (tests/serve_oracle.h), which pins every decision, tick outcome and
+// counter of the engine, its replica groups, the TCP door and listfile
+// replay against it.
 //
 // Model generations: register_bundle / register_monitor atomically bump a
 // generation counter. Sessions pin the factories (and the shared immutable
@@ -79,11 +81,6 @@ struct SessionSnapshot {
   std::unique_ptr<aps::monitor::Monitor> monitor;
 };
 
-enum class ServeBackend {
-  kSharded,  ///< SoA lanes, one batched model call per shard per tick
-  kScalar,   ///< one Monitor instance per session (pre-shard reference path)
-};
-
 /// How a feed tick is served. kNormal runs every session's own monitor;
 /// kDegraded is the overload escape hatch — sessions whose shard carries a
 /// degrade twin (see EngineConfig::degrade) are answered by the cheap twin
@@ -99,7 +96,6 @@ struct EngineConfig {
   /// value throws std::invalid_argument. Scale out with EngineGroup
   /// replicas instead.
   std::size_t threads = 0;
-  ServeBackend backend = ServeBackend::kSharded;
   /// Metric registry the engine reports into; null = the process-global
   /// obs::Registry. Counters/gauges/histograms are registry-owned series,
   /// so several engines sharing one registry aggregate.
@@ -109,16 +105,15 @@ struct EngineConfig {
   /// series (tick latency, counters) into a private registry instead of
   /// the global one. The A/B overhead baseline in bench/serve_throughput.
   bool telemetry = true;
-  /// Inference precision applied to every shard this engine creates
-  /// (sharded backend). kF64 is the reference path; kF32 routes MLP/LSTM
+  /// Inference precision applied to every shard this engine creates.
+  /// kF64 is bit-identical to the scalar monitors; kF32 routes MLP/LSTM
   /// lanes through the float32 kernels (tolerance-pinned, see
-  /// monitor::Precision). Monitors without a float32 path ignore it. The
-  /// scalar backend always serves kF64.
+  /// monitor::Precision). Monitors without a float32 path ignore it.
   aps::monitor::Precision precision = aps::monitor::Precision::kF64;
   /// Drift-detector tuning for shards whose generation carries
   /// training stats.
   aps::obs::DriftConfig drift = {};
-  /// Overload degrade map (sharded backend only): shards of a `first`
+  /// Overload degrade map: shards of a `first`
   /// monitor get a twin of the `second` monitor from the same bundle
   /// generation, enabling FeedMode::kDegraded ticks. The default degrades
   /// the LSTM (window-bound, transcendental-heavy) to the decision tree —
@@ -152,7 +147,7 @@ struct LatencySummary {
   /// Session-cycles answered by a degrade twin (FeedMode::kDegraded ticks
   /// on shards with a twin) — zero below deadline pressure.
   std::uint64_t degraded_ticks = 0;
-  /// Per-shard stretch latency (telemetry on, sharded backend only).
+  /// Per-shard stretch latency (telemetry on).
   std::vector<ShardLatencySummary> shards;
   [[nodiscard]] double cycles_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
@@ -240,7 +235,6 @@ class MonitorEngine {
 
   [[nodiscard]] SessionStats stats(SessionId id) const;
   [[nodiscard]] std::uint64_t total_cycles() const;
-  [[nodiscard]] ServeBackend backend() const { return config_.backend; }
   /// Latency distribution over the feed() ticks since the last reset.
   [[nodiscard]] LatencySummary latency() const;
   void reset_latency();
@@ -256,11 +250,8 @@ class MonitorEngine {
     int patient_index = 0;
     SessionStats stats;
     bool open = false;
-    // Sharded backend: the shard lane this session occupies.
-    ServeShard* shard = nullptr;
+    ServeShard* shard = nullptr;  ///< shard holding the session's lane
     std::size_t lane = 0;
-    // Scalar backend: the session's own monitor instance.
-    std::unique_ptr<aps::monitor::Monitor> monitor;
   };
 
   struct RegisteredMonitor {
@@ -300,7 +291,7 @@ class MonitorEngine {
   [[nodiscard]] const RegisteredMonitor& checked_monitor(
       const std::string& monitor_name, int patient_index) const;
   SessionId place_session(Session session,
-                          const aps::monitor::Monitor* prototype,
+                          const aps::monitor::Monitor& prototype,
                           const RegisteredMonitor& entry);
   void init_shard_telemetry(ServeShard& shard,
                             const RegisteredMonitor& entry);
@@ -315,9 +306,6 @@ class MonitorEngine {
   void feed_locked(std::span<const SessionId> sessions,
                    std::span<const aps::monitor::Observation> obs,
                    std::span<aps::monitor::Decision> decisions, FeedMode mode);
-  void feed_scalar(std::span<const SessionId> sessions,
-                   std::span<const aps::monitor::Observation> obs,
-                   std::span<aps::monitor::Decision> decisions);
   void feed_sharded(std::span<const SessionId> sessions,
                     std::span<const aps::monitor::Observation> obs,
                     std::span<aps::monitor::Decision> decisions, FeedMode mode);
@@ -349,15 +337,16 @@ class MonitorEngine {
   // Scratch reused across feed() calls to avoid per-batch allocation churn.
   std::vector<SessionId> aos_sessions_;  ///< AoS feed() SoA repack
   std::vector<aps::monitor::Observation> aos_obs_;
-  std::vector<std::uint32_t> order_;
-  std::vector<aps::monitor::Observation> sorted_obs_;
-  std::vector<aps::monitor::Decision> sorted_decisions_;
   std::vector<std::uint32_t> round_of_;
   std::vector<std::uint32_t> occ_;        ///< per-session occurrence count
   std::vector<std::uint32_t> occ_epoch_;  ///< lazy-reset epoch per session
   std::uint32_t feed_epoch_ = 0;
   std::vector<std::size_t> lanes_flat_;
+  // General (regrouped) feed path: input index per sorted position, and
+  // the observations/decisions gathered into that order.
   std::vector<std::uint32_t> src_flat_;
+  std::vector<aps::monitor::Observation> gather_obs_;
+  std::vector<aps::monitor::Decision> gather_decisions_;
 };
 
 }  // namespace aps::serve

@@ -107,11 +107,14 @@ void EngineGroup::worker_loop(Replica& replica) {
       run_job(replica, job);
       continue;
     }
-    if (stop_.load(std::memory_order_acquire)) return;
-    // Sleep on the push ticket. Loading the ticket BEFORE the re-check
-    // closes the race: a push between try_pop and wait bumps the ticket,
-    // so wait(ticket) returns immediately.
+    // Sleep on the push ticket. Loading the ticket BEFORE the stop check
+    // and the re-pop closes both races: a push or a shutdown after this
+    // load bumps the ticket, so wait(ticket) returns immediately, and a
+    // shutdown before it is seen by the stop check. Checking stop first
+    // would let a shutdown land between the check and the load, leaving
+    // the worker waiting on the already-bumped ticket and join() hung.
     const std::uint64_t ticket = replica.pushed.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_acquire)) return;
     if (replica.queue.try_pop(job)) {
       run_job(replica, job);
       continue;

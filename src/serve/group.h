@@ -12,8 +12,9 @@
 // caller's indices. Per-session results are invariant to the replica
 // count: sessions are independent streams, a session's inputs all land on
 // its owning replica in batch order, and every decision is written at its
-// fixed input index (pinned by the equivalence suite against a single
-// engine).
+// fixed input index. The differential oracle (tests/serve_oracle.h) pins
+// groups of 1, 2 and 8 replicas, chunked or not, to the same scalar
+// reference as a single engine.
 //
 // Backpressure and overload: the ingest queues are bounded — a full queue
 // makes feed() spin-yield and count serve_group_backpressure_total rather

@@ -27,6 +27,17 @@ std::pair<int, int> past_window(int k, const Interval& iv) {
   return {lo, hi};
 }
 
+/// "[lo,hi]" or "[lo,end]", appended in place. The to_string methods build
+/// their result by appending into one string: GCC 12's -Wrestrict reports
+/// false positives on chains of std::string operator+.
+void append_bound(std::string& out, const Interval& iv) {
+  out += '[';
+  out += std::to_string(iv.lo);
+  out += ',';
+  out += iv.hi == Interval::kUnbounded ? "end" : std::to_string(iv.hi);
+  out += ']';
+}
+
 }  // namespace
 
 const char* to_string(CmpOp op) {
@@ -130,7 +141,11 @@ double Not::robustness(const Trace& trace, int k,
   return -child_->robustness(trace, k, params);
 }
 
-std::string Not::to_string() const { return "!" + child_->to_string(); }
+std::string Not::to_string() const {
+  std::string out = "!";
+  out += child_->to_string();
+  return out;
+}
 
 void Not::collect_params_impl(std::set<std::string>& out) const {
   child_->collect_params(out);
@@ -163,7 +178,12 @@ std::string BoolExpr::to_string() const {
   const char* op = op_ == BoolOp::kAnd   ? " and "
                    : op_ == BoolOp::kOr ? " or "
                                         : " -> ";
-  return "(" + lhs_->to_string() + op + rhs_->to_string() + ")";
+  std::string out = "(";
+  out += lhs_->to_string();
+  out += op;
+  out += rhs_->to_string();
+  out += ')';
+  return out;
 }
 
 void BoolExpr::collect_params_impl(std::set<std::string>& out) const {
@@ -209,11 +229,11 @@ std::string Temporal::to_string() const {
     case TemporalOp::kHistorically: name = "H"; break;
     case TemporalOp::kOnce: name = "O"; break;
   }
-  std::string bound =
-      iv_.hi == Interval::kUnbounded
-          ? "[" + std::to_string(iv_.lo) + ",end]"
-          : "[" + std::to_string(iv_.lo) + "," + std::to_string(iv_.hi) + "]";
-  return std::string(name) + bound + " " + child_->to_string();
+  std::string out = name;
+  append_bound(out, iv_);
+  out += ' ';
+  out += child_->to_string();
+  return out;
 }
 
 void Temporal::collect_params_impl(std::set<std::string>& out) const {
@@ -258,12 +278,15 @@ double BinaryTemporal::robustness(const Trace& trace, int k,
 
 std::string BinaryTemporal::to_string() const {
   const char* name = op_ == BinaryTemporalOp::kUntil ? "U" : "S";
-  std::string bound =
-      iv_.hi == Interval::kUnbounded
-          ? "[" + std::to_string(iv_.lo) + ",end]"
-          : "[" + std::to_string(iv_.lo) + "," + std::to_string(iv_.hi) + "]";
-  return "(" + lhs_->to_string() + " " + name + bound + " " +
-         rhs_->to_string() + ")";
+  std::string out = "(";
+  out += lhs_->to_string();
+  out += ' ';
+  out += name;
+  append_bound(out, iv_);
+  out += ' ';
+  out += rhs_->to_string();
+  out += ')';
+  return out;
 }
 
 void BinaryTemporal::collect_params_impl(std::set<std::string>& out) const {

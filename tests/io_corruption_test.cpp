@@ -42,34 +42,8 @@ class IoCorruptionTest : public ::testing::Test {
 
   /// A small but fully populated bundle (thresholds + all three models).
   [[nodiscard]] std::vector<char> bundle_bytes() {
-    core::ArtifactBundle bundle;
-    bundle.artifacts = testutil::synth_artifacts(2);
-    {
-      ml::DecisionTreeConfig config;
-      config.max_depth = 4;
-      ml::DecisionTree tree(config);
-      tree.fit(testutil::synth_dataset(200, 11));
-      bundle.dt = std::make_shared<const ml::DecisionTree>(std::move(tree));
-    }
-    {
-      ml::MlpConfig config;
-      config.hidden_units = {6};
-      config.max_epochs = 2;
-      ml::Mlp mlp(config);
-      mlp.fit(testutil::synth_dataset(150, 13));
-      bundle.mlp = std::make_shared<const ml::Mlp>(std::move(mlp));
-    }
-    {
-      ml::LstmConfig config;
-      config.hidden_units = {4};
-      config.max_epochs = 1;
-      config.batch_size = 16;
-      ml::Lstm lstm(config);
-      lstm.fit(testutil::synth_sequences(60, 17));
-      bundle.lstm = std::make_shared<const ml::Lstm>(std::move(lstm));
-    }
     const std::string file = path("bundle.aps");
-    io::save_bundle(bundle, file);
+    io::save_bundle(testutil::tiny_bundle(), file);
     std::ifstream in(file, std::ios::binary);
     return {std::istreambuf_iterator<char>(in),
             std::istreambuf_iterator<char>()};

@@ -209,7 +209,10 @@ TEST(Mlp, LearnsXor) {
 TEST(Mlp, ProbabilitiesFormDistribution) {
   aps::Rng rng(31);
   const auto data = axis_separable(200, rng);
-  Mlp mlp(MlpConfig{.hidden_units = {8}, .max_epochs = 5});
+  MlpConfig config;
+  config.hidden_units = {8};
+  config.max_epochs = 5;
+  Mlp mlp(config);
   mlp.fit(data);
   const double f[2] = {0.2, 0.8};
   const auto probs = mlp.predict_proba(f);

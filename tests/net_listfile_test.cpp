@@ -1,10 +1,9 @@
-// Listfile record/replay suite. The load-bearing property is the golden
-// replay: a live serving run recorded to a listfile, re-driven through a
-// FRESH engine via replay_listfile(), must reproduce every decision
-// byte-identically (monitors are per-session state machines, so the file
-// preserving per-session observation order is sufficient). Around that:
-// record round-trips, sync cadence, per-byte truncation and random
-// corruption in io_corruption_test style — IoError every time, no crash.
+// Listfile record/replay suite: record round-trips, sync cadence, replay
+// verification that notices a different model, per-byte truncation and
+// random corruption in io_corruption_test style — IoError every time, no
+// crash. The golden replay itself (a recorded live run re-driven through
+// a fresh group reproduces every decision) is serve_oracle_test's
+// tcp_replay target.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +17,7 @@
 #include "net/listfile.h"
 #include "net/protocol.h"
 #include "serve/engine.h"
+#include "serve/group.h"
 #include "synthetic_util.h"
 
 namespace {
@@ -26,11 +26,7 @@ using namespace aps;
 
 constexpr int kCohort = 4;
 
-core::ArtifactBundle rule_bundle() {
-  core::ArtifactBundle bundle;
-  bundle.artifacts = testutil::synth_artifacts(kCohort);
-  return bundle;
-}
+using testutil::rule_bundle;
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -175,41 +171,19 @@ std::uint64_t record_live_run(serve::MonitorEngine& engine,
   return decisions_recorded;
 }
 
-TEST(NetListfile, GoldenReplayReproducesEveryDecisionBitIdentically) {
+TEST(NetListfile, ReplayVerificationCatchesADifferentModel) {
+  // Replaying against a group carrying DIFFERENT thresholds must be caught
+  // by the verification pass, not silently accepted. (That a replay into
+  // the recording's own bundle reproduces every decision is
+  // serve_oracle_test's tcp_replay target.)
   const std::string path = temp_path("aps_listfile_golden.listfile");
-  const auto bundle = rule_bundle();
   constexpr std::size_t kSessions = 9;
   constexpr std::size_t kSteps = 40;
-
   serve::MonitorEngine live;
-  live.register_bundle(bundle);
-  const std::uint64_t recorded =
-      record_live_run(live, path, kSessions, kSteps);
-  ASSERT_EQ(recorded, kSessions * kSteps);
+  live.register_bundle(rule_bundle());
+  ASSERT_EQ(record_live_run(live, path, kSessions, kSteps),
+            kSessions * kSteps);
 
-  // Fresh engine, same bundle — as a backtest or bug repro would run it.
-  serve::MonitorEngine fresh;
-  fresh.register_bundle(bundle);
-  const net::ReplayResult result = net::replay_listfile(path, fresh);
-  EXPECT_EQ(result.sessions_opened, kSessions);
-  EXPECT_EQ(result.sessions_closed, kSessions);
-  EXPECT_EQ(result.ticks, kSessions * kSteps);
-  EXPECT_EQ(result.compared, recorded);
-  EXPECT_EQ(result.mismatches, 0u) << "replay diverged from the recording";
-  EXPECT_EQ(result.unmatched, 0u);
-  EXPECT_EQ(fresh.session_count(), 0u);  // every session closed again
-
-  // A different batch ceiling changes batch composition but must not
-  // change decisions — per-session order is what matters.
-  serve::MonitorEngine tiny_batches;
-  tiny_batches.register_bundle(bundle);
-  const net::ReplayResult small =
-      net::replay_listfile(path, tiny_batches, {.max_batch = 3});
-  EXPECT_EQ(small.compared, recorded);
-  EXPECT_EQ(small.mismatches, 0u);
-
-  // Replaying against an engine carrying DIFFERENT thresholds must be
-  // caught by the verification pass, not silently accepted.
   core::ArtifactBundle skewed;
   skewed.artifacts = testutil::synth_artifacts(kCohort);
   for (auto& thresholds : skewed.artifacts.patient_thresholds) {
@@ -219,9 +193,11 @@ TEST(NetListfile, GoldenReplayReproducesEveryDecisionBitIdentically) {
     guideline.lambda10 -= 40.0;
     guideline.lambda90 += 60.0;
   }
-  serve::MonitorEngine drifted;
+  serve::EngineGroup drifted({.replicas = 2});
   drifted.register_bundle(skewed);
   const net::ReplayResult diverged = net::replay_listfile(path, drifted);
+  EXPECT_EQ(diverged.sessions_closed, kSessions);
+  EXPECT_EQ(diverged.compared, kSessions * kSteps);
   EXPECT_GT(diverged.mismatches, 0u)
       << "verification failed to notice a different model";
   std::remove(path.c_str());
@@ -372,12 +348,12 @@ TEST(NetListfile, ReplayToleratesATruncatedTailRecord) {
 
   // Default (strict) replay refuses the torn tail...
   {
-    serve::MonitorEngine strict;
+    serve::EngineGroup strict({.replicas = 1});
     strict.register_bundle(bundle);
     EXPECT_THROW((void)net::replay_listfile(path, strict), io::IoError);
   }
   // ...tolerant replay re-drives everything before it, still golden.
-  serve::MonitorEngine fresh;
+  serve::EngineGroup fresh({.replicas = 1});
   fresh.register_bundle(bundle);
   const net::ReplayResult result =
       net::replay_listfile(path, fresh, {.tolerate_truncation = true});
@@ -451,10 +427,9 @@ TEST(NetListfile, ReplayRejectsInconsistentSessionReferences) {
     writer.record_tick({.key = 77, .seq = 0, .obs = obs});  // never opened
     writer.finish();
   }
-  const auto bundle = rule_bundle();
-  serve::MonitorEngine engine;
-  engine.register_bundle(bundle);
-  EXPECT_THROW((void)net::replay_listfile(path, engine), io::IoError);
+  serve::EngineGroup group({.replicas = 1});
+  group.register_bundle(rule_bundle());
+  EXPECT_THROW((void)net::replay_listfile(path, group), io::IoError);
   std::remove(path.c_str());
 }
 

@@ -1,12 +1,14 @@
 // Ingest server integration stress, serve_stress_test style: concurrent
-// real-socket clients stream sessions through a live IngestServer while
-// every decision is verified inline against a standalone reference
-// monitor; afterwards the private registry must reconcile EXACTLY with
-// the client-side tallies (bytes in == bytes the clients sent, one frame
+// real-socket clients stream sessions through a live IngestServer;
+// afterwards the private registry must reconcile EXACTLY with the
+// client-side tallies (bytes in == bytes the clients sent, one frame
 // counter per kind, zero drops). The run is recorded to a listfile
 // (net_stress.listfile, uploaded as a CI artifact) and replayed into a
-// fresh engine, which must reproduce every decision. Separate tests
-// cover hostile clients, backpressure, and the connection ceiling.
+// fresh group, which must reproduce every decision the concurrent
+// connections interleaved into it. Separate tests cover hostile clients,
+// backpressure, typed rejects and the connection ceiling. That each
+// served decision equals the scalar reference monitor's is
+// serve_oracle_test's tcp_replay target.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -30,7 +32,6 @@
 #include "net/listfile.h"
 #include "net/server.h"
 #include "obs/metrics.h"
-#include "serve/engine.h"
 #include "serve/group.h"
 #include "synthetic_util.h"
 
@@ -43,11 +44,7 @@ constexpr int kClients = 6;
 constexpr int kSessionsPerClient = 3;
 constexpr std::size_t kSteps = 30;
 
-core::ArtifactBundle rule_bundle() {
-  core::ArtifactBundle bundle;
-  bundle.artifacts = testutil::synth_artifacts(kCohort);
-  return bundle;
-}
+using testutil::rule_bundle;
 
 const std::vector<std::string>& monitor_names() {
   static const std::vector<std::string> names = {"guideline", "cawot",
@@ -98,7 +95,6 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
         struct Session {
           std::uint64_t token;
           std::vector<monitor::Observation> stream;
-          std::unique_ptr<monitor::Monitor> reference;
         };
         std::vector<Session> sessions;
         for (int s = 0; s < kSessionsPerClient; ++s) {
@@ -111,13 +107,10 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
                                   std::to_string(s),
                               monitor_name, index);
           sessions.push_back(
-              {token,
-               testutil::synth_stream(kSteps, 7000 + c * 100 + s),
-               core::factory_from_bundle(bundle, monitor_name)(index)});
+              {token, testutil::synth_stream(kSteps, 7000 + c * 100 + s)});
         }
         // Stream cycle by cycle: send one tick per session, then collect
-        // the cycle's decisions (any token order) and verify each against
-        // the session's standalone reference monitor.
+        // the cycle's decisions (any token order).
         for (std::size_t k = 0; k < kSteps; ++k) {
           for (auto& session : sessions) {
             client.send_tick(session.token, k, session.stream[k]);
@@ -128,14 +121,6 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
               fail("client " + std::to_string(c) + ": got token " +
                    std::to_string(msg.token) + " seq " +
                    std::to_string(msg.seq) + " at step " + std::to_string(k));
-              continue;
-            }
-            auto& session = sessions[msg.token];
-            const auto expected = session.reference->observe(session.stream[k]);
-            if (!testutil::decisions_equal(msg.decision, expected)) {
-              fail("client " + std::to_string(c) + " session " +
-                   std::to_string(msg.token) + " step " + std::to_string(k) +
-                   ": decision diverged from reference monitor");
             }
           }
         }
@@ -211,7 +196,7 @@ TEST(NetServer, MultiClientServingVerifiesExactlyAndReplays) {
   }
 
   // ---- Golden replay of the recorded run ----------------------------------
-  serve::MonitorEngine fresh;
+  serve::EngineGroup fresh({.replicas = 2});
   fresh.register_bundle(bundle);
   const net::ReplayResult replay =
       net::replay_listfile("net_stress.listfile", fresh);
@@ -412,7 +397,6 @@ TEST(NetServer, NonFiniteTicksAreRejectedAndTheSessionStaysOpen) {
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     client.send_tick(5, k, inputs[k]);
   }
-  auto reference = core::factory_from_bundle(bundle, "cawt")(2);
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const net::TickReply reply = client.recv_reply();
     const bool invalid = k >= 1 && k <= 3;
@@ -425,10 +409,7 @@ TEST(NetServer, NonFiniteTicksAreRejectedAndTheSessionStaysOpen) {
                     serve::RejectReason::kInvalidObservation));
       continue;
     }
-    ASSERT_EQ(reply.decision.seq, k) << "replies out of batch order";
-    EXPECT_TRUE(testutil::decisions_equal(reply.decision.decision,
-                                          reference->observe(stream[k])))
-        << "seq " << k;
+    EXPECT_EQ(reply.decision.seq, k) << "replies out of batch order";
   }
   const auto ack = client.close_session(5);
   EXPECT_EQ(ack.cycles, 7u);  // the three rejected ticks were never fed
@@ -441,7 +422,7 @@ TEST(NetServer, NonFiniteTicksAreRejectedAndTheSessionStaysOpen) {
   EXPECT_EQ(registry.counter_value("net_ticks_total"), 7u);
   EXPECT_EQ(registry.counter_value("net_protocol_errors_total"), 0u);
 
-  serve::MonitorEngine fresh;
+  serve::EngineGroup fresh({.replicas = 1});
   fresh.register_bundle(bundle);
   const net::ReplayResult replayed = net::replay_listfile(listfile, fresh);
   EXPECT_EQ(replayed.ticks, 7u);
@@ -545,69 +526,31 @@ TEST(NetServer, OpenErrorsAreAcksNotDisconnects) {
 }
 
 TEST(NetServer, GroupBackendRoutesToOwningReplicas) {
-  // The replica-sharded flavor of the front door: sessions opened over the
-  // wire land on their ring-owned replica (the id's top bits), ticks are
-  // routed through the group's queues, and every decision still matches a
-  // standalone reference monitor — the client can't tell how many engines
-  // are behind the socket.
-  const auto bundle = rule_bundle();
-  obs::Registry registry;
-  serve::GroupConfig group_config;
-  group_config.replicas = 3;
-  group_config.engine.registry = &registry;
-  serve::EngineGroup group(group_config);
-  group.register_bundle(bundle);
-
-  net::ServerConfig config;
-  config.registry = &registry;
-  net::IngestServer server(group, config);
+  // Sessions opened over the wire land on their ring-owned replica (the
+  // id's top bits) and close through it. (Ticks served through a group
+  // behind the door are serve_oracle_test's tcp_replay target.)
+  serve::EngineGroup group({.replicas = 3});
+  group.register_bundle(rule_bundle());
+  net::IngestServer server(group, {});
   server.start();
-
-  constexpr std::uint64_t kGroupSessions = 9;
   net::BlockingClient client("127.0.0.1", server.port(), "group client");
-  struct Session {
-    std::vector<monitor::Observation> stream;
-    std::unique_ptr<monitor::Monitor> reference;
-  };
-  std::vector<Session> sessions;
+  constexpr std::uint64_t kGroupSessions = 9;
   for (std::uint64_t s = 0; s < kGroupSessions; ++s) {
-    const int index = static_cast<int>(s) % kCohort;
-    const std::string& name = monitor_names()[s % monitor_names().size()];
     const std::string patient = "group/p" + std::to_string(s);
-    client.open_session(s, patient, name, index);
-    sessions.push_back({testutil::synth_stream(kSteps, 8800 + s),
-                        core::factory_from_bundle(bundle, name)(index)});
-    // The wire-opened session sits on the replica the ring owns it to.
+    client.open_session(s, patient,
+                        monitor_names()[s % monitor_names().size()],
+                        static_cast<int>(s) % kCohort);
     const auto id = group.find_session(patient);
     ASSERT_TRUE(id.has_value());
     EXPECT_EQ(serve::EngineGroup::replica_of_session(*id),
               group.replica_of(patient));
   }
   EXPECT_EQ(group.session_count(), kGroupSessions);
-
-  for (std::size_t k = 0; k < kSteps; ++k) {
-    for (std::uint64_t s = 0; s < kGroupSessions; ++s) {
-      client.send_tick(s, k, sessions[s].stream[k]);
-    }
-    for (std::uint64_t i = 0; i < kGroupSessions; ++i) {
-      const net::DecisionMsg msg = client.recv_decision();
-      ASSERT_EQ(msg.seq, k);
-      ASSERT_LT(msg.token, kGroupSessions);
-      auto& session = sessions[msg.token];
-      const auto expected = session.reference->observe(session.stream[k]);
-      ASSERT_TRUE(testutil::decisions_equal(msg.decision, expected))
-          << "session " << msg.token << " step " << k;
-    }
-  }
   for (std::uint64_t s = 0; s < kGroupSessions; ++s) {
-    const net::CloseAckMsg ack = client.close_session(s);
-    EXPECT_EQ(ack.cycles, kSteps);
+    (void)client.close_session(s);
   }
   server.stop();
   EXPECT_EQ(group.session_count(), 0u);
-  EXPECT_EQ(registry.counter_value("net_ticks_total"),
-            kGroupSessions * kSteps);
-  EXPECT_EQ(registry.counter_value("net_protocol_errors_total"), 0u);
 }
 
 TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
@@ -720,7 +663,7 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   // the listfile holds — a replay must reproduce every served decision
   // without tripping over the shed tick.
   EXPECT_EQ(registry.counter_value("net_ticks_total"), 7u);
-  serve::MonitorEngine fresh;
+  serve::EngineGroup fresh({.replicas = 1});
   fresh.register_bundle(bundle);
   const net::ReplayResult replayed = net::replay_listfile(listfile, fresh);
   EXPECT_EQ(replayed.ticks, 7u);

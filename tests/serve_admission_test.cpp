@@ -26,11 +26,7 @@ using namespace aps;
 
 constexpr int kCohort = 4;
 
-core::ArtifactBundle rule_bundle() {
-  core::ArtifactBundle bundle;
-  bundle.artifacts = testutil::synth_artifacts(kCohort);
-  return bundle;
-}
+using testutil::rule_bundle;
 
 /// Queue-fraction-only thresholds with a short dwell so the state machine
 /// is walked with a handful of synthetic observations.

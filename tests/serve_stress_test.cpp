@@ -31,11 +31,7 @@ constexpr std::size_t kSteps = 25;
 constexpr int kReloads = 40;
 constexpr int kCohort = 4;
 
-core::ArtifactBundle rule_bundle() {
-  core::ArtifactBundle bundle;
-  bundle.artifacts = testutil::synth_artifacts(kCohort);
-  return bundle;
-}
+using testutil::rule_bundle;
 
 TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
   const auto bundle = rule_bundle();

@@ -1,6 +1,7 @@
-// MonitorEngine: concurrent multi-session streaming must be
-// indistinguishable from running every session sequentially, and the
-// session registry / snapshot machinery must behave.
+// MonitorEngine: the session registry, snapshot machinery, hot reload,
+// latency summaries and telemetry must behave. That multi-session
+// streaming is indistinguishable from one scalar monitor per session fed
+// sequentially is serve_oracle_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "monitor/guideline.h"
 #include "monitor/ml_monitor.h"
 #include "serve/engine.h"
 #include "synthetic_util.h"
@@ -18,11 +18,7 @@ namespace {
 
 using namespace aps;
 
-core::ArtifactBundle rule_bundle(int patients = 4) {
-  core::ArtifactBundle bundle;
-  bundle.artifacts = testutil::synth_artifacts(patients);
-  return bundle;
-}
+using testutil::rule_bundle;
 
 TEST(ServeEngine, RegistryOpensFindsAndCloses) {
   serve::MonitorEngine engine;
@@ -59,166 +55,22 @@ TEST(ServeEngine, RejectsAThreadPoolSize) {
   EXPECT_THROW(serve::MonitorEngine({.threads = 2}), std::invalid_argument);
 }
 
-TEST(ServeEngine, ConcurrentSessionsMatchSequentialRuns) {
-  const int kSessions = 48;
-  const int kCycles = 120;
-  const auto bundle = rule_bundle(4);
-
-  serve::MonitorEngine engine;
-  engine.register_bundle(bundle);
-
-  std::vector<serve::SessionId> ids;
-  std::vector<std::vector<monitor::Observation>> streams;
-  for (int s = 0; s < kSessions; ++s) {
-    ids.push_back(engine.open_session("patient-" + std::to_string(s), "cawt",
-                                      s % 4));
-    streams.push_back(
-        testutil::synth_stream(kCycles, 1000 + static_cast<std::uint64_t>(s)));
-  }
-
-  // Engine: one batch per cycle, all sessions in the batch.
-  std::vector<std::vector<monitor::Decision>> engine_decisions(kSessions);
-  for (int k = 0; k < kCycles; ++k) {
-    std::vector<serve::SessionInput> batch;
-    batch.reserve(kSessions);
-    for (int s = 0; s < kSessions; ++s) {
-      batch.push_back({ids[static_cast<std::size_t>(s)],
-                       streams[static_cast<std::size_t>(s)]
-                              [static_cast<std::size_t>(k)]});
-    }
-    const auto decisions = engine.feed(batch);
-    for (int s = 0; s < kSessions; ++s) {
-      engine_decisions[static_cast<std::size_t>(s)].push_back(
-          decisions[static_cast<std::size_t>(s)]);
-    }
-  }
-
-  // Reference: each session as an isolated sequential monitor run.
-  const auto factory = core::factory_from_bundle(bundle, "cawt");
-  for (int s = 0; s < kSessions; ++s) {
-    auto monitor = factory(s % 4);
-    for (int k = 0; k < kCycles; ++k) {
-      const auto expected =
-          monitor->observe(streams[static_cast<std::size_t>(s)]
-                                  [static_cast<std::size_t>(k)]);
-      EXPECT_TRUE(testutil::decisions_equal(
-          expected,
-          engine_decisions[static_cast<std::size_t>(s)]
-                          [static_cast<std::size_t>(k)]))
-          << "session " << s << " cycle " << k;
-    }
-  }
-  EXPECT_EQ(engine.total_cycles(),
-            static_cast<std::uint64_t>(kSessions) * kCycles);
-}
-
-TEST(ServeEngine, StatefulMonitorConcurrencyIsDeterministic) {
-  // Guideline monitors carry recovery counters across cycles; interleaving
-  // sessions in shuffled batch order must not perturb them.
-  const int kSessions = 16;
-  const auto bundle = rule_bundle(4);
-  serve::MonitorEngine engine;
-  engine.register_bundle(bundle);
-
-  std::vector<serve::SessionId> ids;
-  for (int s = 0; s < kSessions; ++s) {
-    ids.push_back(
-        engine.open_session("p" + std::to_string(s), "guideline", s % 4));
-  }
-  const auto stream = testutil::synth_stream(200, 77);
-
-  for (std::size_t k = 0; k < stream.size(); ++k) {
-    std::vector<serve::SessionInput> batch;
-    // Reverse id order every other cycle: scheduling-order independence.
-    for (int s = 0; s < kSessions; ++s) {
-      const int pick = (k % 2 == 0) ? s : kSessions - 1 - s;
-      batch.push_back({ids[static_cast<std::size_t>(pick)], stream[k]});
-    }
-    (void)engine.feed(batch);
-  }
-
-  const auto factory = core::factory_from_bundle(bundle, "guideline");
-  for (int s = 0; s < kSessions; ++s) {
-    auto reference = factory(s % 4);
-    std::uint64_t alarms = 0;
-    for (const auto& obs : stream) {
-      if (reference->observe(obs).alarm) ++alarms;
-    }
-    EXPECT_EQ(engine.stats(ids[static_cast<std::size_t>(s)]).alarms, alarms)
-        << "session " << s;
-  }
-}
-
-TEST(ServeEngine, MultipleInputsForOneSessionApplyInBatchOrder) {
-  const auto bundle = rule_bundle(1);
-  serve::MonitorEngine engine;
-  engine.register_bundle(bundle);
-  const auto batched = engine.open_session("batched", "guideline", 0);
-  const auto stepped = engine.open_session("stepped", "guideline", 0);
-
-  const auto stream = testutil::synth_stream(60, 99);
-  // Whole stream as one batch for one session...
-  std::vector<serve::SessionInput> batch;
-  for (const auto& obs : stream) batch.push_back({batched, obs});
-  const auto batch_decisions = engine.feed(batch);
-  // ...must equal the same stream fed one step at a time.
-  for (std::size_t k = 0; k < stream.size(); ++k) {
-    const auto expected = engine.feed_one(stepped, stream[k]);
-    EXPECT_TRUE(testutil::decisions_equal(expected, batch_decisions[k]))
-        << "cycle " << k;
-  }
-}
-
-TEST(ServeEngine, BatchedMlpInferenceMatchesSequential) {
-  // An MLP session's batched feed runs one forward pass per group
-  // (Monitor::observe_batch); decisions must stay bit-identical to the
-  // sequential observe() loop.
-  ml::MlpConfig config;
-  config.hidden_units = {8, 4};
-  config.max_epochs = 3;
-  ml::Mlp mlp(config);
-  mlp.fit(testutil::synth_dataset(400, 13));
-  ASSERT_TRUE(mlp.trained());
-  const auto shared = std::make_shared<const ml::Mlp>(std::move(mlp));
-
-  serve::MonitorEngine engine;
-  engine.register_monitor("mlp", [shared](int) {
-    return std::make_unique<monitor::MlpMonitor>(shared, 2);
-  });
-  const auto batched = engine.open_session("batched", "mlp", 0);
-  const auto stepped = engine.open_session("stepped", "mlp", 0);
-
-  const auto stream = testutil::synth_stream(200, 77);
-  std::vector<serve::SessionInput> batch;
-  for (const auto& obs : stream) batch.push_back({batched, obs});
-  const auto batch_decisions = engine.feed(batch);
-  ASSERT_EQ(batch_decisions.size(), stream.size());
-  for (std::size_t k = 0; k < stream.size(); ++k) {
-    const auto expected = engine.feed_one(stepped, stream[k]);
-    EXPECT_TRUE(testutil::decisions_equal(expected, batch_decisions[k]))
-        << "cycle " << k;
-  }
-}
-
-TEST(ServeEngine, SnapshotRestoreContinuesTheStream) {
+TEST(ServeEngine, SnapshotCarriesTheSessionIntoAFreshEngine) {
+  // Identity and stats travel with a snapshot; that the restored stream
+  // continues bit-identically is serve_oracle_test's restore op.
   const auto bundle = rule_bundle(2);
   serve::MonitorEngine engine;
   engine.register_bundle(bundle);
   const auto id = engine.open_session("snap", "guideline", 1);
-
-  const auto stream = testutil::synth_stream(120, 123);
-  for (std::size_t k = 0; k < 60; ++k) (void)engine.feed_one(id, stream[k]);
+  for (const auto& obs : testutil::synth_stream(60, 123)) {
+    (void)engine.feed_one(id, obs);
+  }
 
   const serve::SessionSnapshot snap = engine.snapshot(id);
   EXPECT_EQ(snap.patient_id, "snap");
   EXPECT_EQ(snap.monitor_name, "guideline");
+  EXPECT_EQ(snap.patient_index, 1);
   EXPECT_EQ(snap.stats.cycles, 60u);
-
-  // Continue the original; replay the tail into a restored twin elsewhere.
-  std::vector<monitor::Decision> original_tail;
-  for (std::size_t k = 60; k < stream.size(); ++k) {
-    original_tail.push_back(engine.feed_one(id, stream[k]));
-  }
 
   // The restoring engine must know the monitor (restore validates the name
   // and patient_index against its registry before recreating the session).
@@ -227,12 +79,7 @@ TEST(ServeEngine, SnapshotRestoreContinuesTheStream) {
   const auto restored = fresh.restore(snap);
   EXPECT_EQ(fresh.find_session("snap"), restored);
   EXPECT_EQ(fresh.stats(restored).cycles, 60u);
-  for (std::size_t k = 60; k < stream.size(); ++k) {
-    const auto decision = fresh.feed_one(restored, stream[k]);
-    EXPECT_TRUE(testutil::decisions_equal(decision,
-                                          original_tail[k - 60]))
-        << "cycle " << k;
-  }
+  EXPECT_THROW((void)fresh.restore(snap), std::invalid_argument);
 }
 
 TEST(ServeEngine, RestoreRejectsStaleRegistry) {
@@ -449,7 +296,8 @@ TEST(ServeEngine, DriftAlertsFireOnDistributionShiftOnly) {
     std::vector<std::vector<monitor::Observation>> streams;
     for (int s = 0; s < 8; ++s) {
       ids.push_back(
-          engine.open_session("p" + std::to_string(s), "guideline", s % 2));
+          engine.open_session(std::string("p").append(std::to_string(s)),
+                              "guideline", s % 2));
       streams.push_back(
           testutil::synth_stream(60, 505 + static_cast<std::uint64_t>(s)));
       if (shifted) {

@@ -206,7 +206,7 @@ TEST(Online, AgreesWithSynthesizedMonitorOverRealTrace) {
         {"IOB", obs.iob},
         {"IOB_rate", obs.iob_rate}};
     for (int a = 0; a < 4; ++a) {
-      sample["u" + std::to_string(a + 1)] =
+      sample[std::string("u").append(std::to_string(a + 1))] =
           static_cast<int>(obs.action) == a ? 1.0 : 0.0;
     }
     online.push(sample);

@@ -33,7 +33,7 @@ TEST(Trace, RejectsLengthMismatch) {
   trace.set("a", std::vector<double>{1.0, 2.0});
   EXPECT_THROW(trace.set("b", std::vector<double>{1.0}),
                std::invalid_argument);
-  EXPECT_THROW(trace.at("missing"), std::out_of_range);
+  EXPECT_THROW((void)trace.at("missing"), std::out_of_range);
 }
 
 TEST(Predicate, RobustnessIsSignedMargin) {

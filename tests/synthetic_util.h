@@ -9,7 +9,9 @@
 #include "common/rng.h"
 #include "core/monitor_factory.h"
 #include "ml/dataset.h"
+#include "ml/decision_tree.h"
 #include "ml/lstm.h"
+#include "ml/mlp.h"
 #include "monitor/caw.h"
 #include "monitor/ml_monitor.h"
 #include "monitor/monitor.h"
@@ -116,6 +118,42 @@ inline aps::core::TrainingArtifacts synth_artifacts(int patients) {
   }
   artifacts.population_thresholds = aps::monitor::default_thresholds(1.4);
   return artifacts;
+}
+
+/// Rule-monitor-only bundle (no ML models) for a small cohort.
+inline aps::core::ArtifactBundle rule_bundle(int patients = 4) {
+  aps::core::ArtifactBundle bundle;
+  bundle.artifacts = synth_artifacts(patients);
+  return bundle;
+}
+
+/// One tiny but fully populated bundle (rule artifacts for a 4-patient
+/// cohort plus DT/MLP/LSTM), trained once per process.
+inline const aps::core::ArtifactBundle& tiny_bundle() {
+  static const aps::core::ArtifactBundle bundle = [] {
+    aps::core::ArtifactBundle b;
+    b.artifacts = synth_artifacts(4);
+    aps::ml::DecisionTreeConfig dt_config;
+    dt_config.max_depth = 4;
+    aps::ml::DecisionTree tree(dt_config);
+    tree.fit(synth_dataset(300, 11));
+    b.dt = std::make_shared<const aps::ml::DecisionTree>(std::move(tree));
+    aps::ml::MlpConfig mlp_config;
+    mlp_config.hidden_units = {8, 4};
+    mlp_config.max_epochs = 3;
+    aps::ml::Mlp mlp(mlp_config);
+    mlp.fit(synth_dataset(300, 13));
+    b.mlp = std::make_shared<const aps::ml::Mlp>(std::move(mlp));
+    aps::ml::LstmConfig lstm_config;
+    lstm_config.hidden_units = {4};
+    lstm_config.max_epochs = 1;
+    lstm_config.batch_size = 16;
+    aps::ml::Lstm lstm(lstm_config);
+    lstm.fit(synth_sequences(80, 17));
+    b.lstm = std::make_shared<const aps::ml::Lstm>(std::move(lstm));
+    return b;
+  }();
+  return bundle;
 }
 
 inline bool decisions_equal(const aps::monitor::Decision& a,
