@@ -36,8 +36,8 @@ std::vector<monitor::Observation> observation_stream() {
   std::vector<monitor::Observation> stream;
   const auto profiles = core::stack_profiles(stack);
   for (std::size_t k = 0; k < run.steps.size(); ++k) {
-    stream.push_back(
-        core::observation_at(run, k, profiles[3].basal_rate, profiles[3].isf));
+    stream.push_back(sim::observation_from_record(
+        run, k, profiles[3].basal_rate, profiles[3].isf));
   }
   return stream;
 }

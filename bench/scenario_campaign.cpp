@@ -6,14 +6,15 @@
 // The streamed modes keep peak memory flat as the count ramps 1k -> 100k
 // (the delta-RSS column), which is the point of the streaming executor.
 //
-// An A/B stage runs the same stochastic campaign on the scalar and the
-// batched SoA backends and prints the speedup; both rows must report the
-// same hazard/alarm numbers (the backends are bit-identical — see
-// tests/batch_equivalence_test.cpp).
+// An A/B stage runs the same stochastic campaign through the campaign
+// oracle's scalar reference (tests/sim_oracle.h: one run_simulation per
+// run, on the same pool and shard layout) and through the batched
+// executor, and prints the speedup; both rows must report the same
+// hazard/alarm numbers (sim_oracle_test checks them field by field).
 //
 // Build & run:  ./build/bench_scenario_campaign [--runs=100000]
 //               [--budget-ms=0] [--threads=0] [--seed=2021] [--full]
-//               [--materialized] [--csv] [--backend=both|batched|scalar]
+//               [--materialized] [--csv]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "scenario/cross_entropy.h"
 #include "scenario/executor.h"
 #include "sim/stack.h"
+#include "sim_oracle.h"
 
 namespace {
 
@@ -49,6 +51,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
+  if (flags.has("backend")) {
+    std::cerr << "--backend was removed; the stochastic[scalar] row times the "
+                 "sim oracle's reference campaign\n";
+    return 2;
+  }
   const auto max_runs =
       static_cast<std::size_t>(flags.get_int("runs", 100000));
   const double budget_ms = flags.get_double("budget-ms", 0.0);
@@ -118,35 +125,36 @@ int main(int argc, char** argv) {
          TextTable::num(peak_rss_mb() - rss_before, 1)});
   }
 
-  // --- Backend A/B: the same campaign on both execution backends. -----------
+  // --- A/B: the same campaign through the reference and the executor. ------
   const auto spec = scenario::default_stochastic_spec(stack.cohort_size);
-  const std::string backend_flag = flags.get_string("backend", "both");
   double scalar_rps = 0.0;
   double batched_rps = 0.0;
   if (!out_of_budget()) {
-    const std::size_t ab_runs = std::min<std::size_t>(max_runs, 5000);
-    const auto run_backend = [&](sim::SimBackend backend,
-                                 const std::string& label, double* rps) {
-      scenario::StochasticCampaignConfig config;
-      config.runs = ab_runs;
-      config.seed = seed;
-      config.streaming.backend = backend;
+    scenario::StochasticCampaignConfig config;
+    config.runs = std::min<std::size_t>(max_runs, 5000);
+    config.seed = seed;
+    const auto run_row = [&](const std::string& label, double* rps,
+                             const auto& campaign) {
       const double rss_before = peak_rss_mb();
       const auto stage = std::chrono::steady_clock::now();
-      const auto stats = scenario::run_stochastic_campaign(
-          stack, spec, config, sim::null_monitor_factory(), &pool);
+      const scenario::CampaignStats stats = campaign();
       const double wall = seconds_since(stage);
       *rps = static_cast<double>(stats.runs) / std::max(wall, 1e-9);
       add_row(label, stats, wall, rss_before);
     };
-    if (backend_flag == "both" || backend_flag == "scalar") {
-      run_backend(sim::SimBackend::kScalar, "stochastic[scalar]",
-                  &scalar_rps);
-    }
-    if (backend_flag == "both" || backend_flag == "batched") {
-      run_backend(sim::SimBackend::kBatched, "stochastic[batched]",
-                  &batched_rps);
-    }
+    run_row("stochastic[scalar]", &scalar_rps, [&] {
+      return sim_oracle::reference_campaign(
+          stack, config.runs,
+          [&](std::size_t i) {
+            return scenario::sample_scenario(spec, i, config.seed);
+          },
+          config.options, sim::null_monitor_factory(),
+          config.streaming.shard_size, pool);
+    });
+    run_row("stochastic[batched]", &batched_rps, [&] {
+      return scenario::run_stochastic_campaign(
+          stack, spec, config, sim::null_monitor_factory(), &pool);
+    });
   }
 
   // --- Stochastic mode: ramp the count; delta-RSS should stay ~0. ----------

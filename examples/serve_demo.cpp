@@ -95,8 +95,8 @@ ReplayStats replay_cohort(serve::EngineGroup& group,
     for (const auto& trace : traces) {
       if (k >= trace.run->steps.size()) continue;
       batch.push_back({trace.session,
-                       core::observation_at(*trace.run, k, trace.basal_rate,
-                                            trace.isf)});
+                       sim::observation_from_record(
+                           *trace.run, k, trace.basal_rate, trace.isf)});
     }
     for (const auto& decision : group.feed(batch)) {
       if (decision.alarm) ++stats.alarms;
@@ -171,7 +171,8 @@ int main(int argc, char** argv) try {
     bool identical = true;
     for (std::size_t k = 0; k < run.steps.size(); ++k) {
       const auto obs =
-          core::observation_at(run, k, profile.basal_rate, profile.isf);
+          sim::observation_from_record(run, k, profile.basal_rate,
+                                       profile.isf);
       const auto a = in_memory->observe(obs);
       const auto b = loaded->observe(obs);
       if (a.alarm != b.alarm || a.predicted != b.predicted ||

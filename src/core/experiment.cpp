@@ -383,8 +383,7 @@ std::vector<MonitorEval> evaluate_monitor_set(
   const std::size_t scenario_count = context.scenarios.size();
   const std::size_t count = context.run_count();
   const auto cohort = static_cast<std::size_t>(context.stack.cohort_size);
-  auto streaming = campaign_streaming(scenario_count);
-  streaming.backend = options.backend;
+  const auto streaming = campaign_streaming(scenario_count);
   const std::size_t shards = aps::sim::shard_count(count, streaming);
   const int tolerance = context.config.tolerance_steps;
 
@@ -420,7 +419,7 @@ std::vector<MonitorEval> evaluate_monitor_set(
     evals[m].accuracy_by_tolerance = std::move(total.by_tolerance);
   };
 
-  if (!options.mitigation_enabled && options.fused) {
+  if (!options.mitigation_enabled) {
     // Fused pass: the simulation runs unmonitored once; every monitor of
     // the line-up observes passively and is scored from its own decision
     // stream.
@@ -455,10 +454,9 @@ std::vector<MonitorEval> evaluate_monitor_set(
   }
 
   // Per-monitor driving passes: with mitigation each monitor's alarms
-  // change delivery; without it this is the pre-refactor protocol kept for
-  // A/B benches. The matched unmitigated twin for the mitigation report
-  // comes from the baseline hazard bits.
-  if (options.mitigation_enabled && context.baseline_hazard.size() != count) {
+  // change delivery. The matched unmitigated twin for the mitigation
+  // report comes from the baseline hazard bits.
+  if (context.baseline_hazard.size() != count) {
     throw std::runtime_error(
         "evaluate_monitor_set: context baseline is missing (prepare the "
         "experiment first)");
@@ -469,9 +467,7 @@ std::vector<MonitorEval> evaluate_monitor_set(
                           const aps::sim::SimResult& run) {
       MonitorAcc& acc = shard_acc[shard];
       score_run(acc, i, aps::metrics::alarms_of(run), run);
-      if (options.mitigation_enabled) {
-        acc.mitigation.add_run(context.baseline_hazard[i] != 0, run);
-      }
+      acc.mitigation.add_run(context.baseline_hazard[i] != 0, run);
     };
     aps::sim::for_each_run(context.stack, count, request,
                            monitors[m].factory, sink, &pool, streaming);

@@ -151,12 +151,6 @@ struct EvalOptions {
   aps::monitor::MitigationConfig mitigation;
   bool per_patient = false;
   std::vector<int> extra_tolerances;
-  /// fused=false re-runs the campaign once per monitor with the monitor
-  /// driving (the pre-refactor protocol); reports are byte-identical to
-  /// the fused pass, it is only slower. Exposed for A/B benches.
-  bool fused = true;
-  /// Execution backend for the passes (scalar = reference path).
-  aps::sim::SimBackend backend = aps::sim::SimBackend::kBatched;
 };
 
 /// A monitor line-up entry for fused evaluation.

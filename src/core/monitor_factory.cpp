@@ -219,7 +219,8 @@ void accumulate_tabular_samples(const aps::sim::SimResult& run,
                                 aps::ml::DatasetBuilder& builder) {
   for (std::size_t k = 0; k < run.steps.size();
        k += static_cast<std::size_t>(options.stride)) {
-    const auto obs = observation_at(run, k, profile.basal_rate, profile.isf);
+    const auto obs = aps::sim::observation_from_record(
+        run, k, profile.basal_rate, profile.isf);
     builder.add(run_index, k, aps::monitor::ml_features(obs),
                 ml_sample_label(run, k, options.classes));
   }
@@ -237,8 +238,8 @@ void accumulate_sequence_samples(const aps::sim::SimResult& run,
     aps::ml::Matrix seq(window, aps::monitor::kMlFeatureCount);
     for (std::size_t t = 0; t < window; ++t) {
       const std::size_t k = end - window + 1 + t;
-      const auto obs =
-          observation_at(run, k, profile.basal_rate, profile.isf);
+      const auto obs = aps::sim::observation_from_record(
+          run, k, profile.basal_rate, profile.isf);
       const auto features = aps::monitor::ml_features(obs);
       for (std::size_t c = 0; c < features.size(); ++c) {
         seq.at(t, c) = features[c];

@@ -6,12 +6,6 @@
 
 namespace aps::core {
 
-aps::monitor::Observation observation_at(const aps::sim::SimResult& run,
-                                         std::size_t k, double basal_rate,
-                                         double isf) {
-  return aps::sim::observation_from_record(run, k, basal_rate, isf);
-}
-
 RuleDatasets extract_rule_datasets(
     const std::vector<const aps::sim::SimResult*>& runs,
     const aps::monitor::CawConfig& context_config, double basal_rate,
@@ -27,8 +21,8 @@ RuleDatasets extract_rule_datasets(
     const int lo = std::max(0, onset - options.lookback_steps);
     for (int k = lo; k <= onset && k < static_cast<int>(run->steps.size());
          ++k) {
-      const auto obs =
-          observation_at(*run, static_cast<std::size_t>(k), basal_rate, isf);
+      const auto obs = aps::sim::observation_from_record(
+          *run, static_cast<std::size_t>(k), basal_rate, isf);
       for (const auto& rule : aps::monitor::caw_rules()) {
         if (rule.hazard != run->label.type) continue;
         if (!probe.context_active(rule, obs)) continue;

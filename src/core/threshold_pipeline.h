@@ -47,12 +47,6 @@ struct ThresholdLearningOptions {
 /// Per-rule violation values (keyed by threshold parameter name).
 using RuleDatasets = std::map<std::string, std::vector<double>>;
 
-/// Reconstruct the monitor observation of step k of a run (same values the
-/// monitor saw during simulation).
-[[nodiscard]] aps::monitor::Observation observation_at(
-    const aps::sim::SimResult& run, std::size_t k, double basal_rate,
-    double isf);
-
 /// Extract violation datasets for all Table I rules from the campaign runs
 /// of one or more patients.
 [[nodiscard]] RuleDatasets extract_rule_datasets(

@@ -95,16 +95,6 @@ double AccuracyReport::hazard_fraction() const {
              : 0.0;
 }
 
-AccuracyReport evaluate_accuracy(const aps::sim::CampaignResult& campaign,
-                                 int tolerance_steps) {
-  AccuracyReport report;
-  for (const auto* run : campaign.flat()) {
-    report.add_run(alarms_of(*run), run->label, fault_step_of(*run),
-                   tolerance_steps);
-  }
-  return report;
-}
-
 // ---- Timeliness ----------------------------------------------------------------
 
 void TimelinessStats::add_run(const std::vector<bool>& alarms,
@@ -151,14 +141,6 @@ double TimelinessStats::early_detection_rate() const {
                             : 0.0;
 }
 
-TimelinessStats evaluate_timeliness(const aps::sim::CampaignResult& campaign) {
-  TimelinessStats stats;
-  for (const auto* run : campaign.flat()) {
-    stats.add_run(alarms_of(*run), run->label, fault_step_of(*run));
-  }
-  return stats;
-}
-
 // ---- Mitigation ----------------------------------------------------------------
 
 void MitigationReport::add_run(bool baseline_hazardous,
@@ -197,22 +179,6 @@ double MitigationReport::recovery_rate() const {
 
 double MitigationReport::average_risk() const {
   return total_runs > 0 ? risk_sum / static_cast<double>(total_runs) : 0.0;
-}
-
-MitigationReport evaluate_mitigation(
-    const aps::sim::CampaignResult& baseline,
-    const aps::sim::CampaignResult& mitigated) {
-  assert(baseline.by_patient.size() == mitigated.by_patient.size());
-  MitigationReport report;
-  for (std::size_t p = 0; p < baseline.by_patient.size(); ++p) {
-    const auto& base_runs = baseline.by_patient[p];
-    const auto& mit_runs = mitigated.by_patient[p];
-    assert(base_runs.size() == mit_runs.size());
-    for (std::size_t s = 0; s < base_runs.size(); ++s) {
-      report.add_run(base_runs[s].label.hazardous, mit_runs[s]);
-    }
-  }
-  return report;
 }
 
 }  // namespace aps::metrics

@@ -69,10 +69,6 @@ struct AccuracyReport {
   [[nodiscard]] double hazard_fraction() const;
 };
 
-[[nodiscard]] AccuracyReport evaluate_accuracy(
-    const aps::sim::CampaignResult& campaign,
-    int tolerance_steps = kDefaultToleranceSteps);
-
 // ---- Timeliness (Fig. 9) ---------------------------------------------------
 
 struct TimelinessStats {
@@ -91,9 +87,6 @@ struct TimelinessStats {
   [[nodiscard]] double early_detection_rate() const;
 };
 
-[[nodiscard]] TimelinessStats evaluate_timeliness(
-    const aps::sim::CampaignResult& campaign);
-
 // ---- Mitigation (Table VII) -------------------------------------------------
 
 struct MitigationReport {
@@ -111,12 +104,6 @@ struct MitigationReport {
   [[nodiscard]] double recovery_rate() const;
   [[nodiscard]] double average_risk() const;  ///< Eq. 9
 };
-
-/// Compare a mitigated campaign against the unmitigated baseline run with
-/// identical scenarios/patients (matched by index).
-[[nodiscard]] MitigationReport evaluate_mitigation(
-    const aps::sim::CampaignResult& baseline,
-    const aps::sim::CampaignResult& mitigated);
 
 // ---- Per-run helpers (exposed for tests) -------------------------------------
 

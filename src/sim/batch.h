@@ -10,10 +10,9 @@
 //
 // Equivalence contract: for any request set, the emitted SimResults are
 // bit-identical to run_simulation on each request — same BG, insulin, and
-// decision streams — for every batch size and thread count. The
-// golden-trace suite (tests/batch_equivalence_test.cpp) enforces this, and
-// it is what makes campaign statistics from the batched and scalar
-// backends byte-identical.
+// decision streams — for every batch size and thread count. The seeded
+// campaign oracle (tests/sim_oracle.h) diffs it against that reference
+// over random mixes of patients, horizons, monitors and shard layouts.
 //
 // Passive observers: a simulator may additionally carry observer monitor
 // banks. Observers see exactly the Observation stream the driving monitor

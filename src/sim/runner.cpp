@@ -1,7 +1,6 @@
 #include "sim/runner.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "obs/metrics.h"
@@ -43,10 +42,14 @@ void for_each_run_observed(const Stack& stack, std::size_t count,
   const std::size_t size = streaming.shard_size > 0 ? streaming.shard_size : 1;
   const std::size_t shards = shard_count(count, streaming);
 
-  // Default path: each shard becomes one lockstep SoA batch. Emission is
-  // in lane (= index) order, so the per-shard sink sees the same sequence
-  // as the scalar path.
-  const auto run_shard_batched = [&](std::size_t shard) {
+  // Shard-progress telemetry: one counter bump per finished shard lets a
+  // scraper watch a long streaming campaign advance without touching the
+  // per-run hot path.
+  static aps::obs::Counter& shards_done = aps::obs::Registry::global().counter(
+      "sim_shards_completed_total", {},
+      "streaming campaign shards fully executed");
+  // Each shard is one lockstep SoA batch, emitted in lane (= index) order.
+  const auto run_shard = [&](std::size_t shard) {
     const std::size_t begin = shard * size;
     const std::size_t end = std::min(begin + size, count);
     std::vector<RunRequest> requests;
@@ -59,84 +62,6 @@ void for_each_run_observed(const Stack& stack, std::size_t count,
             std::span<const DecisionTrace> observed) {
           sink(shard, begin + lane, result, observed);
         });
-  };
-
-  const auto run_shard_scalar = [&](std::size_t shard) {
-    // Prototypes are cached per (shard, patient): run_simulation clones the
-    // patient/controller itself and resets the monitor, so reuse across
-    // runs never leaks state between scenarios.
-    struct Prototypes {
-      std::unique_ptr<aps::patient::PatientModel> patient;
-      std::unique_ptr<aps::controller::Controller> controller;
-      std::vector<std::unique_ptr<aps::monitor::Monitor>> observer_protos;
-      std::unique_ptr<aps::monitor::Monitor> monitor;
-      double basal_rate = 0.0;
-      double isf = 0.0;
-    };
-    std::map<int, Prototypes> cache;
-    std::vector<std::vector<aps::monitor::Decision>> observed(
-        observers.size());
-    const std::size_t begin = shard * size;
-    const std::size_t end = std::min(begin + size, count);
-    for (std::size_t i = begin; i < end; ++i) {
-      const RunRequest req = request(i);
-      auto it = cache.find(req.patient_index);
-      if (it == cache.end()) {
-        Prototypes protos;
-        protos.patient = stack.make_patient(req.patient_index);
-        protos.controller = stack.make_controller(*protos.patient);
-        protos.monitor = make_monitor(req.patient_index);
-        for (const MonitorFactory& make_observer : observers) {
-          protos.observer_protos.push_back(make_observer(req.patient_index));
-        }
-        protos.basal_rate = protos.controller->basal_rate();
-        protos.isf = protos.controller->isf();
-        it = cache.emplace(req.patient_index, std::move(protos)).first;
-      }
-      const Prototypes& protos = it->second;
-      const SimResult result = run_simulation(
-          *protos.patient, *protos.controller, *protos.monitor, req.config);
-      // Mirror the batched backend's campaign counters so a scraper sees
-      // the same series regardless of SimBackend.
-      auto& registry = aps::obs::Registry::global();
-      static aps::obs::Counter& runs_total = registry.counter(
-          "sim_runs_total", {}, "simulation runs completed");
-      static aps::obs::Counter& steps_total = registry.counter(
-          "sim_steps_total", {}, "control steps executed across all runs");
-      static aps::obs::Counter& hazards_total = registry.counter(
-          "sim_hazard_runs_total", {}, "completed runs labeled hazardous");
-      runs_total.add(1);
-      steps_total.add(result.steps.size());
-      if (result.label.hazardous) hazards_total.add(1);
-      // Observers replay the recorded trace: observation_from_record is
-      // bit-identical to the in-loop Observation stream.
-      for (std::size_t o = 0; o < observers.size(); ++o) {
-        auto& trace = observed[o];
-        trace.clear();
-        trace.reserve(result.steps.size());
-        protos.observer_protos[o]->reset();
-        for (std::size_t k = 0; k < result.steps.size(); ++k) {
-          trace.push_back(protos.observer_protos[o]->observe(
-              observation_from_record(result, k, protos.basal_rate,
-                                      protos.isf)));
-        }
-      }
-      sink(shard, i, result, observed);
-    }
-  };
-
-  // Shard-progress telemetry: one counter bump per finished shard lets a
-  // scraper watch a long streaming campaign advance without touching the
-  // per-run hot path.
-  static aps::obs::Counter& shards_done = aps::obs::Registry::global().counter(
-      "sim_shards_completed_total", {},
-      "streaming campaign shards fully executed");
-  const auto run_shard = [&](std::size_t shard) {
-    if (streaming.backend == SimBackend::kBatched) {
-      run_shard_batched(shard);
-    } else {
-      run_shard_scalar(shard);
-    }
     shards_done.add(1);
   };
 

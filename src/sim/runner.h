@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -74,20 +73,11 @@ using RunRequestFn = std::function<RunRequest(std::size_t)>;
 using RunSink = std::function<void(std::size_t shard, std::size_t index,
                                    const SimResult& result)>;
 
-/// Which execution engine for_each_run drives. Both produce bit-identical
-/// SimResults (the golden-trace suite enforces it), so campaign statistics
-/// are byte-identical regardless of the choice.
-enum class SimBackend : std::uint8_t {
-  kBatched,  ///< SoA lockstep batches, one per shard (default, fast path)
-  kScalar,   ///< one run_simulation per run (reference/debug path)
-};
-
 struct StreamingOptions {
-  /// Contiguous indices executed by one pool task; also the granularity of
-  /// per-shard sinks/accumulators and the batch size of the batched
-  /// backend.
+  /// Contiguous indices executed by one pool task as one lockstep
+  /// BatchSimulator batch; also the granularity of per-shard
+  /// sinks/accumulators.
   std::size_t shard_size = 64;
-  SimBackend backend = SimBackend::kBatched;
 };
 
 /// Number of shards for_each_run will use for `count` runs.
@@ -97,7 +87,9 @@ struct StreamingOptions {
 /// Execute `count` runs described by `request`, streaming each result to
 /// `sink` without retaining it. Patient/controller/monitor prototypes are
 /// cached per shard, so mixed-patient campaigns stay cheap. Deterministic:
-/// results depend only on the request, never on scheduling.
+/// run i equals run_simulation on request(i) bit for bit, whatever the
+/// shard size or thread count (tests/sim_oracle.h checks it against that
+/// reference).
 void for_each_run(const Stack& stack, std::size_t count,
                   const RunRequestFn& request,
                   const MonitorFactory& make_monitor, const RunSink& sink,
@@ -118,9 +110,8 @@ using ObservedRunSink = std::function<void(
 /// but never influences delivery. With mitigation off and the null driving
 /// monitor this evaluates N monitors from ONE campaign pass, bit-identical
 /// to N dedicated passes (each monitor's alarms cannot perturb the
-/// simulation when no mitigation acts on them). Both backends implement
-/// it; the batched one amortizes ML inference across the shard, the scalar
-/// one replays recorded traces through per-lane clones.
+/// simulation when no mitigation acts on them); the batch amortizes ML
+/// inference across the shard.
 void for_each_run_observed(const Stack& stack, std::size_t count,
                            const RunRequestFn& request,
                            const MonitorFactory& make_monitor,

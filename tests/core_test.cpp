@@ -153,7 +153,7 @@ TEST_F(PipelineFixture, UnevidencedRulesAreSilenced) {
 
 TEST_F(PipelineFixture, ObservationReconstructionMatchesRecords) {
   const auto& run = campaign_->by_patient[0][0];
-  const auto obs = core::observation_at(run, 10, 1.0, 40.0);
+  const auto obs = sim::observation_from_record(run, 10, 1.0, 40.0);
   EXPECT_DOUBLE_EQ(obs.bg, run.steps[10].cgm_bg);
   EXPECT_DOUBLE_EQ(obs.iob, run.steps[10].iob);
   EXPECT_DOUBLE_EQ(obs.commanded_rate, run.steps[10].commanded_rate);

@@ -198,8 +198,8 @@ TEST(Online, AgreesWithSynthesizedMonitorOverRealTrace) {
       /*horizon=*/1);
 
   for (std::size_t k = 0; k < run.steps.size(); ++k) {
-    const auto obs = core::observation_at(run, k, controller->basal_rate(),
-                                          controller->isf());
+    const auto obs = sim::observation_from_record(
+        run, k, controller->basal_rate(), controller->isf());
     std::map<std::string, double> sample = {
         {"BG", obs.bg},
         {"BG_rate", obs.bg_rate},
