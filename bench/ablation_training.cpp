@@ -38,6 +38,7 @@ sim::MonitorFactory cawt_from(const core::TrainingArtifacts& artifacts,
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/false);
+  flags.reject_unknown();
   bench::print_header("Ablations: training data, loss, mitigation, window",
                       config);
   bench::BenchRecorder recorder("ablation_training");

@@ -19,13 +19,15 @@
 
 namespace aps::bench {
 
-/// Parse the standard bench flags: --full (paper-sized grid), --no-ml,
-/// --tolerance=<steps>, --seed=<n>, --dt-cv (k-fold DT depth selection).
+/// Parse the standard bench flags: --full (paper-sized grid), --ml=0 (skip
+/// ML training), --tolerance=<steps>, --seed=<n>, --dt-cv (k-fold DT
+/// depth selection). Every flag is read, so the caller's reject_unknown()
+/// accepts --ml=0 on benches that train no ML either way.
 [[nodiscard]] inline core::ExperimentConfig config_from_flags(
     const CliFlags& flags, bool needs_ml) {
   core::ExperimentConfig config;
   config.full = flags.get_bool("full", false);
-  config.train_ml = needs_ml && flags.get_bool("ml", true);
+  config.train_ml = flags.get_bool("ml", true) && needs_ml;
   config.tolerance_steps =
       flags.get_int("tolerance", metrics::kDefaultToleranceSteps);
   config.dt_depth_cv = flags.get_bool("dt-cv", false);

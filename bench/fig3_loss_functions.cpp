@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const double lo = flags.get_double("lo", -2.0);
   const double hi = flags.get_double("hi", 4.0);
   const double step = flags.get_double("step", 0.5);
+  flags.reject_unknown();
   for (double r = lo; r <= hi + 1e-9; r += step) {
     curve.add_row({TextTable::num(r, 1),
                    TextTable::num(learn::mse_loss(r), 3),

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/false);
+  flags.reject_unknown();
   bench::print_header("Fig. 7: baseline APS resilience (no monitor)",
                       config);
   bench::BenchRecorder recorder("fig7_resilience");

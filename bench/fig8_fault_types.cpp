@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/false);
+  flags.reject_unknown();
   bench::print_header("Fig. 8: hazard coverage by fault type / initial BG",
                       config);
   bench::BenchRecorder recorder("fig8_fault_types");

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/true);
+  flags.reject_unknown();
   bench::print_header("Fig. 9: monitor reaction time", config);
   bench::BenchRecorder recorder("fig9_reaction_time");
 

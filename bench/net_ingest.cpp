@@ -246,6 +246,7 @@ int main(int argc, char** argv) {
   const int cohort = flags.get_int("cohort", 8);
   const auto window = static_cast<std::size_t>(flags.get_int("window", 256));
   const double floor_cps = flags.get_double("floor", 10000.0);
+  flags.reject_unknown();
   const std::string path = "net_ingest.listfile";
   const std::uint64_t total = sessions * steps;
 

@@ -51,18 +51,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
-  if (flags.has("backend")) {
-    std::cerr << "--backend was removed; the stochastic[scalar] row times the "
-                 "sim oracle's reference campaign\n";
-    return 2;
-  }
   const auto max_runs =
       static_cast<std::size_t>(flags.get_int("runs", 100000));
   const double budget_ms = flags.get_double("budget-ms", 0.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2021));
   const bool full = flags.get_bool("full", false);
   const bool csv = flags.get_bool("csv", false);
+  const bool materialized = flags.get_bool("materialized", false);
   ThreadPool pool(static_cast<std::size_t>(flags.get_int("threads", 0)));
+  flags.reject_unknown();
 
   const auto stack = sim::glucosym_openaps_stack();
   const auto t0 = std::chrono::steady_clock::now();
@@ -106,7 +103,7 @@ int main(int argc, char** argv) {
 
   // Optional contrast: the materializing run_campaign path, whose memory
   // grows with the run count (O(N) retained traces).
-  if (flags.get_bool("materialized", false) && !out_of_budget()) {
+  if (materialized && !out_of_budget()) {
     const double rss_before = peak_rss_mb();
     const auto stage = std::chrono::steady_clock::now();
     const auto campaign =

@@ -183,6 +183,11 @@ int main(int argc, char** argv) try {
   const bool with_ml = flags.get_bool("ml", true);
   const double p99_budget_ms = flags.get_double("p99-budget-ms", 250.0);
   const double rss_slack_mb = flags.get_double("rss-slack-mb", 64.0);
+  const std::size_t ov_per_tenant = static_cast<std::size_t>(flags.get_int(
+      "overload-sessions", smoke ? 600 : (long_run ? 4000 : 2000)));
+  const std::size_t ov_ticks = static_cast<std::size_t>(
+      flags.get_int("overload-ticks", smoke ? 24 : (long_run ? 240 : 60)));
+  flags.reject_unknown();
 
   bench::BenchRecorder recorder("serve_soak");
   recorder.attach_registry(&obs::Registry::global());
@@ -345,11 +350,6 @@ int main(int argc, char** argv) try {
   // transition counters reconcile exactly per stage. Offered load is 2x:
   // every session is ticked twice per cycle — twice the sustainable rate
   // the calm soak just demonstrated for this population shape.
-  const std::size_t ov_per_tenant = static_cast<std::size_t>(flags.get_int(
-      "overload-sessions", smoke ? 600 : (long_run ? 4000 : 2000)));
-  const std::size_t ov_ticks = static_cast<std::size_t>(
-      flags.get_int("overload-ticks", smoke ? 24 : (long_run ? 240 : 60)));
-
   // -- Stage 1: overload_degrade --------------------------------------------
   // Ladder pinned at kDegrade (latency signal trips on the first measured
   // tick; an effectively infinite dwell holds the rung). 2x offered load

@@ -315,6 +315,7 @@ int main(int argc, char** argv) try {
   const std::string dir = flags.get_string(
       "dir", (std::filesystem::temp_directory_path() / "aps_serve_bench")
                  .string());
+  flags.reject_unknown();
 
   bench::BenchRecorder recorder("serve_throughput");
   // Groups default to the process-global registry, so each stage's JSON

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/false);
+  flags.reject_unknown();
   bench::print_header("Table V: CAWT vs non-ML monitors", config);
   bench::BenchRecorder recorder("table5_nonml_monitors");
 

@@ -20,12 +20,8 @@
 int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
-  if (flags.has("ab") || flags.has("fused")) {
-    std::cerr << "--ab and --fused were removed; sim_oracle_test checks that "
-                 "fused reports equal dedicated passes\n";
-    return 2;
-  }
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/true);
+  flags.reject_unknown();
   bench::print_header("Table VI: CAWT vs ML monitors", config);
   bench::BenchRecorder recorder("table6_ml_monitors");
 

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
   const auto config = bench::config_from_flags(flags, /*needs_ml=*/true);
+  flags.reject_unknown();
   bench::print_header("Table VII: hazard mitigation (Algorithm 1)", config);
   bench::BenchRecorder recorder("table7_mitigation");
 

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
   const int patient_id = flags.get_int("patient", 7);
+  flags.reject_unknown();
 
   const sim::Stack stack = sim::glucosym_openaps_stack();
   const auto patient = stack.make_patient(patient_id);

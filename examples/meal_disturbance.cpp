@@ -6,6 +6,7 @@
 // Build & run:  ./build/example_meal_disturbance
 #include <cstdio>
 
+#include "common/cli.h"
 #include "core/monitor_factory.h"
 #include "fi/campaign.h"
 #include "sim/runner.h"
@@ -35,7 +36,8 @@ sim::SimResult run_meal(const patient::PatientModel& patient,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  aps::CliFlags(argc, argv).reject_unknown();  // takes no flags
   const auto stack = sim::glucosym_openaps_stack();
   const int patient_id = 5;
   const auto patient = stack.make_patient(patient_id);

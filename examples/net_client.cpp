@@ -52,6 +52,7 @@ int main(int argc, char** argv) try {
   const auto cycles = static_cast<std::uint64_t>(flags.get_int("cycles", 48));
   const std::string monitor = flags.get_string("monitor", "guideline");
   const std::string prefix = flags.get_string("prefix", "net-client");
+  flags.reject_unknown();
   if (port <= 0 || port > 65535) {
     std::fprintf(stderr, "usage: net_client --port=<n> [--host=<ip>] "
                          "[--sessions=<n>] [--cycles=<n>] "

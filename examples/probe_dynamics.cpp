@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.h"
 #include "common/table.h"
 #include "fi/campaign.h"
 #include "metrics/evaluation.h"
@@ -61,7 +62,8 @@ void probe_stack(const aps::sim::Stack& stack) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  aps::CliFlags(argc, argv).reject_unknown();  // takes no flags
   probe_stack(aps::sim::glucosym_openaps_stack());
   probe_stack(aps::sim::padova_basalbolus_stack());
   probe_stack(aps::sim::glucosym_pid_stack());

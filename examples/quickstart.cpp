@@ -9,14 +9,16 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
+#include "common/cli.h"
 #include "core/monitor_factory.h"
 #include "fi/campaign.h"
 #include "monitor/caw.h"
 #include "sim/runner.h"
 #include "sim/stack.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aps;
+  CliFlags(argc, argv).reject_unknown();  // takes no flags
 
   // --- 1. The closed loop: Glucosym-style patient + OpenAPS controller.
   const sim::Stack stack = sim::glucosym_openaps_stack();

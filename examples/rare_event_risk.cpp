@@ -22,6 +22,11 @@
 int main(int argc, char** argv) {
   using namespace aps;
   const CliFlags flags(argc, argv);
+  scenario::CrossEntropyConfig ce;
+  ce.pilot_runs = static_cast<std::size_t>(flags.get_int("pilot", 500));
+  ce.final_runs = static_cast<std::size_t>(flags.get_int("final", 2000));
+  ce.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2021));
+  flags.reject_unknown();
   const auto stack = sim::glucosym_openaps_stack();
   ThreadPool pool;
 
@@ -46,10 +51,6 @@ int main(int argc, char** argv) {
   nominal.meal_prob = 0.0;
   nominal.cgm_noise_std = 0.0;
 
-  scenario::CrossEntropyConfig ce;
-  ce.pilot_runs = static_cast<std::size_t>(flags.get_int("pilot", 500));
-  ce.final_runs = static_cast<std::size_t>(flags.get_int("final", 2000));
-  ce.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2021));
   ce.options.mitigation_enabled = true;
 
   struct Config {

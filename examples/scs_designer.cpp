@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.h"
 #include "core/monitor_factory.h"
 #include "core/scs.h"
 #include "fi/campaign.h"
@@ -47,8 +48,9 @@ aps::stl::Trace to_stl_trace(const aps::sim::SimResult& run) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aps;
+  CliFlags(argc, argv).reject_unknown();  // takes no flags
 
   // --- 1. The specification, from hazard analysis to STL templates.
   const auto scs = core::aps_scs();

@@ -119,6 +119,13 @@ int main(int argc, char** argv) try {
                   : std::max(1u, std::thread::hardware_concurrency());
   const bool metrics_json = flags.get_bool("metrics-json", false);
   const bool metrics = flags.get_bool("metrics", false) || metrics_json;
+  const bool replay_mode = flags.has("replay");
+  const std::string replay_path = flags.get_string("replay", "");
+  const bool listen = flags.has("listen");
+  const int listen_port = flags.get_int("listen", 0);
+  const std::string record_path = flags.get_string("record", "");
+  const int listen_secs = flags.get_int("listen-secs", 0);
+  flags.reject_unknown();
 
   // 1. Train: quick campaign + threshold learning (+ tiny ML if asked).
   std::printf("[1/5] running quick training campaign...\n");
@@ -189,10 +196,10 @@ int main(int argc, char** argv) try {
   // stream, through the freshly loaded group. It carries the same bundle
   // the recording ran against, so the decision verification must come
   // back clean.
-  if (flags.has("replay")) {
-    const std::string listfile = flags.get_string("replay", "");
-    std::printf("[4/5] replaying session listfile %s...\n", listfile.c_str());
-    const net::ReplayResult result = net::replay_listfile(listfile, group);
+  if (replay_mode) {
+    std::printf("[4/5] replaying session listfile %s...\n",
+                replay_path.c_str());
+    const net::ReplayResult result = net::replay_listfile(replay_path, group);
     std::printf(
         "      %zu sessions (%zu closed), %ju ticks re-driven\n"
         "      %ju decisions compared, %ju mismatches, %ju unmatched -> %s\n",
@@ -251,18 +258,16 @@ int main(int argc, char** argv) try {
 
   // Optional network front door: serve live TCP clients on the same
   // group (see examples/net_client.cpp for the matching client).
-  if (flags.has("listen")) {
+  if (listen) {
     net::ServerConfig server_config;
-    server_config.port =
-        static_cast<std::uint16_t>(flags.get_int("listen", 0));
-    server_config.listfile = flags.get_string("record", "");
+    server_config.port = static_cast<std::uint16_t>(listen_port);
+    server_config.listfile = record_path;
     net::IngestServer server(group, server_config);
     server.start();
     std::printf("\ningest server listening on 127.0.0.1:%u%s%s\n",
                 server.port(),
                 server_config.listfile.empty() ? "" : ", recording to ",
                 server_config.listfile.c_str());
-    const int listen_secs = flags.get_int("listen-secs", 0);
     if (listen_secs > 0) {
       std::this_thread::sleep_for(std::chrono::seconds(listen_secs));
     } else {

@@ -28,8 +28,11 @@ DriftDetector::DriftDetector(std::shared_ptr<const TrainingStats> reference,
   live_.resize(reference_ != nullptr ? reference_->features.size() : 0);
 }
 
-double DriftDetector::score_locked() const {
-  double worst = 0.0;
+bool DriftDetector::merge(std::span<const FeatureSummary> batch) {
+  if (reference_ == nullptr || live_.empty()) return false;
+  const std::size_t n = std::min(batch.size(), live_.size());
+  for (std::size_t f = 0; f < n; ++f) live_[f].merge(batch[f]);
+  score_ = 0.0;
   for (std::size_t f = 0; f < live_.size(); ++f) {
     const FeatureSummary& train = reference_->features[f];
     const FeatureSummary& live = live_[f];
@@ -43,20 +46,10 @@ double DriftDetector::score_locked() const {
                                sigma;
     const double range_escape =
         std::max({live.max - train.max, train.min - live.min, 0.0}) / sigma;
-    worst = std::max({worst, mean_shift, scale_shift, range_escape});
+    score_ = std::max({score_, mean_shift, scale_shift, range_escape});
   }
-  return worst;
-}
-
-bool DriftDetector::merge(std::span<const FeatureSummary> batch) {
-  if (reference_ == nullptr || live_.empty()) return false;
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t n = std::min(batch.size(), live_.size());
-  for (std::size_t f = 0; f < n; ++f) live_[f].merge(batch[f]);
-  score_ = score_locked();
-  const std::uint64_t samples = live_.empty() ? 0 : live_[0].count;
   const bool was_alerting = alerting_;
-  if (samples >= config_.min_samples) {
+  if (samples() >= config_.min_samples) {
     if (!alerting_ && score_ > config_.threshold) {
       alerting_ = true;
     } else if (alerting_ &&
@@ -65,21 +58,6 @@ bool DriftDetector::merge(std::span<const FeatureSummary> batch) {
     }
   }
   return alerting_ && !was_alerting;
-}
-
-double DriftDetector::score() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return score_;
-}
-
-bool DriftDetector::alerting() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return alerting_;
-}
-
-std::uint64_t DriftDetector::samples() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return live_.empty() ? 0 : live_[0].count;
 }
 
 }  // namespace aps::obs

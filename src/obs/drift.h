@@ -19,15 +19,14 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 namespace aps::obs {
 
 /// Mergeable moment/range summary of one feature. Plain (non-atomic):
-/// hot paths accumulate a local batch and merge it under the detector's
-/// mutex once per shard stretch. Moments are Welford's running mean and
+/// hot paths accumulate a local batch and merge it into the detector once
+/// per shard stretch. Moments are Welford's running mean and
 /// sum of squared deviations, merged with Chan et al.'s pairwise update,
 /// so the variance of a feature far from zero does not cancel away the
 /// way sum_sq/n - mean^2 does. The running mean is kept relative to the
@@ -110,9 +109,10 @@ struct DriftConfig {
   std::uint32_t sample_every_ticks = 256;
 };
 
-/// Streaming detector for one shard. Thread-safe: the serving engine
-/// accumulates local FeatureSummary batches and merges them here;
-/// score/alert reads may race scrapes freely.
+/// Streaming detector for one shard. Not thread-safe: its one owner, the
+/// shard's serving engine, merges local FeatureSummary batches and reads
+/// the score on its own thread; scrapes read the score through the
+/// registry gauge the engine refreshes.
 class DriftDetector {
  public:
   DriftDetector(std::shared_ptr<const TrainingStats> reference,
@@ -123,17 +123,16 @@ class DriftDetector {
   /// alerting state (the caller bumps drift_alerts_total exactly then).
   bool merge(std::span<const FeatureSummary> batch);
 
-  [[nodiscard]] double score() const;
-  [[nodiscard]] bool alerting() const;
-  [[nodiscard]] std::uint64_t samples() const;
+  [[nodiscard]] double score() const { return score_; }
+  [[nodiscard]] bool alerting() const { return alerting_; }
+  [[nodiscard]] std::uint64_t samples() const {
+    return live_.empty() ? 0 : live_[0].count;
+  }
   [[nodiscard]] const DriftConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] double score_locked() const;
-
   std::shared_ptr<const TrainingStats> reference_;
   DriftConfig config_;
-  mutable std::mutex mu_;
   std::vector<FeatureSummary> live_;
   double score_ = 0.0;
   bool alerting_ = false;

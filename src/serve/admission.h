@@ -154,7 +154,7 @@ class AdmissionController {
 
   /// Observe one group tick: the worst queue-occupancy fraction seen while
   /// enqueuing and the tick's wall latency. Drives the state machine (the
-  /// group calls this under its feed lock, once per tick).
+  /// group calls this under its lock, once per tick).
   void observe_tick(double queue_frac, double tick_us);
 
   /// Stable dense index for a tenant (registers it on first use). The

@@ -85,7 +85,7 @@ MonitorEngine::MonitorEngine(EngineConfig config) : config_(config) {
   }
 }
 
-void MonitorEngine::bump_generation_locked() {
+void MonitorEngine::bump_generation() {
   ++generation_;
   metrics_.reloads->add(1);
   metrics_.generation->set(static_cast<double>(generation_));
@@ -97,8 +97,7 @@ void MonitorEngine::register_monitor(const std::string& name,
   if (factory == nullptr) {
     throw std::invalid_argument("null factory for monitor '" + name + "'");
   }
-  const std::lock_guard<std::mutex> lock(mu_);
-  bump_generation_locked();
+  bump_generation();
   monitors_[name] = {std::move(factory), generation_, cohort, nullptr};
 }
 
@@ -110,8 +109,7 @@ void MonitorEngine::register_bundle(const aps::core::ArtifactBundle& bundle) {
     factories.emplace_back(name, aps::core::factory_from_bundle(bundle, name));
   }
   const int cohort = aps::core::bundle_cohort_size(bundle);
-  const std::lock_guard<std::mutex> lock(mu_);
-  bump_generation_locked();
+  bump_generation();
   for (auto& [name, factory] : factories) {
     monitors_[name] = {std::move(factory), generation_, cohort,
                        bundle.training_stats};
@@ -125,7 +123,6 @@ void MonitorEngine::register_bundle_file(const std::string& path) {
 }
 
 std::vector<std::string> MonitorEngine::registered_monitors() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(monitors_.size());
   for (const auto& [name, entry] : monitors_) names.push_back(name);
@@ -134,7 +131,6 @@ std::vector<std::string> MonitorEngine::registered_monitors() const {
 }
 
 std::uint64_t MonitorEngine::generation() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   return generation_;
 }
 
@@ -253,7 +249,6 @@ SessionId MonitorEngine::place_session(Session session,
 SessionId MonitorEngine::open_session(const std::string& patient_id,
                                       const std::string& monitor_name,
                                       int patient_index) {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (by_patient_.count(patient_id) != 0) {
     throw std::invalid_argument("patient '" + patient_id +
                                 "' already has an open session");
@@ -289,7 +284,6 @@ const MonitorEngine::Session& MonitorEngine::checked_session(
 }
 
 void MonitorEngine::close_session(SessionId id) {
-  const std::lock_guard<std::mutex> lock(mu_);
   Session& session = checked_session(id);
   by_patient_.erase(session.patient_id);
   ServeShard* shard = session.shard;
@@ -312,14 +306,12 @@ void MonitorEngine::close_session(SessionId id) {
 
 std::optional<SessionId> MonitorEngine::find_session(
     const std::string& patient_id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   const auto it = by_patient_.find(patient_id);
   if (it == by_patient_.end()) return std::nullopt;
   return it->second;
 }
 
 std::size_t MonitorEngine::session_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   return open_count_;
 }
 
@@ -333,7 +325,6 @@ void MonitorEngine::record_latency(double seconds, std::size_t cycles) {
 }
 
 LatencySummary MonitorEngine::latency() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   LatencySummary summary;
   summary.ticks = latency_ticks_;
   summary.cycles = latency_cycles_;
@@ -367,7 +358,6 @@ LatencySummary MonitorEngine::latency() const {
 }
 
 void MonitorEngine::reset_latency() {
-  const std::lock_guard<std::mutex> lock(mu_);
   latency_ticks_ = 0;
   latency_cycles_ = 0;
   latency_degraded_ = 0;
@@ -394,7 +384,6 @@ void MonitorEngine::feed(std::span<const SessionInput> inputs,
         "feed: decisions span size " + std::to_string(decisions.size()) +
         " does not match inputs size " + std::to_string(inputs.size()));
   }
-  const std::lock_guard<std::mutex> lock(mu_);
   // Repack AoS into the SoA scratch once; the SoA overload is the native
   // path (no further payload copy when the batch is already grouped).
   aos_sessions_.resize(inputs.size());
@@ -403,7 +392,7 @@ void MonitorEngine::feed(std::span<const SessionInput> inputs,
     aos_sessions_[i] = inputs[i].session;
     aos_obs_[i] = inputs[i].obs;
   }
-  feed_locked(aos_sessions_, aos_obs_, decisions, FeedMode::kNormal);
+  feed(aos_sessions_, aos_obs_, decisions, FeedMode::kNormal);
 }
 
 void MonitorEngine::feed(std::span<const SessionId> sessions,
@@ -416,14 +405,6 @@ void MonitorEngine::feed(std::span<const SessionId> sessions,
         ", obs " + std::to_string(obs.size()) + ", decisions " +
         std::to_string(decisions.size()) + ")");
   }
-  const std::lock_guard<std::mutex> lock(mu_);
-  feed_locked(sessions, obs, decisions, mode);
-}
-
-void MonitorEngine::feed_locked(std::span<const SessionId> sessions,
-                                std::span<const aps::monitor::Observation> obs,
-                                std::span<aps::monitor::Decision> decisions,
-                                FeedMode mode) {
   if (sessions.empty()) return;
 
   // Validate up front so a bad id fails before any monitor state moves.
@@ -444,7 +425,7 @@ bool MonitorEngine::drift_tick_due() {
 }
 
 /// Fold a stretch's observations into the shard's drift detector: strided
-/// subsampling into a stack-local per-feature batch, one mutexed merge.
+/// subsampling into a stack-local per-feature batch, one merge.
 /// Purely observational — decisions are untouched.
 void MonitorEngine::accumulate_drift(
     ServeShard& shard, std::span<const aps::monitor::Observation> obs) {
@@ -664,7 +645,6 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
 
 aps::monitor::Decision MonitorEngine::feed_one(
     SessionId id, const aps::monitor::Observation& obs) {
-  const std::lock_guard<std::mutex> lock(mu_);
   Session& session = checked_session(id);
   const auto t0 = std::chrono::steady_clock::now();
   aps::monitor::Decision decision;
@@ -695,14 +675,12 @@ aps::monitor::Decision MonitorEngine::feed_one(
 }
 
 void MonitorEngine::reset_session(SessionId id) {
-  const std::lock_guard<std::mutex> lock(mu_);
   Session& session = checked_session(id);
   metrics_.session_resets->add(1);
   session.shard->reset_lane(session.lane);
 }
 
 SessionSnapshot MonitorEngine::snapshot(SessionId id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   const Session& session = checked_session(id);
   SessionSnapshot snap;
   snap.patient_id = session.patient_id;
@@ -714,7 +692,6 @@ SessionSnapshot MonitorEngine::snapshot(SessionId id) const {
 }
 
 SessionId MonitorEngine::restore(const SessionSnapshot& snap) {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (snap.monitor == nullptr) {
     throw std::invalid_argument("cannot restore an empty snapshot");
   }
@@ -738,12 +715,10 @@ SessionId MonitorEngine::restore(const SessionSnapshot& snap) {
 }
 
 SessionStats MonitorEngine::stats(SessionId id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   return checked_session(id).stats;
 }
 
 std::uint64_t MonitorEngine::total_cycles() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   return total_cycles_;
 }
 

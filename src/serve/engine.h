@@ -19,15 +19,15 @@
 // first, so a corrupt file surfaces as io::IoError with the registry (and
 // every live session) untouched.
 //
-// Thread model: an engine has no threads of its own — every feed runs to
-// completion on the calling thread, one batched observe_lanes call per
-// shard stretch. Parallelism lives one level up: serve::EngineGroup runs
-// one worker thread per replica engine. The public API is still
-// internally synchronized, because group control operations (open, close,
-// reload, snapshot) reach a replica from the caller's thread while its
-// worker feeds. A feed holds the engine lock for the whole tick, which
-// also gives reloads tick-boundary semantics: in-flight ticks finish on
-// the old generation, later ticks see the new one.
+// Thread model: an engine is NOT thread-safe and has no threads of its
+// own — every call runs to completion on the calling thread, a feed as one
+// batched observe_lanes call per shard stretch. Callers serialize access.
+// Concurrent serving goes through serve::EngineGroup, whose one lock
+// covers every call that reaches a replica engine: a group feed holds it
+// from fan-out through the barrier, so a control operation (open, close,
+// reload, snapshot) never overlaps a worker's feed. That also gives
+// reloads tick-boundary semantics: in-flight ticks finish on the old
+// generation, later ticks see the new one.
 //
 // Telemetry: the engine reports into an obs::Registry — tick latency
 // histograms (whole-tick and per-shard stretch), session open/close/
@@ -35,14 +35,14 @@
 // (ingest -> dispatch -> predict -> merge), and DOOD-style per-shard
 // drift detectors seeded from the bundle's training-time feature stats
 // (serve_drift_score gauges + drift_alerts_total). All hot-path updates
-// are relaxed atomics on per-thread shards; scraping never takes the
-// engine lock. Everything here is observational: decisions stay
-// bit-identical with telemetry on, off, or racing a scrape.
+// are relaxed atomics on per-thread shards, so a registry scrape may run
+// on any thread while the engine serves. Everything here is
+// observational: decisions stay bit-identical with telemetry on, off, or
+// racing a scrape.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -295,7 +295,7 @@ class MonitorEngine {
                           const RegisteredMonitor& entry);
   void init_shard_telemetry(ServeShard& shard,
                             const RegisteredMonitor& entry);
-  void bump_generation_locked();
+  void bump_generation();
   void record_latency(double seconds, std::size_t cycles);
   void accumulate_drift(ServeShard& shard,
                         std::span<const aps::monitor::Observation> obs);
@@ -303,9 +303,6 @@ class MonitorEngine {
   /// feature-extraction + gauge-refresh cost (every drift.sample_every_ticks
   /// feeds). Keeps the telemetry overhead inside its <2% budget.
   [[nodiscard]] bool drift_tick_due();
-  void feed_locked(std::span<const SessionId> sessions,
-                   std::span<const aps::monitor::Observation> obs,
-                   std::span<aps::monitor::Decision> decisions, FeedMode mode);
   void feed_sharded(std::span<const SessionId> sessions,
                     std::span<const aps::monitor::Observation> obs,
                     std::span<aps::monitor::Decision> decisions, FeedMode mode);
@@ -315,7 +312,6 @@ class MonitorEngine {
   aps::obs::Registry* registry_ = nullptr;
   Metrics metrics_;
 
-  mutable std::mutex mu_;  ///< guards everything below
   std::unordered_map<std::string, RegisteredMonitor> monitors_;
   std::uint64_t generation_ = 0;
   std::vector<std::unique_ptr<ServeShard>> shards_;

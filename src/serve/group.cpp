@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "io/artifact_io.h"
+
 namespace aps::serve {
 
 EngineGroup::EngineGroup(GroupConfig config) : config_(std::move(config)) {
@@ -70,14 +72,14 @@ EngineGroup::~EngineGroup() { shutdown(); }
 
 void EngineGroup::shutdown() {
   std::call_once(shutdown_once_, [this] {
-    // Raise stop UNDER the feed lock: an in-flight feed() finishes its
+    // Raise stop UNDER the group lock: an in-flight feed() finishes its
     // whole fan-out + barrier first (so every enqueued job is drained and
     // its completion reported), and any feed that arrives later sees
     // stop_ before enqueuing anything and fails with ShutdownError. By
     // construction the queues are empty when the workers are told to
     // exit — no job is ever abandoned half-delivered.
     {
-      const std::lock_guard<std::mutex> lock(feed_mu_);
+      const std::lock_guard<std::mutex> lock(mu_);
       stop_.store(true, std::memory_order_release);
     }
     for (auto& replica : replicas_) {
@@ -149,31 +151,37 @@ void EngineGroup::run_job(Replica& replica, const TickJob& job) {
     // rethrows one).
     if (replica.error == nullptr) replica.error = std::current_exception();
   }
-  job.pending->fetch_sub(1, std::memory_order_release);
-  job.pending->notify_one();
+  pending_.fetch_sub(1, std::memory_order_release);
+  pending_.notify_one();
 }
 
 void EngineGroup::register_monitor(const std::string& name,
                                    aps::sim::MonitorFactory factory,
                                    int cohort) {
+  const std::lock_guard<std::mutex> lock(mu_);
   for (auto& replica : replicas_) {
     replica->engine->register_monitor(name, factory, cohort);
   }
 }
 
 void EngineGroup::register_bundle(const aps::core::ArtifactBundle& bundle) {
+  const std::lock_guard<std::mutex> lock(mu_);
   for (auto& replica : replicas_) replica->engine->register_bundle(bundle);
 }
 
 void EngineGroup::register_bundle_file(const std::string& path) {
-  for (auto& replica : replicas_) replica->engine->register_bundle_file(path);
+  // One read, outside the lock; a corrupt file throws before any replica
+  // changes, so replica generations never drift apart.
+  register_bundle(aps::io::load_bundle(path));
 }
 
 std::vector<std::string> EngineGroup::registered_monitors() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   return replicas_.front()->engine->registered_monitors();
 }
 
 std::uint64_t EngineGroup::generation() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   return replicas_.front()->engine->generation();
 }
 
@@ -192,7 +200,6 @@ void EngineGroup::record_tenant(Replica& replica, SessionId local,
                                 std::string_view patient_id) {
   if (!admission_->enabled()) return;
   const std::uint32_t tenant = admission_->tenant_index(tenant_of(patient_id));
-  const std::lock_guard<std::mutex> lock(tenant_mu_);
   if (replica.tenant_of_local.size() <= local) {
     replica.tenant_of_local.resize(local + 1, 0);
   }
@@ -207,6 +214,7 @@ SessionId EngineGroup::open_session(const std::string& patient_id,
                     admission_->config().retry_after_ms,
                     "open rejected: serving plane is shedding load");
   }
+  const std::lock_guard<std::mutex> lock(mu_);
   const std::size_t r = replica_of(patient_id);
   Replica& replica = *replicas_[r];
   const SessionId local =
@@ -223,6 +231,7 @@ SessionId EngineGroup::open_session(const std::string& patient_id,
 }
 
 void EngineGroup::close_session(SessionId id) {
+  const std::lock_guard<std::mutex> lock(mu_);
   Replica& replica = checked_replica(id);
   replica.engine->close_session(id & kLocalMask);
   replica.sessions_gauge->set(
@@ -231,6 +240,7 @@ void EngineGroup::close_session(SessionId id) {
 
 std::optional<SessionId> EngineGroup::find_session(
     const std::string& patient_id) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   const std::size_t r = replica_of(patient_id);
   const auto local = replicas_[r]->engine->find_session(patient_id);
   if (!local) return std::nullopt;
@@ -238,16 +248,12 @@ std::optional<SessionId> EngineGroup::find_session(
 }
 
 std::size_t EngineGroup::session_count() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   std::size_t count = 0;
   for (const auto& replica : replicas_) {
     count += replica->engine->session_count();
   }
   return count;
-}
-
-void EngineGroup::feed(std::span<const SessionInput> inputs,
-                       std::span<aps::monitor::Decision> decisions) {
-  feed(inputs, decisions, {});
 }
 
 void EngineGroup::feed(std::span<const SessionInput> inputs,
@@ -264,7 +270,7 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
         " does not match inputs size " + std::to_string(inputs.size()));
   }
   if (inputs.empty()) return;
-  const std::lock_guard<std::mutex> lock(feed_mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   if (stop_.load(std::memory_order_acquire)) throw ShutdownError();
   group_feeds_->add(1);
   const auto tick_start = std::chrono::steady_clock::now();
@@ -279,15 +285,12 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
   feed_shed_.assign(inputs.size(), 0);
   if (adm_state == OverloadState::kShed) {
     feed_tenants_.resize(inputs.size());
-    {
-      const std::lock_guard<std::mutex> tlock(tenant_mu_);
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const Replica& replica = checked_replica(inputs[i].session);
-        const SessionId local = inputs[i].session & kLocalMask;
-        feed_tenants_[i] = local < replica.tenant_of_local.size()
-                               ? replica.tenant_of_local[local]
-                               : 0;
-      }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const Replica& replica = checked_replica(inputs[i].session);
+      const SessionId local = inputs[i].session & kLocalMask;
+      feed_tenants_[i] = local < replica.tenant_of_local.size()
+                             ? replica.tenant_of_local[local]
+                             : 0;
     }
     // Bulk-charge each tenant's bucket once per batch, then grant serves
     // in batch order so a partially-admitted tenant keeps its earliest
@@ -333,14 +336,13 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
   // is chunked so a slow replica's queue can genuinely fill — the
   // occupancy fraction below is the state machine's queue signal.
   const std::size_t chunk = config_.max_ticks_per_job;
-  std::atomic<std::size_t> pending{0};
   std::size_t total_jobs = 0;
   for (const auto& replica : replicas_) {
     const std::size_t n = replica->local_sessions.size();
     if (n == 0) continue;
     total_jobs += chunk == 0 ? 1 : (n + chunk - 1) / chunk;
   }
-  pending.store(total_jobs, std::memory_order_relaxed);
+  pending_.store(total_jobs, std::memory_order_relaxed);
 
   const bool degrade_all = adm_state != OverloadState::kHealthy;
   double worst_frac = 0.0;
@@ -350,7 +352,7 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
     replica->local_decisions.resize(n);
     const std::size_t step = chunk == 0 ? n : chunk;
     for (std::size_t begin = 0; begin < n; begin += step) {
-      TickJob job{&pending, std::chrono::steady_clock::now(), begin,
+      TickJob job{std::chrono::steady_clock::now(), begin,
                   std::min(begin + step, n), degrade_all};
       // Bounded queue: a full queue is explicit backpressure — count it
       // and yield to the (busy) workers rather than growing memory.
@@ -369,10 +371,10 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
     }
   }
 
-  // Barrier: every job reports completion through `pending`.
-  for (std::size_t p = pending.load(std::memory_order_acquire); p != 0;
-       p = pending.load(std::memory_order_acquire)) {
-    pending.wait(p, std::memory_order_acquire);
+  // Barrier: every job reports completion through pending_.
+  for (std::size_t p = pending_.load(std::memory_order_acquire); p != 0;
+       p = pending_.load(std::memory_order_acquire)) {
+    pending_.wait(p, std::memory_order_acquire);
   }
 
   for (auto& replica : replicas_) {
@@ -404,18 +406,22 @@ std::vector<aps::monitor::Decision> EngineGroup::feed(
 
 aps::monitor::Decision EngineGroup::feed_one(
     SessionId id, const aps::monitor::Observation& obs) {
+  const std::lock_guard<std::mutex> lock(mu_);
   return checked_replica(id).engine->feed_one(id & kLocalMask, obs);
 }
 
 void EngineGroup::reset_session(SessionId id) {
+  const std::lock_guard<std::mutex> lock(mu_);
   checked_replica(id).engine->reset_session(id & kLocalMask);
 }
 
 SessionSnapshot EngineGroup::snapshot(SessionId id) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   return checked_replica(id).engine->snapshot(id & kLocalMask);
 }
 
 SessionId EngineGroup::restore(const SessionSnapshot& snap) {
+  const std::lock_guard<std::mutex> lock(mu_);
   const std::size_t r = replica_of(snap.patient_id);
   Replica& replica = *replicas_[r];
   const SessionId local = replica.engine->restore(snap);
@@ -431,10 +437,12 @@ SessionId EngineGroup::restore(const SessionSnapshot& snap) {
 }
 
 SessionStats EngineGroup::stats(SessionId id) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   return checked_replica(id).engine->stats(id & kLocalMask);
 }
 
 std::uint64_t EngineGroup::total_cycles() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t cycles = 0;
   for (const auto& replica : replicas_) {
     cycles += replica->engine->total_cycles();
@@ -443,6 +451,7 @@ std::uint64_t EngineGroup::total_cycles() const {
 }
 
 LatencySummary EngineGroup::latency() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   // Replica 0's percentiles already read the SHARED serve_tick_latency_us
   // series (one registry across the group), so only the exact totals and
   // the per-shard union need merging.
@@ -463,6 +472,7 @@ LatencySummary EngineGroup::latency() const {
 }
 
 void EngineGroup::reset_latency() {
+  const std::lock_guard<std::mutex> lock(mu_);
   for (auto& replica : replicas_) replica->engine->reset_latency();
 }
 

@@ -1,6 +1,5 @@
 // Replica-sharded serving: an EngineGroup partitions sessions across N
-// MonitorEngine replicas by consistent hashing on patient id, scaling the
-// serving plane past one engine = one shard table = one lock.
+// MonitorEngine replicas by consistent hashing on patient id.
 //
 // Topology: each replica owns its own engine (shard tables, sessions,
 // latency series) and ONE dedicated worker thread that drains a bounded
@@ -15,6 +14,14 @@
 // fixed input index. The differential oracle (tests/serve_oracle.h) pins
 // groups of 1, 2 and 8 replicas, chunked or not, to the same scalar
 // reference as a single engine.
+//
+// Thread model: the group is the serving plane's one synchronized object.
+// One mutex guards every public entry that reaches a replica engine, and a
+// feed holds it from fan-out through the barrier; workers only run jobs a
+// feed pushed, so while the lock is free every worker is idle. A
+// register_* call thus reaches every replica as one step, and the queue
+// push and completion counter order engine state between threads. The
+// ring is immutable, so replica_of() and replicas() take no lock.
 //
 // Backpressure and overload: the ingest queues are bounded — a full queue
 // makes feed() spin-yield and count serve_group_backpressure_total rather
@@ -147,17 +154,15 @@ class EngineGroup {
   [[nodiscard]] static std::uint32_t replica_of_session(SessionId id) {
     return id >> kReplicaShift;
   }
-  /// Direct access to one replica engine (tests, introspection).
-  [[nodiscard]] MonitorEngine& replica(std::size_t r) {
-    return *replicas_[r]->engine;
-  }
-
-  // -- Monitor registry (forwarded to every replica; generations stay in
-  //    lockstep because every replica sees the same register_* sequence) --
+  // -- Monitor registry (forwarded to every replica under the group lock;
+  //    generations stay in lockstep because every replica sees the same
+  //    register_* sequence) --
 
   void register_monitor(const std::string& name,
                         aps::sim::MonitorFactory factory, int cohort = -1);
   void register_bundle(const aps::core::ArtifactBundle& bundle);
+  /// Load a bundle file once, then register it on every replica. A
+  /// corrupt/truncated file throws io::IoError before any replica changes.
   void register_bundle_file(const std::string& path);
   [[nodiscard]] std::vector<std::string> registered_monitors() const;
   [[nodiscard]] std::uint64_t generation() const;
@@ -180,17 +185,14 @@ class EngineGroup {
   /// Session ids must be group ids from THIS group; per-replica input
   /// order (and thus multi-input-per-session semantics) follows batch
   /// order. A replica failure (unknown session) is rethrown here after
-  /// all replicas finish their partition.
-  void feed(std::span<const SessionInput> inputs,
-            std::span<aps::monitor::Decision> decisions);
-  /// Admission-aware variant: outcomes[i] says whether inputs[i] was
-  /// served or shed (and why). `outcomes` must match `inputs` in size or
-  /// be empty (identical to the 2-arg overload). A shed input's decision
-  /// is the default no-alarm Decision — check the outcome first. Shedding
-  /// only happens with admission enabled and the group in kShed.
+  /// all replicas finish their partition. When given, outcomes[i] says
+  /// whether inputs[i] was served or shed (and why); it must match
+  /// `inputs` in size or be empty. A shed input's decision is the default
+  /// no-alarm Decision — check the outcome first. Shedding only happens
+  /// with admission enabled and the group in kShed.
   void feed(std::span<const SessionInput> inputs,
             std::span<aps::monitor::Decision> decisions,
-            std::span<TickOutcome> outcomes);
+            std::span<TickOutcome> outcomes = {});
   std::vector<aps::monitor::Decision> feed(
       std::span<const SessionInput> inputs);
   /// Single-session control-path tick, routed directly (no queue, no
@@ -224,12 +226,11 @@ class EngineGroup {
 
  private:
   /// One enqueued tick chunk: the replica's scratch buffers (guarded by
-  /// feed_mu_) hold the payload; the job carries the [begin, end) range
-  /// into them, the completion channel, the enqueue timestamp for
-  /// deadline accounting, and whether admission already decided the
-  /// chunk runs degraded.
+  /// mu_) hold the payload; the job carries the [begin, end) range into
+  /// them, the enqueue timestamp for deadline accounting, and whether
+  /// admission already decided the chunk runs degraded. Completion is
+  /// reported through the group's pending_ counter.
   struct TickJob {
-    std::atomic<std::size_t>* pending = nullptr;
     std::chrono::steady_clock::time_point enqueued;
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -242,7 +243,7 @@ class EngineGroup {
     std::atomic<std::uint64_t> pushed{0};  ///< push ticket (worker wakeup)
     std::thread worker;
     // Per-feed scratch, valid while a job for this replica is in flight
-    // (feed_mu_ serializes group feeds).
+    // (mu_ serializes group feeds).
     std::vector<SessionId> local_sessions;  ///< engine-LOCAL ids
     std::vector<aps::monitor::Observation> local_obs;
     std::vector<aps::monitor::Decision> local_decisions;
@@ -252,8 +253,7 @@ class EngineGroup {
     aps::obs::Gauge* sessions_gauge = nullptr;
     /// Tenant index (AdmissionController::tenant_index) per engine-local
     /// session id; written at open/restore, read by feed's shed pre-pass.
-    /// Guarded by the group's tenant_mu_. Only maintained when admission
-    /// is enabled.
+    /// Guarded by mu_. Only maintained when admission is enabled.
     std::vector<std::uint32_t> tenant_of_local;
 
     explicit Replica(std::size_t queue_capacity) : queue(queue_capacity) {}
@@ -273,11 +273,15 @@ class EngineGroup {
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::atomic<bool> stop_{false};
   std::once_flag shutdown_once_;
-  std::mutex feed_mu_;  ///< serializes group-level feed fan-outs
-  std::mutex tenant_mu_;  ///< guards every replica's tenant_of_local table
+  /// The group lock: guards every replica engine, the replicas' scratch
+  /// and tenant tables, and the feed scratch below (see the thread model).
+  mutable std::mutex mu_;
+  /// Jobs of the in-flight feed not yet finished; workers decrement it,
+  /// the feed's barrier waits for zero.
+  std::atomic<std::size_t> pending_{0};
   aps::obs::Counter* backpressure_ = nullptr;
   aps::obs::Counter* group_feeds_ = nullptr;
-  // Feed-local scratch for the shed pre-pass (guarded by feed_mu_).
+  // Feed-local scratch for the shed pre-pass (guarded by mu_).
   std::vector<std::uint32_t> feed_tenants_;  ///< tenant index per input
   std::vector<std::uint8_t> feed_shed_;      ///< 1 = input shed this feed
 };

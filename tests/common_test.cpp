@@ -216,10 +216,10 @@ TEST(ThreadPool, ConcurrentCallersWaitOnlyForTheirOwnIndices) {
 }
 
 TEST(CliFlags, ParsesAllSyntaxes) {
-  const char* argv[] = {"prog",      "--full",      "--seed=7",
-                        "--name",    "value",       "positional",
-                        "--ratio=0.5"};
-  const CliFlags flags(7, argv);
+  const char* argv[] = {"prog",        "--full",      "--seed=7",
+                        "--name",      "value",       "positional",
+                        "--ratio=0.5", "--no-ml",     "--sede=3"};
+  const CliFlags flags(9, argv);
   EXPECT_TRUE(flags.get_bool("full", false));
   EXPECT_EQ(flags.get_int("seed", 0), 7);
   EXPECT_EQ(flags.get_string("name", ""), "value");
@@ -227,6 +227,16 @@ TEST(CliFlags, ParsesAllSyntaxes) {
   EXPECT_EQ(flags.positional(), std::vector<std::string>{"positional"});
   EXPECT_FALSE(flags.has("missing"));
   EXPECT_EQ(flags.get_int("missing", 42), 42);
+  // Unknown flags: every flag no getter consulted, a retired one and a
+  // misspelt one alike; reject_unknown() names them and exits 2.
+  EXPECT_EQ(flags.unknown(), (std::vector<std::string>{"no-ml", "sede"}));
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(flags.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --no-ml\nunknown flag --sede");
+  EXPECT_TRUE(flags.get_bool("no-ml", false));
+  EXPECT_EQ(flags.get_int("sede", 0), 3);
+  EXPECT_TRUE(flags.unknown().empty());
+  flags.reject_unknown();  // every flag consulted: returns
 }
 
 TEST(Units, EnumToString) {

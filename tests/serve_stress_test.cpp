@@ -1,29 +1,34 @@
-// Concurrency stress for the internally synchronized serving engine: many
-// frontend threads hammer open_session / feed / snapshot / restore /
-// close_session while a reloader thread swaps model generations under
-// them. Every worker verifies its own sessions' decision streams inline
-// against standalone reference monitors, so a lost update or a cross-wired
-// lane (a session reading another session's state) fails deterministically
-// — and the ThreadSanitizer CI job (APS_SANITIZE=thread) flags any data
-// race on the shared registry/shard state.
+// Concurrency stress for the serving plane's one synchronized object, the
+// replica group: many frontend threads hammer open_session / feed /
+// snapshot / restore / close_session on one EngineGroup while a reloader
+// thread swaps model generations under them and a scraper renders the
+// registry. Every worker verifies its own sessions' decision streams
+// inline against standalone reference monitors, so a lost update or a
+// cross-wired lane (a session reading another session's state) fails
+// deterministically — and the ThreadSanitizer CI job (APS_SANITIZE=thread)
+// flags any data race between the group lock, the replica workers and the
+// unsynchronized engines behind them.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/engine.h"
+#include "serve/group.h"
 #include "synthetic_util.h"
 
 namespace {
 
 using namespace aps;
 
+constexpr std::size_t kReplicas = 3;
 constexpr int kWorkers = 7;       // + 1 reloader = 8 hammering threads
 constexpr int kRounds = 6;        // open/feed/churn/close cycles per worker
 constexpr int kSessionsPerWorker = 4;
@@ -33,13 +38,25 @@ constexpr int kCohort = 4;
 
 using testutil::rule_bundle;
 
+std::string patient_name(int worker, int round, int session) {
+  return std::string("w")
+      .append(std::to_string(worker))
+      .append("-r")
+      .append(std::to_string(round))
+      .append("-s")
+      .append(std::to_string(session));
+}
+
 TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
   const auto bundle = rule_bundle();
   // Private registry: the final counter-consistency checks below are exact
   // only when nothing else in the process reports into the same series.
   obs::Registry registry;
-  serve::MonitorEngine engine({.registry = &registry});
-  engine.register_bundle(bundle);
+  serve::GroupConfig config;
+  config.replicas = kReplicas;
+  config.engine.registry = &registry;
+  serve::EngineGroup group(config);
+  group.register_bundle(bundle);
 
   // Worker-side failures are collected and reported from the main thread.
   std::mutex failures_mu;
@@ -51,10 +68,11 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
 
   // Reloader: the bundle content is identical every time, so decisions are
   // generation-invariant and worker verification stays exact — but every
-  // registration is a full atomic registry swap racing the workers.
+  // registration is a full registry swap on every replica racing the
+  // workers.
   std::thread reloader([&] {
     for (int r = 0; r < kReloads; ++r) {
-      engine.register_bundle(bundle);
+      group.register_bundle(bundle);
       std::this_thread::yield();
     }
   });
@@ -94,11 +112,8 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
           for (int s = 0; s < kSessionsPerWorker; ++s) {
             const std::string kind = (s % 2 == 0) ? "cawt" : "guideline";
             const int index = (w + s) % kCohort;
-            const std::string patient = "w" + std::to_string(w) + "-r" +
-                                        std::to_string(round) + "-s" +
-                                        std::to_string(s);
             Ref ref;
-            ref.id = engine.open_session(patient, kind, index);
+            ref.id = group.open_session(patient_name(w, round, s), kind, index);
             ref.reference = core::factory_from_bundle(bundle, kind)(index);
             ref.stream = testutil::synth_stream(
                 kSteps + 8, 100 + 17 * static_cast<std::uint64_t>(w) +
@@ -112,7 +127,7 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
             for (auto& ref : sessions) {
               batch.push_back({ref.id, ref.stream[ref.step]});
             }
-            const auto decisions = engine.feed(batch);
+            const auto decisions = group.feed(batch);
             for (std::size_t s = 0; s < sessions.size(); ++s) {
               auto& ref = sessions[s];
               const auto want = ref.reference->observe(ref.stream[ref.step]);
@@ -132,11 +147,11 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
           {
             auto& ref = sessions[static_cast<std::size_t>(round) %
                                  sessions.size()];
-            const serve::SessionSnapshot snap = engine.snapshot(ref.id);
-            engine.close_session(ref.id);
-            ref.id = engine.restore(snap);
+            const serve::SessionSnapshot snap = group.snapshot(ref.id);
+            group.close_session(ref.id);
+            ref.id = group.restore(snap);
             for (int extra = 0; extra < 8; ++extra) {
-              const auto got = engine.feed_one(ref.id, ref.stream[ref.step]);
+              const auto got = group.feed_one(ref.id, ref.stream[ref.step]);
               const auto want =
                   ref.reference->observe(ref.stream[ref.step]);
               ++ref.step;
@@ -147,7 +162,7 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
             }
           }
 
-          for (auto& ref : sessions) engine.close_session(ref.id);
+          for (auto& ref : sessions) group.close_session(ref.id);
         }
       } catch (const std::exception& e) {
         fail("worker " + std::to_string(w) + " threw: " + e.what());
@@ -161,29 +176,46 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
   scraper.join();
 
   for (const auto& message : failures) ADD_FAILURE() << message;
-  EXPECT_EQ(engine.session_count(), 0u);
-  EXPECT_EQ(engine.generation(), 1u + kReloads);
+  EXPECT_EQ(group.session_count(), 0u);
+  EXPECT_EQ(group.generation(), 1u + kReloads);
   // Total served cycles: every worker fed kSteps batched + 8 extra cycles
   // per session-churn round.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kWorkers) * kRounds *
       (kSteps * kSessionsPerWorker + 8);
-  EXPECT_EQ(engine.total_cycles(), expected);
+  EXPECT_EQ(group.total_cycles(), expected);
+
+  // Engine ticks: a group feed is one tick on every replica its batch
+  // touches (a restore keeps the session on its ring-owned replica), and
+  // each feed_one is one tick on the owning replica.
+  std::uint64_t engine_ticks = 0;
+  for (int w = 0; w < kWorkers; ++w) {
+    for (int round = 0; round < kRounds; ++round) {
+      std::set<std::size_t> touched;
+      for (int s = 0; s < kSessionsPerWorker; ++s) {
+        touched.insert(group.replica_of(patient_name(w, round, s)));
+      }
+      engine_ticks += kSteps * touched.size() + 8;
+    }
+  }
 
   // With the workers quiesced, the sharded relaxed-atomic counters must
   // have lost nothing: every lifecycle event reconciles exactly.
   const std::uint64_t rounds_total =
       static_cast<std::uint64_t>(kWorkers) * kRounds;
   EXPECT_EQ(registry.counter_value("serve_cycles_total"), expected);
-  EXPECT_EQ(registry.counter_value("serve_ticks_total"),
-            rounds_total * kSteps + rounds_total * 8);
+  EXPECT_EQ(registry.counter_value("serve_ticks_total"), engine_ticks);
+  EXPECT_EQ(registry.counter_value("serve_group_feeds_total"),
+            rounds_total * kSteps);
   EXPECT_EQ(registry.counter_value("serve_sessions_opened_total"),
             rounds_total * kSessionsPerWorker);
   EXPECT_EQ(registry.counter_value("serve_sessions_restored_total"),
             rounds_total);
   EXPECT_EQ(registry.counter_value("serve_sessions_closed_total"),
             rounds_total * (kSessionsPerWorker + 1));
-  EXPECT_EQ(registry.counter_value("serve_reloads_total"), 1u + kReloads);
+  // Every register_bundle reaches every replica once.
+  EXPECT_EQ(registry.counter_value("serve_reloads_total"),
+            kReplicas * (1u + kReloads));
   EXPECT_EQ(registry.gauge_value("serve_sessions_open"), 0.0);
 
   // Final scrape doubles as the CI metrics artifact: the workflow uploads
@@ -192,6 +224,120 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
                     std::ios::binary | std::ios::trunc);
   out << registry.scrape_prometheus();
   ASSERT_TRUE(out.good());
+}
+
+// Two threads reload different models under the same monitor names at the
+// same moment, many times over. A register_* call must reach every replica
+// as one step: if the two calls interleave across replicas, some replicas
+// end on one model and the rest on the other, at the same generation.
+// After every race, one session per replica replays the same stream and
+// all of them must decide alike — and like one of the two models.
+TEST(ServeStress, ConcurrentReloadsLeaveEveryReplicaOnOneModel) {
+  constexpr std::size_t kGroupReplicas = 4;
+  constexpr int kRaces = 1000;
+  constexpr std::size_t kProbeSteps = 24;
+
+  const auto bundle_a = rule_bundle();
+  auto bundle_b = rule_bundle();
+  for (auto& guideline : bundle_b.artifacts.guideline_configs) {
+    guideline.lambda10 -= 10.0;
+  }
+
+  // The probe stream must tell the two models apart: a steady BG between
+  // the two models' 10th percentiles (and above the hard low limit) trips
+  // only A's sustained-low rule.
+  auto stream = testutil::synth_stream(kProbeSteps, 4242);
+  for (auto& obs : stream) {
+    obs.bg = 76.0;
+    obs.bg_rate = 0.0;
+  }
+  const auto reference_decisions = [&](const core::ArtifactBundle& bundle) {
+    const auto monitor = core::factory_from_bundle(bundle, "guideline")(0);
+    std::vector<monitor::Decision> decisions;
+    for (const auto& obs : stream) decisions.push_back(monitor->observe(obs));
+    return decisions;
+  };
+  const auto same = [](const std::vector<monitor::Decision>& a,
+                       const std::vector<monitor::Decision>& b) {
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (!testutil::decisions_equal(a[k], b[k])) return false;
+    }
+    return true;
+  };
+  const auto want_a = reference_decisions(bundle_a);
+  const auto want_b = reference_decisions(bundle_b);
+  ASSERT_FALSE(same(want_a, want_b)) << "probe stream cannot tell A from B";
+
+  obs::Registry registry;
+  serve::GroupConfig config;
+  config.replicas = kGroupReplicas;
+  config.engine.registry = &registry;
+  serve::EngineGroup group(config);
+  group.register_bundle(bundle_a);
+
+  // One probe patient owned by each replica.
+  std::vector<std::string> probes(kGroupReplicas);
+  std::size_t found = 0;
+  for (int i = 0; found < kGroupReplicas; ++i) {
+    const std::string id = "probe-" + std::to_string(i);
+    std::string& slot = probes[group.replica_of(id)];
+    if (slot.empty()) {
+      slot = id;
+      ++found;
+    }
+  }
+
+  // Each race: both reloaders wait at the start line, register at once,
+  // then meet the checker at the finish line.
+  std::barrier<> line(3);
+  const auto reloader = [&](const core::ArtifactBundle& bundle) {
+    for (int race = 0; race < kRaces; ++race) {
+      line.arrive_and_wait();
+      group.register_bundle(bundle);
+      line.arrive_and_wait();
+    }
+  };
+  std::thread reload_a(reloader, std::cref(bundle_a));
+  std::thread reload_b(reloader, std::cref(bundle_b));
+
+  int split_races = 0;
+  int first_split = -1;
+  for (int race = 0; race < kRaces; ++race) {
+    line.arrive_and_wait();
+    line.arrive_and_wait();
+    std::vector<serve::SessionId> ids;
+    for (const auto& patient : probes) {
+      ids.push_back(group.open_session(patient, "guideline", 0));
+    }
+    std::vector<serve::SessionInput> batch;
+    for (const auto& obs : stream) {
+      for (const auto id : ids) batch.push_back({id, obs});
+    }
+    const auto decisions = group.feed(batch);
+    for (const auto id : ids) group.close_session(id);
+
+    std::vector<std::vector<monitor::Decision>> per_replica(kGroupReplicas);
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      per_replica[i % kGroupReplicas].push_back(decisions[i]);
+    }
+    bool split =
+        !same(per_replica[0], want_a) && !same(per_replica[0], want_b);
+    for (std::size_t r = 1; r < kGroupReplicas; ++r) {
+      split = split || !same(per_replica[r], per_replica[0]);
+    }
+    if (split) {
+      ++split_races;
+      if (first_split < 0) first_split = race;
+    }
+  }
+  reload_a.join();
+  reload_b.join();
+
+  EXPECT_EQ(split_races, 0) << "replicas served different models after "
+                            << split_races << " of " << kRaces
+                            << " concurrent reloads (first: race "
+                            << first_split << ")";
+  EXPECT_EQ(group.generation(), 1u + 2u * kRaces);
 }
 
 }  // namespace
