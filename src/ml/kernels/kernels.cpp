@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "ml/kernels/kernels_detail.h"
@@ -321,21 +322,26 @@ void affine(const double* x, double a, double b, double* out, std::size_t n) {
 
 void lstm_gates(const double* z, double* c, double* h, double* out,
                 std::size_t lanes, std::size_t hidden) {
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const double* zr = z + lane * 4 * hidden;
-    double* cr = c + lane * hidden;
-    double* hr = h + lane * hidden;
-    double* outr = out + lane * hidden;
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const double gi = 1.0 / (1.0 + std::exp(-zr[j]));
-      const double gf = 1.0 / (1.0 + std::exp(-zr[hidden + j]));
-      const double gg = std::tanh(zr[2 * hidden + j]);
-      const double go = 1.0 / (1.0 + std::exp(-zr[3 * hidden + j]));
-      cr[j] = gf * cr[j] + gi * gg;
-      const double tanh_c = std::tanh(cr[j]);
-      hr[j] = go * tanh_c;
-      outr[j] = hr[j];
+  lstm_gates_portable(z, c, h, out, lanes, hidden);
+}
+
+void lstm_gates_cached(const double* z, const double* c_prev,
+                       const LstmGateCache& cache, std::size_t lanes,
+                       std::size_t hidden) {
+  lstm_gates_cached_portable(z, c_prev, cache, lanes, hidden);
+}
+
+void softmax_rows(double* x, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* row = x + r * cols;
+    double max_v = -std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < cols; ++c) max_v = std::max(max_v, row[c]);
+    double sum = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      row[c] = exp_f64_impl(row[c] - max_v);
+      sum += row[c];
     }
+    for (std::size_t c = 0; c < cols; ++c) row[c] /= sum;
   }
 }
 
@@ -358,6 +364,10 @@ void add_bias_rows_f32(float* z, const float* bias, std::size_t rows,
 void relu_f32(float* x, std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) x[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
+
+double exp_f64(double x) { return exp_f64_impl(x); }
+double sigmoid_f64(double x) { return sigmoid_f64_impl(x); }
+double tanh_f64(double x) { return tanh_f64_impl(x); }
 
 float fast_expf(float x) { return fast_expf_impl(x); }
 float fast_tanhf(float x) { return fast_tanhf_impl(x); }

@@ -16,7 +16,11 @@
 // the build pins -ffp-contract=off), and the legacy skip of zero left-hand
 // multipliers. SIMD vectorizes across OUTPUT COLUMNS only, which reorders
 // nothing, so float64 results are bit-identical across scalar/AVX2/NEON
-// and to the pre-kernel code. The SIMD backends take the zero skip without
+// and to the pre-kernel code. The transcendentals (exp, sigmoid, tanh in
+// the gate pass and the softmax) are the in-repo functions below, not
+// libm: "bit-identical" means the same in-repo op sequence on every
+// backend and every host, whichever exp/tanh the host's libm would pick.
+// The SIMD backends take the zero skip without
 // a branch per multiplier: a row (or, for gemm_tn_accum, a column) of the
 // left-hand operand that holds a zero is first compacted into the
 // ascending list of its nonzero indices, and every column tile walks that
@@ -108,11 +112,51 @@ void affine(const double* x, double a, double b, double* out, std::size_t n);
 /// Fused LSTM gate update over a lane-major batch: z is (lanes x 4*hidden)
 /// pre-activations in gate order [i f g o]; c and h are (lanes x hidden)
 /// cell/hidden state, updated in place; out (lanes x hidden) receives the
-/// new hidden state (the layer output for this step). Transcendentals are
-/// std::exp / std::tanh — scalar per element on every backend, so the pass
-/// is bit-identical to the legacy per-lane gate loop.
+/// new hidden state (the layer output for this step). Per element:
+///   i = sigmoid(z_i), f = sigmoid(z_f), g = tanh(z_g), o = sigmoid(z_o),
+///   c = f * c + i * g, h = o * tanh(c),
+/// with the in-repo sigmoid_f64 / tanh_f64 below. The backends vectorize
+/// that one op sequence across hidden units, so every backend is
+/// bit-identical to a naive loop over sigmoid_f64 / tanh_f64. The four
+/// buffers must not overlap.
 void lstm_gates(const double* z, double* c, double* h, double* out,
                 std::size_t lanes, std::size_t hidden);
+
+/// Where the training form of the gate pass stores one step's activations,
+/// each (lanes x hidden) row-major: the gates, the new cell state, its tanh
+/// and the new hidden state.
+struct LstmGateCache {
+  double* i = nullptr;
+  double* f = nullptr;
+  double* g = nullptr;
+  double* o = nullptr;
+  double* c = nullptr;
+  double* tanh_c = nullptr;
+  double* h = nullptr;
+};
+
+/// lstm_gates for training: the same per-element sequence, reading the
+/// previous cell state from c_prev (lanes x hidden; nullptr at t = 0, where
+/// it is zero) and writing every activation BPTT needs to `cache`.
+void lstm_gates_cached(const double* z, const double* c_prev,
+                       const LstmGateCache& cache, std::size_t lanes,
+                       std::size_t hidden);
+
+/// Row-wise softmax in place over a (rows x cols) row-major block: shift
+/// by the row maximum, exp_f64, sum in ascending column order, divide.
+/// The one softmax of the MLP and LSTM heads, f64 and f32 paths alike.
+void softmax_rows(double* x, std::size_t rows, std::size_t cols);
+
+/// The in-repo float64 transcendentals behind lstm_gates and softmax_rows
+/// (Cephes' exp.c / tanh.c, branch free, no FMA). Over the whole double
+/// range exp_f64 is within 2 ulp of the true value, sigmoid_f64 within
+/// 2.5 ulp and tanh_f64 within 1.5 ulp; NaN maps to NaN, sigmoid
+/// saturates to exactly 0 and 1, tanh to exactly -1 and 1, and
+/// tanh_f64(-0) is -0. Exposed for the accuracy pins in
+/// tests/kernels_test.cpp.
+[[nodiscard]] double exp_f64(double x);
+[[nodiscard]] double sigmoid_f64(double x);
+[[nodiscard]] double tanh_f64(double x);
 
 // ---- float32 kernels (serving inference; tolerance-pinned) -----------------
 

@@ -10,29 +10,6 @@
 
 namespace aps::ml {
 
-namespace {
-
-double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-double gate_tanh(double x) { return std::tanh(x); }
-
-void softmax_in_place(std::span<double> logits) {
-  const double max_logit =
-      *std::max_element(logits.begin(), logits.end());
-  double sum = 0.0;
-  for (auto& v : logits) {
-    v = std::exp(v - max_logit);
-    sum += v;
-  }
-  for (auto& v : logits) v /= sum;
-}
-
-std::vector<double> softmax(std::vector<double> logits) {
-  softmax_in_place(logits);
-  return logits;
-}
-
-}  // namespace
-
 Lstm::Lstm(LstmConfig config) : config_(std::move(config)) {}
 
 std::size_t Lstm::parameter_count() const {
@@ -106,17 +83,8 @@ std::vector<double> Lstm::forward(const Matrix& window) const {
       const std::span<const double> x_t(current.data() + t * width, width);
       vec_matmul_add(x_t, layer.w, z);
       vec_matmul_add(std::span<const double>(h), layer.u, z);
-
-      double* out_t = next.data() + t * h_size;
-      for (std::size_t j = 0; j < h_size; ++j) {
-        const double gi = sigmoid(z[j]);
-        const double gf = sigmoid(z[h_size + j]);
-        const double gg = gate_tanh(z[2 * h_size + j]);
-        const double go = sigmoid(z[3 * h_size + j]);
-        c[j] = gf * c[j] + gi * gg;
-        h[j] = go * gate_tanh(c[j]);
-        out_t[j] = h[j];
-      }
+      kernels::lstm_gates(z.data(), c.data(), h.data(),
+                          next.data() + t * h_size, 1, h_size);
     }
     width = h_size;
     current.swap(next);
@@ -130,7 +98,8 @@ std::vector<double> Lstm::forward(const Matrix& window) const {
     logits[cidx] = head_b.at(0, cidx);
   }
   vec_matmul_add(last, head_w, logits);
-  return softmax(std::move(logits));
+  kernels::softmax_rows(logits.data(), 1, logits.size());
+  return logits;
 }
 
 Lstm::StackGradients Lstm::zero_gradients() const {
@@ -208,7 +177,8 @@ void Lstm::load_chunk(const SequenceDataset& data,
 
 // Batched like predict_batch_standardized: per step, one bias fill and two
 // B-row GEMMs, whose row `lane` performs exactly forward()'s per-window
-// op sequence, then forward()'s gate expressions, cached for BPTT.
+// op sequence, then the gate pass forward() runs, caching every activation
+// for BPTT.
 void Lstm::forward_chunk(ChunkWorkspace& ws) const {
   const std::size_t lanes = ws.lanes;
   const std::size_t steps = ws.steps;
@@ -229,21 +199,13 @@ void Lstm::forward_chunk(ChunkWorkspace& ws) const {
         kernels::gemm_accum(lc.h.data() + (t - 1) * lanes * h_size,
                             layer.u.data(), z, lanes, h_size, 4 * h_size);
       }
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const double* zr = z + lane * 4 * h_size;
-        const std::size_t base = (t * lanes + lane) * h_size;
-        for (std::size_t j = 0; j < h_size; ++j) {
-          const std::size_t at = base + j;
-          const double c_prev = t > 0 ? lc.c[at - lanes * h_size] : 0.0;
-          lc.i[at] = sigmoid(zr[j]);
-          lc.f[at] = sigmoid(zr[h_size + j]);
-          lc.g[at] = gate_tanh(zr[2 * h_size + j]);
-          lc.o[at] = sigmoid(zr[3 * h_size + j]);
-          lc.c[at] = lc.f[at] * c_prev + lc.i[at] * lc.g[at];
-          lc.tanh_c[at] = gate_tanh(lc.c[at]);
-          lc.h[at] = lc.o[at] * lc.tanh_c[at];
-        }
-      }
+      const std::size_t step = t * lanes * h_size;
+      kernels::lstm_gates_cached(
+          z, t > 0 ? lc.c.data() + step - lanes * h_size : nullptr,
+          {lc.i.data() + step, lc.f.data() + step, lc.g.data() + step,
+           lc.o.data() + step, lc.c.data() + step, lc.tanh_c.data() + step,
+           lc.h.data() + step},
+          lanes, h_size);
     }
     in = lc.h.data();
     width = h_size;
@@ -254,10 +216,7 @@ void Lstm::forward_chunk(ChunkWorkspace& ws) const {
   kernels::fill_bias_rows(ws.probs.data(), head_b.data(), lanes, classes);
   kernels::gemm_accum(in + (steps - 1) * lanes * width, head_w.data(),
                       ws.probs.data(), lanes, width, classes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    softmax_in_place(std::span<double>(ws.probs.data() + lane * classes,
-                                       classes));
-  }
+  kernels::softmax_rows(ws.probs.data(), lanes, classes);
 }
 
 void Lstm::backward_chunk(ChunkWorkspace& ws) const {
@@ -642,18 +601,21 @@ void Lstm::predict_batch_standardized(std::span<const double> x,
 
   // Dense head on each lane's final hidden state.
   const std::size_t classes = head_b.cols();
-  std::vector<double> logits(classes);
+  std::vector<double> probs(n * classes);
   for (std::size_t i = 0; i < n; ++i) {
+    const std::span<double> logits(probs.data() + i * classes, classes);
     for (std::size_t cidx = 0; cidx < classes; ++cidx) {
       logits[cidx] = head_b.at(0, cidx);
     }
     const std::span<const double> last(
         current.data() + ((steps - 1) * n + i) * width, width);
     vec_matmul_add(last, head_w, logits);
-    // Same softmax + first-maximum argmax as predict() for bit-identity.
-    const auto probs = softmax(logits);
-    out[i] = static_cast<int>(
-        std::max_element(probs.begin(), probs.end()) - probs.begin());
+  }
+  // Same softmax + first-maximum argmax as predict() for bit-identity.
+  kernels::softmax_rows(probs.data(), n, classes);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = probs.data() + i * classes;
+    out[i] = static_cast<int>(std::max_element(row, row + classes) - row);
   }
 }
 
@@ -719,11 +681,10 @@ void Lstm::forward_batch_f32(std::span<const float> x, std::size_t n,
     current.swap(next);
   }
 
-  // Dense head per lane; softmax in double over the float32 logits, same
-  // shift-by-max form as the float64 path.
+  // Dense head per lane; the float64 path's softmax, in double over the
+  // float32 logits.
   const std::size_t classes = head_b.cols();
   probs.resize(n * classes);
-  std::vector<double> logits(classes);
   for (std::size_t i = 0; i < n; ++i) {
     const float* last = current.data() + ((steps - 1) * n + i) * width;
     for (std::size_t cidx = 0; cidx < classes; ++cidx) {
@@ -731,12 +692,10 @@ void Lstm::forward_batch_f32(std::span<const float> x, std::size_t n,
       for (std::size_t r = 0; r < width; ++r) {
         s += last[r] * wts->head_w[r * classes + cidx];
       }
-      logits[cidx] = static_cast<double>(s);
+      probs[i * classes + cidx] = static_cast<double>(s);
     }
-    const auto lane_probs = softmax(logits);
-    std::copy(lane_probs.begin(), lane_probs.end(),
-              probs.begin() + static_cast<long>(i * classes));
   }
+  kernels::softmax_rows(probs.data(), n, classes);
 }
 
 void Lstm::predict_batch_standardized_f32(std::span<const float> x,

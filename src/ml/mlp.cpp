@@ -17,22 +17,6 @@ namespace {
 /// order — is identical no matter how many workers execute it.
 constexpr std::size_t kGradChunkRows = 16;
 
-void softmax_rows(double* logits, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* row = logits + r * cols;
-    double max_logit = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < cols; ++c) {
-      max_logit = std::max(max_logit, row[c]);
-    }
-    double sum = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - max_logit);
-      sum += row[c];
-    }
-    for (std::size_t c = 0; c < cols; ++c) row[c] /= sum;
-  }
-}
-
 double class_weight(std::span<const double> cw, std::size_t label) {
   return cw.empty() ? 1.0 : cw[label];
 }
@@ -92,7 +76,7 @@ void Mlp::forward_chunk(ChunkWorkspace& ws, DropoutStream* dropout) const {
         }
       }
     } else {
-      softmax_rows(z, n, w.cols());
+      kernels::softmax_rows(z, n, w.cols());
     }
   }
 }
@@ -450,23 +434,9 @@ void Mlp::forward_f32(const Matrix& x, std::vector<double>& probs) const {
     act.swap(z);
     width = out_dim;
   }
-  // Softmax in double over the float32 logits, same shift-by-max form as
-  // the float64 path.
-  probs.resize(n * width);
-  for (std::size_t r = 0; r < n; ++r) {
-    const float* row = act.data() + r * width;
-    double max_logit = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < width; ++c) {
-      max_logit = std::max(max_logit, static_cast<double>(row[c]));
-    }
-    double sum = 0.0;
-    for (std::size_t c = 0; c < width; ++c) {
-      const double e = std::exp(static_cast<double>(row[c]) - max_logit);
-      probs[r * width + c] = e;
-      sum += e;
-    }
-    for (std::size_t c = 0; c < width; ++c) probs[r * width + c] /= sum;
-  }
+  // The float64 path's softmax, in double over the float32 logits.
+  probs.assign(act.begin(), act.end());
+  kernels::softmax_rows(probs.data(), n, width);
 }
 
 std::vector<int> Mlp::predict_batch_f32(const Matrix& features) const {

@@ -7,10 +7,12 @@
 // from none to all (the SIMD zero skip is compacted). adam_update is held
 // to the same bit-identity against the optimizer's scalar loop. The float32
 // kernels must be bitwise backend-invariant and tolerance-close to a
-// float64 reference (max ulp distance is recorded per test); the
-// polynomial fast_expf/fast_tanhf carry their own accuracy pins.
+// float64 reference (max ulp distance is recorded per test). The in-repo
+// float64 exp/sigmoid/tanh behind the gate pass and the softmax, and the
+// polynomial fast_expf/fast_tanhf, carry their own accuracy and edge pins.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -70,6 +72,9 @@ void ref_gemm_nt(const double* a, const double* b, double* c, std::size_t m,
   }
 }
 
+// The gate update as a naive per-element loop over the kernel layer's
+// scalar transcendentals: the reference every backend's vectorized gate
+// pass must reproduce bit for bit.
 void ref_lstm_gates(const double* z, double* c, double* h, double* out,
                     std::size_t lanes, std::size_t hidden) {
   for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -78,12 +83,12 @@ void ref_lstm_gates(const double* z, double* c, double* h, double* out,
     double* hr = h + lane * hidden;
     double* outr = out + lane * hidden;
     for (std::size_t j = 0; j < hidden; ++j) {
-      const double gi = 1.0 / (1.0 + std::exp(-zr[j]));
-      const double gf = 1.0 / (1.0 + std::exp(-zr[hidden + j]));
-      const double gg = std::tanh(zr[2 * hidden + j]);
-      const double go = 1.0 / (1.0 + std::exp(-zr[3 * hidden + j]));
+      const double gi = kernels::sigmoid_f64(zr[j]);
+      const double gf = kernels::sigmoid_f64(zr[hidden + j]);
+      const double gg = kernels::tanh_f64(zr[2 * hidden + j]);
+      const double go = kernels::sigmoid_f64(zr[3 * hidden + j]);
       cr[j] = gf * cr[j] + gi * gg;
-      hr[j] = go * std::tanh(cr[j]);
+      hr[j] = go * kernels::tanh_f64(cr[j]);
       outr[j] = hr[j];
     }
   }
@@ -522,14 +527,16 @@ TEST(KernelAdamF64, UpdateBitIdenticalToScalarLoopAllBackends) {
   }
 }
 
-TEST(KernelLstmGatesF64, BitIdenticalToLegacyGateLoopAllBackends) {
+TEST(KernelLstmGatesF64, BitIdenticalToNaiveGateLoopAllBackends) {
   BackendGuard guard;
   Rng rng(808);
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}}) {
     for (const std::size_t hidden : {std::size_t{3}, std::size_t{8},
                                      std::size_t{17}}) {
-      const auto z = random_vec(lanes * 4 * hidden, rng, 0.0);
+      // Pre-activations up to about +-24, past where the gates saturate.
+      auto z = random_vec(lanes * 4 * hidden, rng, 0.05);
+      for (auto& v : z) v *= 6.0;
       const auto c0 = random_vec(lanes * hidden, rng, 0.0);
       const auto h0 = random_vec(lanes * hidden, rng, 0.0);
       auto cw = c0, hw = h0;
@@ -546,6 +553,49 @@ TEST(KernelLstmGatesF64, BitIdenticalToLegacyGateLoopAllBackends) {
                     bitwise_equal(outw, outg))
             << "lanes=" << lanes << " hidden=" << hidden << " backend "
             << kernels::to_string(backend);
+      }
+    }
+  }
+}
+
+// The training pass caches what the inference pass computes: the same
+// c and h bit for bit, with i/f/g/o/tanh_c from the same scalar functions,
+// and a null c_prev (t = 0) reads as a zero cell state.
+TEST(KernelLstmGatesF64, CachedPassMatchesInferencePassAllBackends) {
+  BackendGuard guard;
+  Rng rng(909);
+  const std::size_t lanes = 9, hidden = 13, n = lanes * hidden;
+  auto z = random_vec(lanes * 4 * hidden, rng, 0.05);
+  for (auto& v : z) v *= 6.0;
+  const auto c_prev = random_vec(n, rng, 0.0);
+  for (const bool first : {true, false}) {
+    std::vector<double> cw = first ? std::vector<double>(n, 0.0) : c_prev;
+    std::vector<double> hw(n), outw(n);
+    ref_lstm_gates(z.data(), cw.data(), hw.data(), outw.data(), lanes,
+                   hidden);
+    for (const auto backend : kernels::compiled_backends()) {
+      kernels::set_backend(backend);
+      std::vector<double> i(n), f(n), g(n), o(n), c(n), tanh_c(n), h(n);
+      kernels::lstm_gates_cached(
+          z.data(), first ? nullptr : c_prev.data(),
+          {i.data(), f.data(), g.data(), o.data(), c.data(), tanh_c.data(),
+           h.data()},
+          lanes, hidden);
+      const std::string where = std::string("backend ") +
+                                kernels::to_string(backend) +
+                                (first ? " t=0" : " t>0");
+      ASSERT_TRUE(bitwise_equal(cw, c) && bitwise_equal(hw, h)) << where;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        for (std::size_t j = 0; j < hidden; ++j) {
+          const double* zr = z.data() + lane * 4 * hidden;
+          const std::size_t at = lane * hidden + j;
+          ASSERT_EQ(i[at], kernels::sigmoid_f64(zr[j])) << where;
+          ASSERT_EQ(f[at], kernels::sigmoid_f64(zr[hidden + j])) << where;
+          ASSERT_EQ(g[at], kernels::tanh_f64(zr[2 * hidden + j])) << where;
+          ASSERT_EQ(o[at], kernels::sigmoid_f64(zr[3 * hidden + j]))
+              << where;
+          ASSERT_EQ(tanh_c[at], kernels::tanh_f64(c[at])) << where;
+        }
       }
     }
   }
@@ -658,6 +708,127 @@ TEST(KernelFastMath, PolynomialExpAndTanhAccuracyPins) {
   EXPECT_EQ(kernels::fast_tanhf(-40.0f), -1.0f);
   EXPECT_EQ(kernels::fast_expf(0.0f), 1.0f);
   EXPECT_EQ(kernels::fast_tanhf(0.0f), 0.0f);
+}
+
+// ---- float64 transcendentals: accuracy and edge cases ----------------------
+
+/// Error of `got` in units in the last place of the double nearest the
+/// long double reference (subnormal ulps below the normal range).
+double ulp_error(double got, long double ref) {
+  int e = 0;
+  (void)std::frexp(ref, &e);
+  const long double ulp = std::ldexp(1.0L, std::max(e - 53, -1074));
+  return static_cast<double>(std::fabs(static_cast<long double>(got) - ref) /
+                             ulp);
+}
+
+// Stated bounds: exp_f64 <= 2 ulp, sigmoid_f64 <= 2.5 ulp, tanh_f64 <= 1.5
+// ulp against a long double reference, over a grid that spans the whole
+// finite domain: a fine sweep of [-40, 40] (both sigmoid tails saturate
+// there), a coarser sweep of exp's full [-746, 710] range including the
+// subnormal results below -708, and subnormal and tiny arguments. Measured
+// on x86-64 (80-bit long double): 1.57, 2.22 and 1.02 ulp on this grid, and
+// 1.68, 2.43 and 1.33 on a sweep of [-20, 20] at 1e-5 plus [-800, 800] at
+// 1e-3.
+TEST(KernelMathF64, UlpBoundsAgainstLongDoubleReference) {
+  if (std::numeric_limits<long double>::digits <= 53) {
+    GTEST_SKIP() << "long double has no extra precision here";
+  }
+  std::vector<double> xs;
+  for (int i = -40000; i <= 40000; ++i) xs.push_back(i * 1e-3);
+  for (int i = -74600; i <= 71000; ++i) xs.push_back(i * 1e-2 + 3.7e-5);
+  for (int k = -1074; k <= -1000; ++k) {
+    xs.push_back(std::ldexp(1.0, k));
+    xs.push_back(-std::ldexp(1.0, k));
+    xs.push_back(std::ldexp(1.0, k / 2));
+    xs.push_back(-std::ldexp(1.0, k / 2));
+  }
+  double max_exp = 0.0, max_sig = 0.0, max_tanh = 0.0;
+  for (const double x : xs) {
+    const long double lx = x;
+    // Results past the double range are pinned exactly below.
+    if (x < 709.7) {
+      max_exp = std::max(max_exp, ulp_error(kernels::exp_f64(x), expl(lx)));
+    }
+    max_sig = std::max(max_sig, ulp_error(kernels::sigmoid_f64(x),
+                                          1.0L / (1.0L + expl(-lx))));
+    max_tanh = std::max(max_tanh, ulp_error(kernels::tanh_f64(x), tanhl(lx)));
+    ASSERT_EQ(kernels::tanh_f64(-x), -kernels::tanh_f64(x)) << x;
+  }
+  RecordProperty("max_ulp_exp_e3", static_cast<int>(max_exp * 1e3));
+  RecordProperty("max_ulp_sigmoid_e3", static_cast<int>(max_sig * 1e3));
+  RecordProperty("max_ulp_tanh_e3", static_cast<int>(max_tanh * 1e3));
+  EXPECT_LE(max_exp, 2.0);
+  EXPECT_LE(max_sig, 2.5);
+  EXPECT_LE(max_tanh, 1.5);
+}
+
+TEST(KernelMathF64, EdgeCasesNaNZerosInfinitiesSaturation) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan(kernels::exp_f64(kNaN)));
+  EXPECT_TRUE(std::isnan(kernels::sigmoid_f64(kNaN)));
+  EXPECT_TRUE(std::isnan(kernels::tanh_f64(kNaN)));
+  EXPECT_TRUE(std::isnan(kernels::tanh_f64(-kNaN)));
+
+  EXPECT_EQ(kernels::exp_f64(0.0), 1.0);
+  EXPECT_EQ(kernels::exp_f64(-0.0), 1.0);
+  EXPECT_EQ(kernels::exp_f64(kInf), kInf);
+  EXPECT_EQ(kernels::exp_f64(710.0), kInf);
+  EXPECT_TRUE(std::isfinite(kernels::exp_f64(709.78)));
+  EXPECT_EQ(kernels::exp_f64(-kInf), 0.0);
+  EXPECT_EQ(kernels::exp_f64(-746.0), 0.0);
+  // Gradual underflow: the smallest subnormal, not a flush to zero.
+  EXPECT_EQ(kernels::exp_f64(-745.13), std::ldexp(1.0, -1074));
+
+  EXPECT_EQ(kernels::sigmoid_f64(0.0), 0.5);
+  EXPECT_EQ(kernels::sigmoid_f64(-0.0), 0.5);
+  EXPECT_EQ(kernels::sigmoid_f64(40.0), 1.0);
+  EXPECT_EQ(kernels::sigmoid_f64(kInf), 1.0);
+  EXPECT_EQ(kernels::sigmoid_f64(-750.0), 0.0);
+  EXPECT_EQ(kernels::sigmoid_f64(-kInf), 0.0);
+  EXPECT_GT(kernels::sigmoid_f64(-740.0), 0.0);  // subnormal, not 0
+
+  EXPECT_EQ(kernels::tanh_f64(0.0), 0.0);
+  EXPECT_FALSE(std::signbit(kernels::tanh_f64(0.0)));
+  EXPECT_EQ(kernels::tanh_f64(-0.0), 0.0);
+  EXPECT_TRUE(std::signbit(kernels::tanh_f64(-0.0)));
+  EXPECT_EQ(kernels::tanh_f64(20.0), 1.0);
+  EXPECT_EQ(kernels::tanh_f64(-20.0), -1.0);
+  EXPECT_EQ(kernels::tanh_f64(kInf), 1.0);
+  EXPECT_EQ(kernels::tanh_f64(-kInf), -1.0);
+  EXPECT_EQ(kernels::tanh_f64(1e-300), 1e-300);
+  EXPECT_EQ(kernels::tanh_f64(-1e-300), -1e-300);
+}
+
+// The float32 serving transcendentals get the same edge pins. fast_expf
+// clamps its argument to the normal range, so it never reaches 0 or inf.
+TEST(KernelFastMath, EdgeCasesNaNZerosInfinitiesSaturation) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(std::isnan(kernels::fast_expf(kNaN)));
+  EXPECT_TRUE(std::isnan(kernels::fast_tanhf(kNaN)));
+  EXPECT_EQ(kernels::fast_expf(-0.0f), 1.0f);
+  EXPECT_TRUE(std::isfinite(kernels::fast_expf(kInf)));
+  EXPECT_GE(kernels::fast_expf(-kInf), 0.0f);
+  EXPECT_LE(kernels::fast_expf(-kInf), 1.2e-38f);
+  EXPECT_FALSE(std::signbit(kernels::fast_tanhf(0.0f)));
+  EXPECT_EQ(kernels::fast_tanhf(-0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(kernels::fast_tanhf(-0.0f)));
+  EXPECT_EQ(kernels::fast_tanhf(kInf), 1.0f);
+  EXPECT_EQ(kernels::fast_tanhf(-kInf), -1.0f);
+  // A NaN pre-activation (inf - inf in the f32 GEMM) stays NaN through the
+  // fused gate pass on every backend instead of reaching undefined
+  // behaviour in the exponent arithmetic.
+  BackendGuard guard;
+  const std::vector<float> z = {kNaN, 0.5f, -0.25f, 1.0f};
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    std::vector<float> c = {0.5f}, h = {0.0f}, out = {0.0f};
+    kernels::lstm_gates_f32(z.data(), c.data(), h.data(), out.data(), 1, 1);
+    EXPECT_TRUE(std::isnan(c[0]) && std::isnan(h[0]) && std::isnan(out[0]))
+        << kernels::to_string(backend);
+  }
 }
 
 // ---- concurrency ("threads" label; TSan job rides this suite) --------------

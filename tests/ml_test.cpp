@@ -397,15 +397,18 @@ TEST(Lstm, TrainingIsThreadCountInvariant) {
 
 // --- Golden loss trajectories through the kernel layer -----------------------
 //
-// Recorded from the pre-kernel ml::Matrix implementation (same configs as
-// the thread-invariance tests above, -ffp-contract=off build). fit() now
-// routes every matmul through src/ml/kernels; the bit-identity contract
-// says training must land on the SAME per-epoch validation losses, for
-// every thread count — a drift here means a kernel reordered arithmetic.
+// First recorded from the pre-kernel ml::Matrix implementation (same
+// configs as the thread-invariance tests above, -ffp-contract=off build),
+// then re-recorded once from the scalar backend when the gates and the
+// softmax moved from libm to the kernel layer's own exp/sigmoid/tanh.
+// fit() routes every matmul and transcendental through src/ml/kernels; the
+// bit-identity contract says training must land on the SAME per-epoch
+// validation losses, for every thread count and on every host — a drift
+// here means a kernel reordered arithmetic.
 
 TEST(Mlp, FitMatchesPreKernelGoldenTrajectory) {
   const std::vector<double> kGolden = {
-      0.61400378581246595, 0.58266995613054673, 0.55047582291153485,
+      0.61400378581246584, 0.58266995613054673, 0.55047582291153485,
       0.51641441009888689, 0.48013607365082456, 0.44278222200018258};
   aps::Rng rng(57);
   const auto data = axis_separable(600, rng);
@@ -434,23 +437,23 @@ TEST(Mlp, FitMatchesPreKernelGoldenTrajectory) {
 // last 16-row gradient chunk holds 5, and the 37 validation rows end on a
 // 5-row chunk too. The 40-unit layer spans a 32-column GEMM tile plus its
 // tail, and ReLU plus dropout feed the kernels' zero skip. Recorded exactly
-// (17 significant digits round-trip) from the per-minibatch implementation
-// that copied rows and allocated every chunk's gradients; training must
-// reproduce them bit for bit on every kernel backend, with no pool and with
-// pools of 1 and 4.
+// (17 significant digits round-trip), last from the scalar backend once the
+// softmax ran on the kernel layer's exp_f64; training must reproduce them
+// bit for bit on every kernel backend, with no pool and with pools of 1
+// and 4.
 TEST(Mlp, SgdFitMatchesRecordedGoldens) {
   const std::vector<double> kGoldenLosses = {
-      0.22692998388852997, 0.19303901533522094, 0.065917522444839116,
+      0.22692998388852992, 0.19303901533522091, 0.065917522444839102,
       0.039277195975804098, 0.12051177433225395};
   const std::vector<double> kGoldenProbes = {
-      4.2199682968371036e-06, 0.9999957800317032, 0.99296752076916095,
-      0.0070324792308389759, 3.1157940189871805e-05, 0.99996884205981018,
+      4.2199682968370884e-06, 0.9999957800317032, 0.99296752076916095,
+      0.0070324792308389759, 3.1157940189871696e-05, 0.99996884205981018,
       0.98032599884873395, 0.019674001151265993, 0.99481768573579721,
-      0.0051823142642027581, 9.4909721009931849e-05, 0.99990509027898999,
-      3.0746227724574039e-06, 0.99999692537722762, 0.00034430219297287374,
-      0.99965569780702701, 0.99453707335641339, 0.0054629266435865806,
-      0.0022086598072255754, 0.99779134019277438, 3.6309259063251611e-06,
-      0.99999636907409362, 0.92592192875707402, 0.074078071242926063};
+      0.0051823142642027625, 9.4909721009931686e-05, 0.99990509027898999,
+      3.0746227724574094e-06, 0.99999692537722762, 0.00034430219297287374,
+      0.99965569780702701, 0.99453707335641339, 0.0054629266435865746,
+      0.0022086598072255737, 0.99779134019277438, 3.6309259063251548e-06,
+      0.99999636907409362, 0.92592192875707402, 0.074078071242926105};
   aps::Rng rng(67);
   const auto data = axis_separable(250, rng);
   struct BackendGuard {
@@ -498,7 +501,7 @@ TEST(Mlp, SgdFitMatchesRecordedGoldens) {
 TEST(Lstm, FitMatchesPreKernelGoldenTrajectory) {
   const std::vector<double> kGolden = {
       0.73168346344007273, 0.69858709441433431, 0.66704086703239729,
-      0.63750532317177888};
+      0.63750532317177877};
   aps::Rng rng(61);
   const auto data = window_mean_task(240, rng);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -523,9 +526,10 @@ TEST(Lstm, FitMatchesPreKernelGoldenTrajectory) {
 // for training: the last minibatch holds 21 samples and its last 8-sample
 // gradient chunk holds 5, and the 37 validation windows end on a 5-sample
 // chunk too. Goldens were recorded exactly (17 significant digits
-// round-trip) from the per-window BPTT implementation; training must
-// reproduce them bit for bit on every kernel backend, with no pool and
-// with pools of 1 and 4.
+// round-trip), last from the scalar backend once the gates and the softmax
+// ran on the kernel layer's exp/sigmoid/tanh; training must reproduce them
+// bit for bit on every kernel backend, with no pool and with pools of 1
+// and 4.
 void expect_two_layer_fit_matches(const AdamConfig& adam,
                                   const std::vector<double>& golden_losses,
                                   const std::vector<double>& golden_probes) {
@@ -574,14 +578,14 @@ TEST(Lstm, TwoLayerFitMatchesRecordedGoldens) {
   expect_two_layer_fit_matches(
       AdamConfig{},
       {
-      0.81650643566049319, 0.79283569800372933, 0.7703857685889014,
+      0.8165064356604933, 0.79283569800372933, 0.7703857685889014,
       0.74943133792859928, 0.73014672999421315},
       {
       0.54917627069324715, 0.4508237293067528, 0.54261364867733919,
       0.45738635132266076, 0.50277380843065544, 0.49722619156934461,
-      0.51934561424055359, 0.48065438575944636, 0.53802108159723672,
+      0.51934561424055359, 0.4806543857594463, 0.53802108159723672,
       0.46197891840276323, 0.51581532654283191, 0.48418467345716815,
-      0.46301840472926487, 0.53698159527073508, 0.5493546935971626,
+      0.46301840472926492, 0.53698159527073508, 0.5493546935971626,
       0.45064530640283745, 0.52592583033722629, 0.47407416966277366,
       0.52194408736526032, 0.47805591263473962, 0.51651927158048594,
       0.48348072841951406, 0.51678213702493803, 0.48321786297506203});
@@ -600,17 +604,17 @@ TEST(Lstm, TwoLayerSgdFitMatchesRecordedGoldens) {
   expect_two_layer_fit_matches(
       sgd,
       {
-        0.60658256765771212, 0.17797621238176328, 0.3735161101022052,
-        0.076166447863194778, 0.074785236730734159},
+        0.60658256765771212, 0.17797621238176325, 0.37351611010220498,
+        0.076166447863194806, 0.074785236730734145},
       {
-        0.020961906871700485, 0.97903809312829959, 0.020991835325054282,
-        0.97900816467494578, 0.97864946726300339, 0.021350532736996646,
-        0.12966872732175977, 0.87033127267824029, 0.023414943926054237,
-        0.97658505607394563, 0.03611296713289941, 0.96388703286710053,
-        0.93765719265515179, 0.062342807344848157, 0.022814721655159527,
+        0.020961906871700495, 0.97903809312829959, 0.020991835325054282,
+        0.97900816467494578, 0.97864946726300339, 0.021350532736996664,
+        0.12966872732175966, 0.87033127267824029, 0.023414943926054248,
+        0.97658505607394563, 0.036112967132899375, 0.96388703286710053,
+        0.93765719265515179, 0.062342807344848157, 0.022814721655159517,
         0.97718527834484059, 0.42284448484767551, 0.57715551515232444,
-        0.96183545141586935, 0.038164548584130521, 0.97962012722284209,
-        0.020379872777157915, 0.94507817143231743, 0.054921828567682462});
+        0.96183545141586935, 0.038164548584130542, 0.97962012722284209,
+        0.020379872777157925, 0.94507817143231743, 0.054921828567682518});
 }
 
 // --- Float32 inference path ---------------------------------------------------
