@@ -237,6 +237,45 @@ void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
+void lstm_gates(const double* z, double* c, double* h, double* out,
+                std::size_t lanes, std::size_t hidden) {
+  switch (active_backend()) {
+#if defined(APS_HAVE_AVX2)
+    case Backend::kAvx2:
+      avx2::lstm_gates(z, c, h, out, lanes, hidden);
+      return;
+#endif
+#if defined(__aarch64__)
+    case Backend::kNeon:
+      neon::lstm_gates(z, c, h, out, lanes, hidden);
+      return;
+#endif
+    default:
+      lstm_gates_portable(z, c, h, out, lanes, hidden);
+      return;
+  }
+}
+
+void lstm_gates_cached(const double* z, const double* c_prev,
+                       const LstmGateCache& cache, std::size_t lanes,
+                       std::size_t hidden) {
+  switch (active_backend()) {
+#if defined(APS_HAVE_AVX2)
+    case Backend::kAvx2:
+      avx2::lstm_gates_cached(z, c_prev, cache, lanes, hidden);
+      return;
+#endif
+#if defined(__aarch64__)
+    case Backend::kNeon:
+      neon::lstm_gates_cached(z, c_prev, cache, lanes, hidden);
+      return;
+#endif
+    default:
+      lstm_gates_cached_portable(z, c_prev, cache, lanes, hidden);
+      return;
+  }
+}
+
 void lstm_gates_f32(const float* z, float* c, float* h, float* out,
                     std::size_t lanes, std::size_t hidden) {
   switch (active_backend()) {
@@ -318,17 +357,6 @@ void relu(double* x, std::size_t size) {
 
 void affine(const double* x, double a, double b, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a * x[i] + b;
-}
-
-void lstm_gates(const double* z, double* c, double* h, double* out,
-                std::size_t lanes, std::size_t hidden) {
-  lstm_gates_portable(z, c, h, out, lanes, hidden);
-}
-
-void lstm_gates_cached(const double* z, const double* c_prev,
-                       const LstmGateCache& cache, std::size_t lanes,
-                       std::size_t hidden) {
-  lstm_gates_cached_portable(z, c_prev, cache, lanes, hidden);
 }
 
 void softmax_rows(double* x, std::size_t rows, std::size_t cols) {

@@ -215,10 +215,22 @@ void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
+// The gate passes are the scalar backend's portable bodies, compiled in
+// this TU so the autovectorizer emits the 4-wide (f64) and 8-wide (f32)
+// AVX2 form of the identical arithmetic.
+void lstm_gates(const double* z, double* c, double* h, double* out,
+                std::size_t lanes, std::size_t hidden) {
+  lstm_gates_portable(z, c, h, out, lanes, hidden);
+}
+
+void lstm_gates_cached(const double* z, const double* c_prev,
+                       const LstmGateCache& cache, std::size_t lanes,
+                       std::size_t hidden) {
+  lstm_gates_cached_portable(z, c_prev, cache, lanes, hidden);
+}
+
 void lstm_gates_f32(const float* z, float* c, float* h, float* out,
                     std::size_t lanes, std::size_t hidden) {
-  // Same portable body as the scalar backend, compiled in this TU so the
-  // autovectorizer emits the 8-wide AVX2 form of the identical arithmetic.
   lstm_gates_f32_portable(z, c, h, out, lanes, hidden);
 }
 

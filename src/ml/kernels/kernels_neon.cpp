@@ -182,6 +182,19 @@ void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
+// The gate passes are the scalar backend's portable bodies, vectorized
+// 2-wide (f64) and 4-wide (f32) in this TU.
+void lstm_gates(const double* z, double* c, double* h, double* out,
+                std::size_t lanes, std::size_t hidden) {
+  lstm_gates_portable(z, c, h, out, lanes, hidden);
+}
+
+void lstm_gates_cached(const double* z, const double* c_prev,
+                       const LstmGateCache& cache, std::size_t lanes,
+                       std::size_t hidden) {
+  lstm_gates_cached_portable(z, c_prev, cache, lanes, hidden);
+}
+
 void lstm_gates_f32(const float* z, float* c, float* h, float* out,
                     std::size_t lanes, std::size_t hidden) {
   lstm_gates_f32_portable(z, c, h, out, lanes, hidden);
