@@ -359,6 +359,8 @@ void affine(const double* x, double a, double b, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a * x[i] + b;
 }
 
+// It does accumulate (the row sum), but it has this one implementation,
+// so the ascending order is the same on every backend.
 void softmax_rows(double* x, std::size_t rows, std::size_t cols) {
   for (std::size_t r = 0; r < rows; ++r) {
     double* row = x + r * cols;

@@ -133,8 +133,8 @@ inline float float_of(std::uint32_t b) {
 /// Float64 exp: Cephes' exp.c, branch free. Cody-Waite reduction
 /// x = n*ln2 + r with a two-part ln2 (n*kC1 is exact), the Pade form
 /// e^r = 1 + 2 r P(r^2) / (Q(r^2) - r P(r^2)) on |r| <= ln2/2, then a
-/// scale by 2^n. Within ~1 ulp of the true value on the whole double
-/// range (kernels_test pins the bound), gradual underflow included.
+/// scale by 2^n. Within 2 ulp of the true value on the whole double range
+/// (kernels_test pins the bound), gradual underflow included.
 ///
 /// n is the nearest integer to x*log2(e), taken by the magic-number trick:
 /// adding 1.5*2^52 snaps the sum to an integer under round-to-nearest, and
@@ -186,7 +186,7 @@ inline double sigmoid_f64_impl(double x) {
 }
 
 /// Float64 tanh: Cephes' tanh.c, branch free. On |x| >= 0.625 it is
-/// 1 - 2 / (e^{2|x|} + 1) (exactly 1 once e^{2|x|} overflows), below that
+/// 1 - 2 / (e^{2|x|} + 1) (exactly 1 above about |x| = 19), below that
 /// |x| + |x|^3 P(x^2) / Q(x^2). Both have the form a + b / d, so the
 /// branch is a select of (a, b, d) ahead of one shared division. It runs
 /// on |x| and copies the sign back, so tanh(-x) == -tanh(x) bitwise,

@@ -575,7 +575,11 @@ TEST(KernelLstmGatesF64, CachedPassMatchesInferencePassAllBackends) {
                    hidden);
     for (const auto backend : kernels::compiled_backends()) {
       kernels::set_backend(backend);
-      std::vector<double> i(n), f(n), g(n), o(n), c(n), tanh_c(n), h(n);
+      // Outputs start as NaN, so an output the pass reads before writing
+      // it, or never writes, shows up as a mismatch.
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      std::vector<double> i(n, nan), f(n, nan), g(n, nan), o(n, nan),
+          c(n, nan), tanh_c(n, nan), h(n, nan);
       kernels::lstm_gates_cached(
           z.data(), first ? nullptr : c_prev.data(),
           {i.data(), f.data(), g.data(), o.data(), c.data(), tanh_c.data(),
