@@ -15,7 +15,9 @@
 // from timing each reference feed. Everything is recorded into
 // BENCH_serve_throughput.json (stage per monitor/backend/session-count
 // cell), which the CI smoke step parses to fail on a sharded-vs-scalar
-// throughput regression.
+// throughput regression. That gate reads the "gate_ratio/<kind>" stages:
+// each ML kind's top-count scalar and sharded cells repeated three times,
+// alternating, and the median of their ratios.
 //
 // Flags:
 //   --sessions-max=<n>   largest session count (default 8192)
@@ -374,26 +376,29 @@ int main(int argc, char** argv) try {
   // CI regression smoke.
   std::map<std::string, std::map<std::string, std::map<int, double>>> rate;
 
+  const auto run_cell = [&](const std::string& name,
+                            const std::string& backend, int n) {
+    if (backend == "scalar") {
+      return measure_reference(bundle, name, n, cohort, replicas, variants,
+                               budget_ms);
+    }
+    serve::EngineGroup group({.replicas = replicas});
+    group.register_bundle(bundle);
+    std::vector<serve::SessionInput> batch;
+    batch.reserve(static_cast<std::size_t>(n));
+    for (int s = 0; s < n; ++s) {
+      const auto id = group.open_session(
+          name + "/patient-" + std::to_string(s), name, s % cohort);
+      batch.push_back({id, variants[0]});
+    }
+    return measure(group, batch, variants, budget_ms);
+  };
+
   for (const auto& name : monitors) {
     for (const std::string backend : {"scalar", "sharded"}) {
       for (const int n : session_counts) {
         const double rss_before_mb = bench::peak_rss_mb();
-        Cell cell;
-        if (backend == "scalar") {
-          cell = measure_reference(bundle, name, n, cohort, replicas,
-                                   variants, budget_ms);
-        } else {
-          serve::EngineGroup group({.replicas = replicas});
-          group.register_bundle(bundle);
-          std::vector<serve::SessionInput> batch;
-          batch.reserve(static_cast<std::size_t>(n));
-          for (int s = 0; s < n; ++s) {
-            const auto id = group.open_session(
-                name + "/patient-" + std::to_string(s), name, s % cohort);
-            batch.push_back({id, variants[0]});
-          }
-          cell = measure(group, batch, variants, budget_ms);
-        }
+        const Cell cell = run_cell(name, backend, n);
         const serve::LatencySummary& m = cell.latency;
         table.add_row({name, backend, std::to_string(n),
                        std::to_string(m.cycles),
@@ -415,6 +420,46 @@ int main(int argc, char** argv) try {
       }
     }
   }
+  // The regression gate's cells: each ML kind's scalar and sharded cells
+  // at the top session count, timed again as alternating repetitions. A
+  // single pair of cells decided the gate before, and on a shared VM it
+  // read 0.87x and 0.90x on unchanged code against 0.97-1.22x in other
+  // runs; the gate reads the median of the repetitions' ratios.
+  constexpr int kGateRepetitions = 3;
+  std::map<std::string, double> gate_ratio;
+  for (const auto& name : ml_monitors) {
+    const double rss_before_mb = bench::peak_rss_mb();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::pair<std::string, double>> fields = {
+        {"sessions", static_cast<double>(top_sessions)}};
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kGateRepetitions; ++rep) {
+      // Alternate which side runs first, so a periodic load cannot land
+      // on the same side every repetition.
+      double cps[2] = {0.0, 0.0};  // scalar, sharded
+      for (const int side : {rep % 2, 1 - rep % 2}) {
+        cps[side] = run_cell(name, side == 0 ? "scalar" : "sharded",
+                             top_sessions)
+                        .latency.cycles_per_sec();
+      }
+      ratios.push_back(cps[0] > 0.0 ? cps[1] / cps[0] : 0.0);
+      const auto field = [rep](const char* key) {
+        return std::string(key).append("_").append(std::to_string(rep));
+      };
+      fields.push_back({field("scalar_cycles_per_sec"), cps[0]});
+      fields.push_back({field("sharded_cycles_per_sec"), cps[1]});
+      fields.push_back({field("ratio"), ratios.back()});
+    }
+    std::sort(ratios.begin(), ratios.end());
+    gate_ratio[name] = ratios[ratios.size() / 2];
+    fields.push_back({"median_ratio", gate_ratio[name]});
+    recorder.stage_done(
+        "gate_ratio/" + name,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count(),
+        0, rss_before_mb, std::move(fields));
+  }
+
   // Float32 serving lanes (precision = kF32 in the sharded engines) for
   // the two monitors with a float32 kernel path. Stage names keep the
   // 3-part "<kind>/<backend>/<sessions>" shape with a "-f32" kind suffix
@@ -538,11 +583,11 @@ int main(int argc, char** argv) try {
                          {"overhead_pct", overhead_pct}});
   }
 
-  // Kernel-layer A/B (the kernel refactor's headline gate): the LSTM
-  // serving tick at 64 sessions, float64 on the forced-scalar kernels
-  // (bit-identical to the pre-kernel code, so this IS the "before" cell)
-  // versus float32 sharded lanes on the dispatch backend. Back-to-back in
-  // one process so the comparison shares cache/turbo state.
+  // Kernel-layer A/B: the LSTM serving tick at 64 sessions, float64 on
+  // the forced-scalar kernels (with the kernel layer's own exp, sigmoid
+  // and tanh, no libm) versus float32 sharded lanes on the dispatch
+  // backend. Back-to-back in one process so the comparison shares
+  // cache/turbo state.
   double kernels_speedup = 0.0;
   const bool kernels_simd =
       ml::kernels::active_backend() != ml::kernels::Backend::kScalar;
@@ -591,8 +636,9 @@ int main(int argc, char** argv) try {
   // every session count; a kind's headline speedup is its best ratio (the
   // batching win peaks where model-call overhead dominates the tick). The
   // sharded path must not regress below the scalar path on any ML monitor
-  // at the top session count, and at least one ML monitor must show the
-  // >= 2x batching win the refactor exists for.
+  // at the top session count (the median of the gate repetitions), and at
+  // least one ML monitor must show the >= 2x batching win the refactor
+  // exists for.
   std::printf("\nsharded vs scalar cycles/s ratio per session count:\n");
   bool ok = true;
   double best_ml_ratio = 0.0;
@@ -607,12 +653,15 @@ int main(int argc, char** argv) try {
       const double ratio = scalar > 0.0 ? sharded / scalar : 0.0;
       best = std::max(best, ratio);
       std::printf("  %5d: %.2fx", n, ratio);
-      if (is_ml && n == top_sessions && ratio < 0.9) {
-        ok = false;  // regression guard (10% jitter allowance)
-      }
     }
     std::printf("  best %.2fx%s\n", best, is_ml ? "" : "  [rule-based]");
     if (is_ml) best_ml_ratio = std::max(best_ml_ratio, best);
+  }
+  for (const auto& name : ml_monitors) {
+    std::printf("  %-10s median of %d repetitions at %d: %.2fx\n",
+                name.c_str(), kGateRepetitions, top_sessions,
+                gate_ratio[name]);
+    if (gate_ratio[name] < 0.9) ok = false;  // 10% jitter allowance
   }
   if (with_ml && best_ml_ratio < 2.0) ok = false;
   if (with_ml) {
@@ -641,7 +690,7 @@ int main(int argc, char** argv) try {
     if (sessions_max >= 64) {
       const bool kernels_ok = !kernels_simd || kernels_speedup >= 4.0;
       std::printf(
-          "kernels gate: lstm f32-sharded vs pre-kernel f64 %.2fx "
+          "kernels gate: lstm f32-sharded vs f64-scalar-kernels %.2fx "
           "(need >= 4x on SIMD backends, backend=%s): %s\n",
           kernels_speedup, ml::kernels::backend_name(),
           kernels_ok ? "PASS" : "FAIL");

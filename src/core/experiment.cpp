@@ -285,6 +285,20 @@ int select_dt_depth(const aps::ml::Dataset& data,
   return best_depth;
 }
 
+MlBaselineConfigs ml_baseline_configs(const ExperimentConfig& config) {
+  MlBaselineConfigs models;
+  models.dt.max_depth = config.full ? 12 : 8;
+  models.mlp.hidden_units = config.full ? std::vector<std::size_t>{256, 128}
+                                        : std::vector<std::size_t>{64, 32};
+  models.mlp.max_epochs = config.full ? 40 : 20;
+  models.mlp.seed = config.seed;
+  models.lstm.hidden_units = config.full ? std::vector<std::size_t>{128, 64}
+                                         : std::vector<std::size_t>{32, 16};
+  models.lstm.max_epochs = config.full ? 20 : 8;
+  models.lstm.seed = config.seed;
+  return models;
+}
+
 void train_ml_baselines(ExperimentContext& context, aps::ThreadPool& pool) {
   const auto& config = context.config;
   if (context.tabular.size() == 0 || context.sequences.size() == 0) {
@@ -293,43 +307,40 @@ void train_ml_baselines(ExperimentContext& context, aps::ThreadPool& pool) {
         "train_ml=true)");
   }
   const auto train_span = phase_span("experiment.train_ml");
+  MlBaselineConfigs models = ml_baseline_configs(config);
 
+  // The DT fit is serial and short, so it runs here rather than as a
+  // third task: it would add no throughput there, and its per-node
+  // allocations stay in this thread's malloc arena instead of a worker's.
   {
     const auto dt_span = phase_span("experiment.train_dt");
-    aps::ml::DecisionTreeConfig dt_config;
-    dt_config.max_depth = config.full ? 12 : 8;
     if (config.dt_depth_cv) {
-      dt_config.max_depth = select_dt_depth(context.tabular, {6, 8, 10, 12},
+      models.dt.max_depth = select_dt_depth(context.tabular, {6, 8, 10, 12},
                                             4, config.seed, &pool);
     }
-    auto dt = std::make_shared<aps::ml::DecisionTree>(dt_config);
+    auto dt = std::make_shared<aps::ml::DecisionTree>(models.dt);
     dt->fit(context.tabular);
     context.dt = std::move(dt);
   }
-  {
-    const auto mlp_span = phase_span("experiment.train_mlp");
-    aps::ml::MlpConfig mlp_config;
-    mlp_config.hidden_units =
-        config.full ? std::vector<std::size_t>{256, 128}
-                    : std::vector<std::size_t>{64, 32};
-    mlp_config.max_epochs = config.full ? 40 : 20;
-    mlp_config.seed = config.seed;
-    auto mlp = std::make_shared<aps::ml::Mlp>(mlp_config);
-    mlp->fit(context.tabular, &pool);
-    context.mlp = std::move(mlp);
-  }
-  {
-    const auto lstm_span = phase_span("experiment.train_lstm");
-    aps::ml::LstmConfig lstm_config;
-    lstm_config.hidden_units =
-        config.full ? std::vector<std::size_t>{128, 64}
-                    : std::vector<std::size_t>{32, 16};
-    lstm_config.max_epochs = config.full ? 20 : 8;
-    lstm_config.seed = config.seed;
-    auto lstm = std::make_shared<aps::ml::Lstm>(lstm_config);
-    lstm->fit(context.sequences, &pool);
-    context.lstm = std::move(lstm);
-  }
+
+  // Alone, each fit keeps only a few small chunks per minibatch in the
+  // pool. As two tasks of one parallel_for they fill it: each task's
+  // chunk parallel_for nests, and a nested call claims its own indices,
+  // so this cannot deadlock at any pool size. Neither fit copies its
+  // dataset, which keeps the workers' arenas small.
+  auto mlp = std::make_shared<aps::ml::Mlp>(models.mlp);
+  auto lstm = std::make_shared<aps::ml::Lstm>(models.lstm);
+  pool.parallel_for(2, [&](std::size_t task) {
+    if (task == 0) {
+      const auto mlp_span = phase_span("experiment.train_mlp");
+      mlp->fit(context.tabular, &pool);
+    } else {
+      const auto lstm_span = phase_span("experiment.train_lstm");
+      lstm->fit(context.sequences, &pool);
+    }
+  });
+  context.mlp = std::move(mlp);
+  context.lstm = std::move(lstm);
 }
 
 // ---- Evaluation -------------------------------------------------------------

@@ -179,8 +179,22 @@ struct NamedMonitor {
     const aps::sim::MonitorFactory& factory, aps::ThreadPool& pool,
     bool mitigation_enabled = false);
 
+/// Model settings of the three ML baselines: small models on the quick
+/// grid, the paper's layer sizes on the full one. The DT depth is the
+/// fixed default; train_ml_baselines replaces it when dt_depth_cv is set.
+struct MlBaselineConfigs {
+  aps::ml::DecisionTreeConfig dt;
+  aps::ml::MlpConfig mlp;
+  aps::ml::LstmConfig lstm;
+};
+[[nodiscard]] MlBaselineConfigs ml_baseline_configs(
+    const ExperimentConfig& config);
+
 /// Train the three ML baselines on the context's reservoir-sampled
-/// training sets (chunk-parallel minibatches across the pool).
+/// training sets. The DT fits on the calling thread first; then the MLP
+/// and LSTM fit concurrently as two pool tasks, each spreading its
+/// minibatch chunks over the same pool. Every model is bit-identical to
+/// fitting it alone, with or without a pool, at any pool size.
 void train_ml_baselines(ExperimentContext& context, aps::ThreadPool& pool);
 
 /// Pick the decision-tree depth with the best k-fold CV macro accuracy

@@ -30,19 +30,28 @@ double Dataset::positive_fraction() const {
 }
 
 void Standardizer::fit(const Matrix& x) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
+  fit(std::span<const Matrix>(&x, 1));
+}
+
+void Standardizer::fit(std::span<const Matrix> blocks) {
+  const std::size_t d = blocks.empty() ? 0 : blocks.front().cols();
+  std::size_t n = 0;
+  for (const Matrix& block : blocks) n += block.rows();
   mean_.assign(d, 0.0);
   std_.assign(d, 1.0);
   if (n == 0) return;
   for (std::size_t c = 0; c < d; ++c) {
     double m = 0.0;
-    for (std::size_t r = 0; r < n; ++r) m += x.at(r, c);
+    for (const Matrix& block : blocks) {
+      for (std::size_t r = 0; r < block.rows(); ++r) m += block.at(r, c);
+    }
     m /= static_cast<double>(n);
     double v = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double delta = x.at(r, c) - m;
-      v += delta * delta;
+    for (const Matrix& block : blocks) {
+      for (std::size_t r = 0; r < block.rows(); ++r) {
+        const double delta = block.at(r, c) - m;
+        v += delta * delta;
+      }
     }
     v /= static_cast<double>(n);
     mean_[c] = m;
@@ -125,18 +134,22 @@ SequenceDataset SequenceDatasetBuilder::build() {
   return data;
 }
 
-std::vector<double> class_weights(const Dataset& data) {
-  std::vector<double> counts(static_cast<std::size_t>(data.classes), 0.0);
-  for (const int label : data.y) {
+std::vector<double> class_weights(std::span<const int> labels, int classes) {
+  std::vector<double> counts(static_cast<std::size_t>(classes), 0.0);
+  for (const int label : labels) {
     counts[static_cast<std::size_t>(label)] += 1.0;
   }
   std::vector<double> weights(counts.size(), 1.0);
-  const auto n = static_cast<double>(data.size());
-  const auto k = static_cast<double>(data.classes);
+  const auto n = static_cast<double>(labels.size());
+  const auto k = static_cast<double>(classes);
   for (std::size_t c = 0; c < counts.size(); ++c) {
     weights[c] = counts[c] > 0.0 ? n / (k * counts[c]) : 0.0;
   }
   return weights;
+}
+
+std::vector<double> class_weights(const Dataset& data) {
+  return class_weights(data.y, data.classes);
 }
 
 }  // namespace aps::ml

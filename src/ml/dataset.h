@@ -53,6 +53,10 @@ struct SequenceDataset {
 class Standardizer {
  public:
   void fit(const Matrix& x);
+  /// Fit over the rows of `blocks` stacked in order, without building the
+  /// stacked matrix: the same sums in the same order as fit() on it, so
+  /// the result is bit-identical. Every block has the first one's columns.
+  void fit(std::span<const Matrix> blocks);
   [[nodiscard]] Matrix transform(const Matrix& x) const;
   void transform_row(std::span<double> row) const;
   [[nodiscard]] bool fitted() const { return !mean_.empty(); }
@@ -70,6 +74,8 @@ class Standardizer {
 /// Deterministic stratified class weights: inverse class frequency,
 /// normalized to mean 1. Used to counter the heavy class imbalance of
 /// hazard data.
+[[nodiscard]] std::vector<double> class_weights(std::span<const int> labels,
+                                                int classes);
 [[nodiscard]] std::vector<double> class_weights(const Dataset& data);
 
 // ---- Streaming reservoir subsampling ----------------------------------------

@@ -21,6 +21,15 @@ double gini(std::span<const double> class_mass, double total) {
 
 }  // namespace
 
+/// Buffers that fit() sizes once and every node reuses: a node needs them
+/// only before it recurses.
+struct DecisionTree::BuildScratch {
+  std::vector<double> mass, left_mass, right_mass;  ///< classes each
+  /// The node's indices, sorted per feature in turn; then the right side
+  /// of its partition.
+  std::vector<std::size_t> sorted;
+};
+
 DecisionTree::DecisionTree(DecisionTreeConfig config) : config_(config) {}
 
 void DecisionTree::fit(const Dataset& data) {
@@ -38,18 +47,24 @@ void DecisionTree::fit(const Dataset& data) {
   }
   std::vector<std::size_t> indices(data.size());
   std::iota(indices.begin(), indices.end(), std::size_t{0});
-  build(data, indices, sample_weights, 0);
+  const auto classes = static_cast<std::size_t>(classes_);
+  BuildScratch scratch{std::vector<double>(classes),
+                       std::vector<double>(classes),
+                       std::vector<double>(classes),
+                       std::vector<std::size_t>(data.size())};
+  build(data, indices, sample_weights, 0, scratch);
 }
 
-int DecisionTree::build(const Dataset& data,
-                        std::span<const std::size_t> indices,
-                        std::span<const double> weights, int depth) {
+int DecisionTree::build(const Dataset& data, std::span<std::size_t> indices,
+                        std::span<const double> weights, int depth,
+                        BuildScratch& scratch) {
   depth_ = std::max(depth_, depth);
   const auto node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
 
   // Class mass at this node.
-  std::vector<double> mass(static_cast<std::size_t>(classes_), 0.0);
+  std::vector<double>& mass = scratch.mass;
+  std::fill(mass.begin(), mass.end(), 0.0);
   double total = 0.0;
   for (const std::size_t i : indices) {
     mass[static_cast<std::size_t>(data.y[i])] += weights[i];
@@ -74,13 +89,19 @@ int DecisionTree::build(const Dataset& data,
   std::size_t best_feature = 0;
   double best_threshold = 0.0;
 
-  std::vector<std::size_t> sorted(indices.begin(), indices.end());
+  // Each feature's sort starts from the previous feature's order, as it
+  // always has: std::sort is unstable, and the order of ties feeds the
+  // left_mass sums.
+  const std::span<std::size_t> sorted(scratch.sorted.data(), indices.size());
+  std::copy(indices.begin(), indices.end(), sorted.begin());
+  std::vector<double>& left_mass = scratch.left_mass;
+  std::vector<double>& right_mass = scratch.right_mass;
   for (std::size_t f = 0; f < data.features(); ++f) {
     std::sort(sorted.begin(), sorted.end(),
               [&](std::size_t a, std::size_t b) {
                 return data.x.at(a, f) < data.x.at(b, f);
               });
-    std::vector<double> left_mass(static_cast<std::size_t>(classes_), 0.0);
+    std::fill(left_mass.begin(), left_mass.end(), 0.0);
     double left_total = 0.0;
     for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
       const std::size_t i = sorted[pos];
@@ -93,7 +114,6 @@ int DecisionTree::build(const Dataset& data,
           sorted.size() - pos - 1 < config_.min_samples_leaf) {
         continue;
       }
-      std::vector<double> right_mass(mass.size());
       for (std::size_t c = 0; c < mass.size(); ++c) {
         right_mass[c] = mass[c] - left_mass[c];
       }
@@ -113,19 +133,24 @@ int DecisionTree::build(const Dataset& data,
 
   if (best_gain <= 1e-9) return node_index;
 
-  std::vector<std::size_t> left_idx;
-  std::vector<std::size_t> right_idx;
+  // Stable partition in place: left rows move forward (never past the
+  // row being read), right rows wait in the sort buffer.
+  std::size_t left_n = 0;
+  std::size_t right_n = 0;
   for (const std::size_t i : indices) {
     if (data.x.at(i, best_feature) <= best_threshold) {
-      left_idx.push_back(i);
+      indices[left_n++] = i;
     } else {
-      right_idx.push_back(i);
+      sorted[right_n++] = i;
     }
   }
-  if (left_idx.empty() || right_idx.empty()) return node_index;
+  std::copy_n(sorted.begin(), right_n, indices.begin() + left_n);
+  if (left_n == 0 || right_n == 0) return node_index;
 
-  const int left = build(data, left_idx, weights, depth + 1);
-  const int right = build(data, right_idx, weights, depth + 1);
+  const int left =
+      build(data, indices.first(left_n), weights, depth + 1, scratch);
+  const int right =
+      build(data, indices.subspan(left_n), weights, depth + 1, scratch);
   auto& node = nodes_[static_cast<std::size_t>(node_index)];
   node.is_leaf = false;
   node.feature = best_feature;

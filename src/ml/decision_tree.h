@@ -54,8 +54,14 @@ class DecisionTree {
     std::vector<double> class_probs;
   };
 
-  int build(const Dataset& data, std::span<const std::size_t> indices,
-            std::span<const double> weights, int depth);
+  struct BuildScratch;
+
+  /// Grow the subtree over `indices`, which it reorders in place: on a
+  /// split, the left child's rows come first, each side in its original
+  /// order.
+  int build(const Dataset& data, std::span<std::size_t> indices,
+            std::span<const double> weights, int depth,
+            BuildScratch& scratch);
 
   DecisionTreeConfig config_;
   std::vector<Node> nodes_;

@@ -115,13 +115,12 @@ Lstm::StackGradients Lstm::zero_gradients() const {
   return grads;
 }
 
-std::vector<Matrix*> Lstm::StackGradients::matrices() {
-  std::vector<Matrix*> out;
-  for (auto& layer : layers) {
-    out.insert(out.end(), {&layer.w, &layer.u, &layer.b});
+Matrix& Lstm::StackGradients::matrix(std::size_t k) {
+  if (k < 3 * layers.size()) {
+    Gradients& layer = layers[k / 3];
+    return k % 3 == 0 ? layer.w : k % 3 == 1 ? layer.u : layer.b;
   }
-  out.insert(out.end(), {&head_w, &head_b});
-  return out;
+  return k == 3 * layers.size() ? head_w : head_b;
 }
 
 void Lstm::shape_workspace(ChunkWorkspace& ws, std::size_t lanes,
@@ -387,31 +386,14 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
   assert(data.size() > 0);
   config_.classes = data.classes;
 
-  if (config_.standardize) {
-    // Fit the standardizer over all rows of all windows.
-    Matrix stacked(data.size() * data.steps(), data.features());
-    std::size_t row = 0;
-    for (const auto& seq : data.sequences) {
-      for (std::size_t r = 0; r < seq.rows(); ++r, ++row) {
-        for (std::size_t c = 0; c < seq.cols(); ++c) {
-          stacked.at(row, c) = seq.at(r, c);
-        }
-      }
-    }
-    standardizer_.fit(stacked);
-  }
+  // Over all rows of all windows, in place.
+  if (config_.standardize) standardizer_.fit(data.sequences);
 
   init_layers(data.features());
 
   // Class weights for imbalance.
   std::vector<double> cw;
-  if (config_.use_class_weights) {
-    Dataset flat;
-    flat.classes = data.classes;
-    flat.y = data.labels;
-    flat.x = Matrix(data.size(), 1);
-    cw = class_weights(flat);
-  }
+  if (config_.use_class_weights) cw = class_weights(data.labels, data.classes);
 
   aps::Rng rng = aps::Rng(config_.seed).split(0xB0B);
   std::vector<std::size_t> order(data.size());
@@ -435,9 +417,9 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
   epoch_losses_.clear();
 
   // One workspace per chunk of a full minibatch, reused by every step and
-  // validation pass of this call. They are sized here, on the calling
-  // thread: sized by the pool's workers, the buffers would be freed into
-  // the workers' malloc arenas when fit returns and stay resident.
+  // validation pass of this call. They are sized here, on the thread that
+  // calls fit: sized inside the chunk tasks, the buffers would land in
+  // every worker's malloc arena and stay resident there after fit returns.
   std::vector<ChunkWorkspace> workspaces(
       (config_.batch_size + kLstmChunkSamples - 1) / kLstmChunkSamples);
   for (auto& ws : workspaces) {
@@ -446,8 +428,9 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
   }
   StackGradients total = zero_gradients();
   const auto zero = [](StackGradients& grads) {
-    for (Matrix* m : grads.matrices()) {
-      std::fill(m->raw().begin(), m->raw().end(), 0.0);
+    for (std::size_t k = 0; k < grads.matrix_count(); ++k) {
+      auto& m = grads.matrix(k).raw();
+      std::fill(m.begin(), m.end(), 0.0);
     }
   };
 
@@ -486,19 +469,17 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
       }
 
       zero(total);
-      const std::vector<Matrix*> sums = total.matrices();
       for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-        const std::vector<Matrix*> part = workspaces[chunk].grads.matrices();
-        for (std::size_t k = 0; k < sums.size(); ++k) {
-          auto& acc = sums[k]->raw();
-          for (std::size_t i = 0; i < acc.size(); ++i) {
-            acc[i] += part[k]->raw()[i];
-          }
+        StackGradients& part = workspaces[chunk].grads;
+        for (std::size_t k = 0; k < total.matrix_count(); ++k) {
+          auto& acc = total.matrix(k).raw();
+          const auto& add = part.matrix(k).raw();
+          for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += add[i];
         }
       }
       const double inv_batch = 1.0 / static_cast<double>(batch_n);
-      for (Matrix* m : sums) {
-        for (auto& v : m->raw()) v *= inv_batch;
+      for (std::size_t k = 0; k < total.matrix_count(); ++k) {
+        for (auto& v : total.matrix(k).raw()) v *= inv_batch;
       }
 
       ++step;

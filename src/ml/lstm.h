@@ -45,6 +45,9 @@ class Lstm {
   /// the kernel layer. With a pool the chunks run in parallel and are
   /// reduced in chunk order, so the trained weights are bit-identical for
   /// every thread count, and to backpropagating one window at a time.
+  /// The standardizer is fitted over the windows' rows in place, and each
+  /// chunk standardizes its windows as it loads them: no stacked or
+  /// standardized copy of the dataset is made.
   double fit(const SequenceDataset& data, aps::ThreadPool* pool = nullptr);
 
   /// Probability per class for one (steps x features) window.
@@ -115,8 +118,12 @@ class Lstm {
   struct StackGradients {
     std::vector<Gradients> layers;
     Matrix head_w, head_b;
-    /// Every accumulator, in a fixed order.
-    [[nodiscard]] std::vector<Matrix*> matrices();
+    /// The accumulators in a fixed order, w/u/b per layer then the head,
+    /// indexed so callers walk them without building a list.
+    [[nodiscard]] std::size_t matrix_count() const {
+      return 3 * layers.size() + 2;
+    }
+    [[nodiscard]] Matrix& matrix(std::size_t k);
   };
 
   /// Forward activations of one layer over a chunk of B windows, lane-major:

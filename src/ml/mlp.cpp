@@ -42,13 +42,20 @@ void Mlp::shape_workspace(ChunkWorkspace& ws, std::size_t rows) const {
   ws.probs.resize(rows * weights_.back().cols());
 }
 
+void Mlp::standardize_row(std::span<double> row) const {
+  if (config_.standardize && standardizer_.fitted()) {
+    standardizer_.transform_row(row);
+  }
+}
+
 void Mlp::load_rows(const Matrix& x, std::span<const std::size_t> indices,
                     ChunkWorkspace& ws) const {
   shape_workspace(ws, indices.size());
   const std::size_t width = x.cols();
   for (std::size_t r = 0; r < indices.size(); ++r) {
-    std::copy_n(x.data() + indices[r] * width, width,
-                ws.act[0].data() + r * width);
+    double* row = ws.act[0].data() + r * width;
+    std::copy_n(x.data() + indices[r] * width, width, row);
+    standardize_row(std::span<double>(row, width));
   }
 }
 
@@ -136,11 +143,8 @@ void Mlp::infer(std::span<const double> features, std::size_t rows,
   assert(features.size() == rows * width);
   shape_workspace(ws, rows);
   std::copy(features.begin(), features.end(), ws.act[0].begin());
-  if (config_.standardize && standardizer_.fitted()) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      standardizer_.transform_row(
-          std::span<double>(ws.act[0].data() + r * width, width));
-    }
+  for (std::size_t r = 0; r < rows; ++r) {
+    standardize_row(std::span<double>(ws.act[0].data() + r * width, width));
   }
   forward_chunk(ws, nullptr);
 }
@@ -193,8 +197,6 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
   dropout_seed_ = derive_seed(config_.seed, 0xD120u);
 
   if (config_.standardize) standardizer_.fit(data.x);
-  const Matrix x_all =
-      config_.standardize ? standardizer_.transform(data.x) : data.x;
 
   // Architecture: input -> hidden... -> classes.
   layer_sizes_.clear();
@@ -249,9 +251,9 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
   epoch_losses_.clear();
 
   // One workspace per chunk of a full minibatch, reused by every step and
-  // validation pass of this call. They are sized here, on the calling
-  // thread: sized by the pool's workers, the buffers would be freed into
-  // the workers' malloc arenas when fit returns and stay resident.
+  // validation pass of this call. They are sized here, on the thread that
+  // calls fit: sized inside the chunk tasks, the buffers would land in
+  // every worker's malloc arena and stay resident there after fit returns.
   std::vector<ChunkWorkspace> workspaces(
       (config_.batch_size + kGradChunkRows - 1) / kGradChunkRows);
   std::vector<Matrix> grad_w;
@@ -301,7 +303,7 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
         DropoutStream dropout{derive_seed(
             derive_seed(dropout_seed_, static_cast<std::uint64_t>(step)),
             chunk)};
-        load_rows(x_all, rows, ws);
+        load_rows(data.x, rows, ws);
         forward_chunk(ws, &dropout);
         backward_chunk(ws, data.y, rows, cw);
       };
@@ -339,7 +341,7 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
       }
     }
     const double val_loss =
-        evaluate_loss(x_all, data.y, val_idx, cw, workspaces, pool);
+        evaluate_loss(data.x, data.y, val_idx, cw, workspaces, pool);
     epoch_losses_.push_back(val_loss);
     if (val_loss < best_val - 1e-5) {
       best_val = val_loss;
@@ -442,11 +444,8 @@ void Mlp::forward_f32(const Matrix& x, std::vector<double>& probs) const {
 std::vector<int> Mlp::predict_batch_f32(const Matrix& features) const {
   assert(trained());
   Matrix x = features;
-  if (config_.standardize && standardizer_.fitted()) {
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      std::span<double> row(x.raw().data() + r * x.cols(), x.cols());
-      standardizer_.transform_row(row);
-    }
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    standardize_row(std::span<double>(x.raw().data() + r * x.cols(), x.cols()));
   }
   std::vector<double> probs;
   forward_f32(x, probs);
@@ -470,10 +469,7 @@ std::vector<double> Mlp::predict_proba_f32(
   for (std::size_t c = 0; c < features.size(); ++c) {
     x.at(0, c) = features[c];
   }
-  if (config_.standardize && standardizer_.fitted()) {
-    std::span<double> row(x.raw().data(), x.cols());
-    standardizer_.transform_row(row);
-  }
+  standardize_row(std::span<double>(x.raw().data(), x.cols()));
   std::vector<double> probs;
   forward_f32(x, probs);
   return probs;

@@ -9,7 +9,8 @@
 // streams) and reduced in chunk order, so the trained weights are
 // bit-identical for every thread count, including none. Each chunk runs in
 // a workspace that fit() sizes once, so a training step allocates nothing;
-// validation runs the same chunks through the pool.
+// validation runs the same chunks through the pool. Rows are standardized
+// as a chunk gathers them, so a fit holds no copy of the dataset.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,9 @@ class Mlp {
   /// Train on the dataset; returns the best validation loss reached.
   /// With a pool, minibatch gradients are computed chunk-parallel across
   /// its workers; the result is bit-identical to the sequential path.
+  /// Each chunk standardizes its rows as it loads them from `data`, the
+  /// same transform infer() applies; no standardized copy of the dataset
+  /// is made.
   double fit(const Dataset& data, aps::ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::vector<double> predict_proba(
@@ -130,7 +134,10 @@ class Mlp {
   /// Size ws's forward buffers for `rows` rows. Capacity only grows, so a
   /// workspace shaped for a full chunk never reallocates.
   void shape_workspace(ChunkWorkspace& ws, std::size_t rows) const;
-  /// Gather the indexed rows of the standardized matrix x into ws.act[0].
+  /// Apply the fitted standardizer to one raw feature row (no-op when
+  /// standardization is off).
+  void standardize_row(std::span<double> row) const;
+  /// Gather the indexed raw rows of x into ws.act[0], standardizing each.
   void load_rows(const Matrix& x, std::span<const std::size_t> indices,
                  ChunkWorkspace& ws) const;
   /// Forward pass over ws.act[0], keeping every hidden activation for
@@ -154,7 +161,7 @@ class Mlp {
   /// fills `probs` row-major (n x classes), softmax computed in double.
   void forward_f32(const Matrix& x_standardized,
                    std::vector<double>& probs) const;
-  /// Class-weighted mean cross-entropy over the indexed rows of x, in
+  /// Class-weighted mean cross-entropy over the indexed raw rows of x, in
   /// fixed chunks spread over the workspaces; per-row losses are summed
   /// in row order, so the result does not depend on the pool.
   [[nodiscard]] double evaluate_loss(const Matrix& x, std::span<const int> y,
