@@ -361,8 +361,6 @@ int main(int argc, char** argv) try {
     oconfig.replicas = replicas;
     oconfig.engine.registry = &registry;
     oconfig.admission.enabled = true;
-    oconfig.admission.degrade_queue_frac = 2.0;  // latency signal only
-    oconfig.admission.shed_queue_frac = 2.0;
     oconfig.admission.degrade_p99_us = 1.0;
     oconfig.admission.shed_p99_us = 0.0;  // never past kDegrade
     oconfig.admission.min_dwell_ticks = 1u << 30;
@@ -452,8 +450,6 @@ int main(int argc, char** argv) try {
     sconfig.replicas = replicas;
     sconfig.engine.registry = &registry;
     sconfig.admission.enabled = true;
-    sconfig.admission.degrade_queue_frac = 2.0;
-    sconfig.admission.shed_queue_frac = 2.0;
     sconfig.admission.degrade_p99_us = 0.5;
     sconfig.admission.shed_p99_us = 1.0;  // any tick latency trips kShed
     sconfig.admission.min_dwell_ticks = 1u << 30;

@@ -108,8 +108,8 @@ struct ServerStats {
 class IngestServer {
  public:
   /// Binds and listens immediately (throws IoError on failure) but does
-  /// not serve until start(). Ticks fan out to the owning replicas through
-  /// the group's bounded ingest queues.
+  /// not serve until start(). Ticks fan out to the owning replicas'
+  /// workers through group.feed().
   IngestServer(aps::serve::EngineGroup& group, ServerConfig config);
   ~IngestServer();
 

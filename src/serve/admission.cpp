@@ -46,22 +46,18 @@ AdmissionController::AdmissionController(AdmissionConfig config,
   state_gauge_->set(0.0);
 }
 
-int AdmissionController::signal_level(double queue_frac, double p99_us,
-                                      double scale) const {
-  int level = 0;
-  if (queue_frac >= config_.degrade_queue_frac * scale) level = 1;
-  if (queue_frac >= config_.shed_queue_frac * scale) level = 2;
+int AdmissionController::signal_level(double p99_us, double scale) const {
+  if (config_.shed_p99_us > 0.0 && p99_us >= config_.shed_p99_us * scale) {
+    return 2;
+  }
   if (config_.degrade_p99_us > 0.0 &&
       p99_us >= config_.degrade_p99_us * scale) {
-    level = std::max(level, 1);
+    return 1;
   }
-  if (config_.shed_p99_us > 0.0 && p99_us >= config_.shed_p99_us * scale) {
-    level = 2;
-  }
-  return level;
+  return 0;
 }
 
-void AdmissionController::observe_tick(double queue_frac, double tick_us) {
+void AdmissionController::observe_tick(double tick_us) {
   if (!config_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);
 
@@ -83,7 +79,7 @@ void AdmissionController::observe_tick(double queue_frac, double tick_us) {
   }
 
   const auto current = state_.load(std::memory_order_relaxed);
-  const int entry = signal_level(queue_frac, p99_us, 1.0);
+  const int entry = signal_level(p99_us, 1.0);
   if (entry > static_cast<int>(current)) {
     // Escalate immediately — overload waits for nobody.
     set_state_locked(static_cast<OverloadState>(entry));
@@ -93,10 +89,10 @@ void AdmissionController::observe_tick(double queue_frac, double tick_us) {
     dwell_ = 0;
     return;
   }
-  // De-escalation: everything must sit below recover_ratio of the rung we
-  // would step down *past* (i.e. signals no longer justify even the rung
+  // De-escalation: the p99 must sit below recover_ratio of the rung we
+  // would step down *past* (i.e. it no longer justifies even the rung
   // below) for min_dwell_ticks consecutive ticks; then step one rung.
-  const int recovered = signal_level(queue_frac, p99_us, config_.recover_ratio);
+  const int recovered = signal_level(p99_us, config_.recover_ratio);
   if (recovered < static_cast<int>(current)) {
     if (++dwell_ >= config_.min_dwell_ticks) {
       set_state_locked(

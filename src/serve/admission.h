@@ -1,5 +1,5 @@
 // Admission control for the replica-sharded serving plane: the policy
-// layer that turns "queue full" from an opaque stall into a measured,
+// layer that turns overload from an opaque stall into a measured,
 // tenant-fair degradation ladder. Three pieces:
 //
 //   * per-tenant token buckets — a tenant is the patient-id prefix before
@@ -10,12 +10,13 @@
 //     weather rate limit: they only bite at the top of the ladder.
 //
 //   * a global overload state machine, healthy -> degrade -> shed, driven
-//     by two signals the group observes every tick: the worst ingest-queue
-//     occupancy fraction seen while enqueuing, and the p99 tick latency
-//     over a sliding window of recent ticks. Escalation is immediate;
-//     de-escalation steps down one rung at a time, only after
-//     `min_dwell_ticks` consecutive ticks with every signal below
-//     `recover_ratio` of its entry threshold (hysteresis, no flapping).
+//     by one signal the group observes every tick: the p99 tick latency
+//     over a sliding window of recent ticks. A group tick's latency runs
+//     from the start of the feed through its barrier, so it already holds
+//     every replica's pickup lag. Escalation is immediate; de-escalation
+//     steps down one rung at a time, only after `min_dwell_ticks`
+//     consecutive ticks with the signal below `recover_ratio` of the
+//     entry threshold (hysteresis, no flapping).
 //
 //   * a shed policy ordered by monitor cost. Rung 1 (degrade): every tick
 //     is served FeedMode::kDegraded — LSTM lanes answer from their DT twin
@@ -113,24 +114,20 @@ struct TenantQuota {
 };
 
 struct AdmissionConfig {
-  /// Off by default: an EngineGroup without admission behaves exactly as
-  /// before (blanket queue backpressure only).
+  /// Off by default: an EngineGroup without admission serves every tick
+  /// (degrading only through GroupConfig::tick_deadline_us).
   bool enabled = false;
   /// Quota for tenants without an explicit entry (0 = unlimited).
   TenantQuota default_quota = {};
   /// Per-tenant overrides, keyed by tenant name (see tenant_of).
   std::vector<std::pair<std::string, TenantQuota>> tenant_quotas;
 
-  // -- Overload state machine signals ---------------------------------------
-  /// Ingest-queue occupancy fraction (0..1, worst replica at enqueue time)
-  /// at which the group enters kDegrade / kShed. > 1 disables the signal.
-  double degrade_queue_frac = 0.75;
-  double shed_queue_frac = 0.95;
+  // -- Overload state machine signal ----------------------------------------
   /// p99 tick latency (us, over `latency_window` recent ticks) at which
   /// the group enters kDegrade / kShed. 0 disables the signal.
   double degrade_p99_us = 0.0;
   double shed_p99_us = 0.0;
-  /// De-escalation hysteresis: every signal must sit below
+  /// De-escalation hysteresis: the signal must sit below
   /// entry_threshold * recover_ratio ...
   double recover_ratio = 0.7;
   /// ... for this many consecutive ticks before stepping down one rung.
@@ -152,10 +149,9 @@ class AdmissionController {
     return state_.load(std::memory_order_relaxed);
   }
 
-  /// Observe one group tick: the worst queue-occupancy fraction seen while
-  /// enqueuing and the tick's wall latency. Drives the state machine (the
+  /// Observe one group tick's wall latency. Drives the state machine (the
   /// group calls this under its lock, once per tick).
-  void observe_tick(double queue_frac, double tick_us);
+  void observe_tick(double tick_us);
 
   /// Stable dense index for a tenant (registers it on first use). The
   /// group stores this per session so the feed path never re-hashes
@@ -188,10 +184,9 @@ class AdmissionController {
     aps::obs::Counter* shed_tick = nullptr;
   };
 
-  /// Ladder rung implied by the signals with thresholds scaled by
-  /// `scale` (1.0 on entry; recover_ratio when testing for recovery).
-  [[nodiscard]] int signal_level(double queue_frac, double p99_us,
-                                 double scale) const;
+  /// Ladder rung implied by the p99 with thresholds scaled by `scale`
+  /// (1.0 on entry; recover_ratio when testing for recovery).
+  [[nodiscard]] int signal_level(double p99_us, double scale) const;
   Tenant& tenant_locked(std::string_view name);
   void refill_locked(Tenant& tenant, std::chrono::steady_clock::time_point now);
   void set_state_locked(OverloadState next);

@@ -31,9 +31,6 @@ EngineGroup::EngineGroup(GroupConfig config) : config_(std::move(config)) {
     registry_ = engine_config.registry;
   }
 
-  backpressure_ = &registry_->counter(
-      "serve_group_backpressure_total", {},
-      "tick enqueue attempts that found a replica ingest queue full");
   group_feeds_ = &registry_->counter("serve_group_feeds_total", {},
                                      "group-level feed fan-outs");
   admission_ =
@@ -43,12 +40,9 @@ EngineGroup::EngineGroup(GroupConfig config) : config_(std::move(config)) {
                                                          config_.virtual_nodes));
   replicas_.reserve(config_.replicas);
   for (std::size_t r = 0; r < config_.replicas; ++r) {
-    auto replica = std::make_unique<Replica>(config_.queue_capacity);
+    auto replica = std::make_unique<Replica>();
     replica->engine = std::make_unique<MonitorEngine>(engine_config);
     const std::string label = std::to_string(r);
-    replica->queue_depth = &registry_->gauge(
-        "serve_replica_queue_depth", {{"replica", label}},
-        "ingest queue occupancy at the last enqueue");
     replica->sessions_gauge = &registry_->gauge(
         "serve_replica_sessions", {{"replica", label}},
         "sessions owned by the replica");
@@ -73,11 +67,11 @@ EngineGroup::~EngineGroup() { shutdown(); }
 void EngineGroup::shutdown() {
   std::call_once(shutdown_once_, [this] {
     // Raise stop UNDER the group lock: an in-flight feed() finishes its
-    // whole fan-out + barrier first (so every enqueued job is drained and
-    // its completion reported), and any feed that arrives later sees
-    // stop_ before enqueuing anything and fails with ShutdownError. By
-    // construction the queues are empty when the workers are told to
-    // exit — no job is ever abandoned half-delivered.
+    // whole fan-out + barrier first (so every filled slot has run and
+    // reported completion), and any feed that arrives later sees stop_
+    // before filling any slot and fails with ShutdownError. By
+    // construction no slot holds an unrun job when the workers are told
+    // to exit — no job is ever abandoned half-delivered.
     {
       const std::lock_guard<std::mutex> lock(mu_);
       stop_.store(true, std::memory_order_release);
@@ -103,53 +97,39 @@ std::size_t EngineGroup::replica_of(std::string_view patient_id) const {
 }
 
 void EngineGroup::worker_loop(Replica& replica) {
+  // Every bump of the push ticket is one filled slot or the shutdown, and
+  // `seen` is the last ticket handled: a replica a feed skipped is never
+  // woken, and a wake never re-runs a slot it already ran. The stop check
+  // cannot skip a filled slot: stop_ is raised under mu_, which the feed
+  // that filled the slot holds until this worker reports completion.
+  std::uint64_t seen = 0;
   for (;;) {
-    TickJob job;
-    if (replica.queue.try_pop(job)) {
-      run_job(replica, job);
-      continue;
-    }
-    // Sleep on the push ticket. Loading the ticket BEFORE the stop check
-    // and the re-pop closes both races: a push or a shutdown after this
-    // load bumps the ticket, so wait(ticket) returns immediately, and a
-    // shutdown before it is seen by the stop check. Checking stop first
-    // would let a shutdown land between the check and the load, leaving
-    // the worker waiting on the already-bumped ticket and join() hung.
-    const std::uint64_t ticket = replica.pushed.load(std::memory_order_acquire);
+    replica.pushed.wait(seen, std::memory_order_acquire);
+    seen = replica.pushed.load(std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) return;
-    if (replica.queue.try_pop(job)) {
-      run_job(replica, job);
-      continue;
-    }
-    replica.pushed.wait(ticket, std::memory_order_acquire);
+    run_job(replica);
   }
 }
 
-void EngineGroup::run_job(Replica& replica, const TickJob& job) {
+void EngineGroup::run_job(Replica& replica) {
   try {
-    FeedMode mode = job.degrade ? FeedMode::kDegraded : FeedMode::kNormal;
+    FeedMode mode =
+        replica.job.degrade ? FeedMode::kDegraded : FeedMode::kNormal;
     if (mode == FeedMode::kNormal && config_.tick_deadline_us > 0) {
       const auto lag_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now() - job.enqueued)
+                              std::chrono::steady_clock::now() -
+                              replica.job.enqueued)
                               .count();
       if (lag_us > static_cast<long long>(config_.tick_deadline_us)) {
         mode = FeedMode::kDegraded;
       }
     }
-    const std::size_t n = job.end - job.begin;
-    replica.engine->feed(
-        std::span<const SessionId>(replica.local_sessions)
-            .subspan(job.begin, n),
-        std::span<const aps::monitor::Observation>(replica.local_obs)
-            .subspan(job.begin, n),
-        std::span<aps::monitor::Decision>(replica.local_decisions)
-            .subspan(job.begin, n),
-        mode);
+    replica.engine->feed(replica.local_sessions, replica.local_obs,
+                         replica.local_decisions, mode);
   } catch (...) {
-    // Jobs for one replica run serially on its worker, so plain writes to
-    // replica.error never race; the first failure wins is fine (feed
-    // rethrows one).
-    if (replica.error == nullptr) replica.error = std::current_exception();
+    // The feed clears replica.error before filling the slot and reads it
+    // after the barrier, so this write never races.
+    replica.error = std::current_exception();
   }
   pending_.fetch_sub(1, std::memory_order_release);
   pending_.notify_one();
@@ -279,7 +259,7 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
   // Admission ladder: the state read once here governs the whole batch.
   // kDegrade serves everything FeedMode::kDegraded; kShed additionally
   // drops inputs of over-quota tenants (never in-quota ones) before any
-  // of them reach a queue.
+  // of them reach a replica.
   const OverloadState adm_state =
       admission_->enabled() ? admission_->state() : OverloadState::kHealthy;
   feed_shed_.assign(inputs.size(), 0);
@@ -316,8 +296,8 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
 
   // Partition admitted inputs by owning replica, preserving batch order
   // within each partition (session input order = batch order, exactly
-  // like a single engine). Replica ids are validated before anything is
-  // enqueued.
+  // like a single engine). Replica ids are validated before any slot is
+  // filled.
   for (auto& replica : replicas_) {
     replica->local_sessions.clear();
     replica->local_obs.clear();
@@ -332,43 +312,21 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
     replica.global_index.push_back(i);
   }
 
-  // One job per replica by default; with max_ticks_per_job the partition
-  // is chunked so a slow replica's queue can genuinely fill — the
-  // occupancy fraction below is the state machine's queue signal.
-  const std::size_t chunk = config_.max_ticks_per_job;
-  std::size_t total_jobs = 0;
-  for (const auto& replica : replicas_) {
-    const std::size_t n = replica->local_sessions.size();
-    if (n == 0) continue;
-    total_jobs += chunk == 0 ? 1 : (n + chunk - 1) / chunk;
-  }
-  pending_.store(total_jobs, std::memory_order_relaxed);
-
+  // One job per replica that owns an input: fill its slot, then bump its
+  // ticket. A replica without inputs is not woken.
+  pending_.store(static_cast<std::size_t>(std::count_if(
+                     replicas_.begin(), replicas_.end(),
+                     [](const auto& replica) {
+                       return !replica->local_sessions.empty();
+                     })),
+                 std::memory_order_relaxed);
   const bool degrade_all = adm_state != OverloadState::kHealthy;
-  double worst_frac = 0.0;
   for (auto& replica : replicas_) {
-    const std::size_t n = replica->local_sessions.size();
-    if (n == 0) continue;
-    replica->local_decisions.resize(n);
-    const std::size_t step = chunk == 0 ? n : chunk;
-    for (std::size_t begin = 0; begin < n; begin += step) {
-      TickJob job{std::chrono::steady_clock::now(), begin,
-                  std::min(begin + step, n), degrade_all};
-      // Bounded queue: a full queue is explicit backpressure — count it
-      // and yield to the (busy) workers rather than growing memory.
-      while (!replica->queue.try_push(job)) {
-        backpressure_->add(1);
-        worst_frac = 1.0;
-        std::this_thread::yield();
-      }
-      const auto depth = replica->queue.size_approx();
-      worst_frac = std::max(worst_frac,
-                            static_cast<double>(depth) /
-                                static_cast<double>(replica->queue.capacity()));
-      replica->queue_depth->set(static_cast<double>(depth));
-      replica->pushed.fetch_add(1, std::memory_order_release);
-      replica->pushed.notify_one();
-    }
+    if (replica->local_sessions.empty()) continue;
+    replica->local_decisions.resize(replica->local_sessions.size());
+    replica->job = {std::chrono::steady_clock::now(), degrade_all};
+    replica->pushed.fetch_add(1, std::memory_order_release);
+    replica->pushed.notify_one();
   }
 
   // Barrier: every job reports completion through pending_.
@@ -393,7 +351,7 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - tick_start)
             .count();
-    admission_->observe_tick(worst_frac, tick_us);
+    admission_->observe_tick(tick_us);
   }
 }
 

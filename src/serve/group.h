@@ -2,37 +2,39 @@
 // MonitorEngine replicas by consistent hashing on patient id.
 //
 // Topology: each replica owns its own engine (shard tables, sessions,
-// latency series) and ONE dedicated worker thread that drains a bounded
-// lock-free MPSC ingest queue; the worker is the replica's only thread
-// (engines spawn none), so a group of N adds exactly N threads. Frontend
-// threads never run model code — a group feed() partitions the tick batch
-// by owning replica, enqueues one tick job per replica, and blocks until
-// every worker reports completion; decisions are then merged back to the
+// latency series), ONE job slot and ONE dedicated worker thread that runs
+// the slot; the worker is the replica's only thread (engines spawn none),
+// so a group of N adds exactly N threads. Frontend threads never run model
+// code — a group feed() partitions the tick batch by owning replica, fills
+// the slot of every replica that owns an input, and blocks until each of
+// those workers reports completion; decisions are then merged back to the
 // caller's indices. Per-session results are invariant to the replica
 // count: sessions are independent streams, a session's inputs all land on
 // its owning replica in batch order, and every decision is written at its
 // fixed input index. The differential oracle (tests/serve_oracle.h) pins
-// groups of 1, 2 and 8 replicas, chunked or not, to the same scalar
-// reference as a single engine.
+// groups of 1, 2 and 8 replicas to the same scalar reference as a single
+// engine.
 //
 // Thread model: the group is the serving plane's one synchronized object.
 // One mutex guards every public entry that reaches a replica engine, and a
 // feed holds it from fan-out through the barrier; workers only run jobs a
-// feed pushed, so while the lock is free every worker is idle. A
-// register_* call thus reaches every replica as one step, and the queue
-// push and completion counter order engine state between threads. The
-// ring is immutable, so replica_of() and replicas() take no lock.
+// feed handed them, so while the lock is free every worker is idle. A
+// register_* call thus reaches every replica as one step. One slot per
+// replica is all a feed needs: it hands each replica at most one job and
+// waits for it, so a second job never queues behind the first. The slot is
+// written under the lock, then published by bumping the replica's push
+// ticket; the worker's completion count orders the results back. The ring
+// is immutable, so replica_of() and replicas() take no lock.
 //
-// Backpressure and overload: the ingest queues are bounded — a full queue
-// makes feed() spin-yield and count serve_group_backpressure_total rather
-// than queue unboundedly. Under deadline pressure (a worker picks a tick
-// job up later than GroupConfig::tick_deadline_us after enqueue) the
+// Overload: under deadline pressure (a worker picks a tick job up later
+// than GroupConfig::tick_deadline_us after the feed filled its slot) the
 // replica serves that tick degraded: sessions whose shard carries a
 // degrade twin (lstm -> dt by default) are answered by the cheap twin
 // while the primary monitor ingests the observation, so control ticks are
 // never missed and the primary stream resumes bit-identically. Degraded
 // cycles surface in serve_degraded_ticks_total and
-// LatencySummary::degraded_ticks.
+// LatencySummary::degraded_ticks. Admission control (admission.h) reads
+// each feed's wall latency, which includes every replica's pickup lag.
 //
 // Session ids encode the owning replica in the top bits
 // ((replica << 24) | engine-local id), so routing a frame or a close is
@@ -52,14 +54,14 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpsc_queue.h"
 #include "serve/admission.h"
 #include "serve/engine.h"
 
 namespace aps::serve {
 
 /// Thrown by feed() once shutdown() has begun: the caller's tick was NOT
-/// enqueued (nothing partial happened) and the group is quiescing.
+/// handed to any replica (nothing partial happened) and the group is
+/// quiescing.
 class ShutdownError : public std::runtime_error {
  public:
   ShutdownError() : std::runtime_error("EngineGroup is shut down") {}
@@ -73,21 +75,12 @@ struct GroupConfig {
   /// smoother patient distribution; 64 keeps the imbalance under a few
   /// percent at 100k sessions.
   std::size_t virtual_nodes = 64;
-  /// Bounded ingest queue depth per replica (rounded up to a power of
-  /// two). A full queue is explicit backpressure, never an allocation.
-  std::size_t queue_capacity = 1024;
   /// Overload deadline: if a worker picks a tick job up more than this
-  /// many microseconds after it was enqueued, the replica serves that tick
-  /// in FeedMode::kDegraded (twin-answered for degradable shards) instead
-  /// of letting control ticks slip further. 0 disables degradation.
+  /// many microseconds after the feed filled its slot, the replica serves
+  /// that tick in FeedMode::kDegraded (twin-answered for degradable
+  /// shards) instead of letting control ticks slip further. 0 disables
+  /// degradation.
   std::uint32_t tick_deadline_us = 0;
-  /// Chunk each replica's feed partition into jobs of at most this many
-  /// ticks (0 = one job per replica per feed, the historical behavior).
-  /// Chunking lets a slow replica's queue genuinely fill — making queue
-  /// occupancy a real overload signal and try_push backpressure reachable —
-  /// at the cost of per-job overhead. Decisions are unaffected: chunks of
-  /// one replica run in order on its single worker.
-  std::size_t max_ticks_per_job = 0;
   /// Admission control policy (disabled by default; see admission.h).
   AdmissionConfig admission = {};
   /// Configuration for every replica engine. When `registry` is null the
@@ -139,9 +132,9 @@ class EngineGroup {
   EngineGroup& operator=(const EngineGroup&) = delete;
 
   /// Quiesce the group: any in-flight feed completes its barrier, later
-  /// feeds fail cleanly with ShutdownError (nothing enqueued), and every
-  /// worker drains its queue and joins. Idempotent and safe to race with
-  /// concurrent feeds — the destructor calls it, but calling it earlier
+  /// feeds fail cleanly with ShutdownError (nothing handed off), and every
+  /// worker joins with its slot already run. Idempotent and safe to race
+  /// with concurrent feeds — the destructor calls it, but calling it earlier
   /// lets tests exercise the feed-while-shutting-down path with the group
   /// object still alive.
   void shutdown();
@@ -181,7 +174,7 @@ class EngineGroup {
 
   /// Fan a tick batch out to the owning replicas (parallel workers) and
   /// merge decisions deterministically: decisions[i] answers inputs[i]
-  /// regardless of replica count, queue timing, or worker scheduling.
+  /// regardless of replica count or worker scheduling.
   /// Session ids must be group ids from THIS group; per-replica input
   /// order (and thus multi-input-per-session semantics) follows batch
   /// order. A replica failure (unknown session) is rethrown here after
@@ -195,8 +188,8 @@ class EngineGroup {
             std::span<TickOutcome> outcomes = {});
   std::vector<aps::monitor::Decision> feed(
       std::span<const SessionInput> inputs);
-  /// Single-session control-path tick, routed directly (no queue, no
-  /// deadline accounting).
+  /// Single-session control-path tick, run on the caller's thread under
+  /// the group lock (no worker hand-off, no deadline accounting).
   aps::monitor::Decision feed_one(SessionId id,
                                   const aps::monitor::Observation& obs);
   void reset_session(SessionId id);
@@ -225,22 +218,21 @@ class EngineGroup {
   [[nodiscard]] AdmissionController& admission() const { return *admission_; }
 
  private:
-  /// One enqueued tick chunk: the replica's scratch buffers (guarded by
-  /// mu_) hold the payload; the job carries the [begin, end) range into
-  /// them, the enqueue timestamp for deadline accounting, and whether
-  /// admission already decided the chunk runs degraded. Completion is
-  /// reported through the group's pending_ counter.
+  /// A replica's job slot: the replica's scratch buffers (guarded by mu_)
+  /// hold the payload, always the whole partition; the slot adds the time
+  /// the feed filled it, for deadline accounting, and whether admission
+  /// already decided the job runs degraded. Completion is reported through
+  /// the group's pending_ counter.
   struct TickJob {
     std::chrono::steady_clock::time_point enqueued;
-    std::size_t begin = 0;
-    std::size_t end = 0;
     bool degrade = false;
   };
 
   struct Replica {
     std::unique_ptr<MonitorEngine> engine;
-    MpscQueue<TickJob> queue;
-    std::atomic<std::uint64_t> pushed{0};  ///< push ticket (worker wakeup)
+    TickJob job;  ///< written by feed() under mu_ before the ticket bump
+    /// Push ticket: one bump per filled slot, plus one at shutdown.
+    std::atomic<std::uint64_t> pushed{0};
     std::thread worker;
     // Per-feed scratch, valid while a job for this replica is in flight
     // (mu_ serializes group feeds).
@@ -249,19 +241,16 @@ class EngineGroup {
     std::vector<aps::monitor::Decision> local_decisions;
     std::vector<std::uint32_t> global_index;  ///< input index per local row
     std::exception_ptr error;
-    aps::obs::Gauge* queue_depth = nullptr;
     aps::obs::Gauge* sessions_gauge = nullptr;
     /// Tenant index (AdmissionController::tenant_index) per engine-local
     /// session id; written at open/restore, read by feed's shed pre-pass.
     /// Guarded by mu_. Only maintained when admission is enabled.
     std::vector<std::uint32_t> tenant_of_local;
-
-    explicit Replica(std::size_t queue_capacity) : queue(queue_capacity) {}
   };
 
   [[nodiscard]] Replica& checked_replica(SessionId id) const;
   void worker_loop(Replica& replica);
-  void run_job(Replica& replica, const TickJob& job);
+  void run_job(Replica& replica);
   void record_tenant(Replica& replica, SessionId local,
                      std::string_view patient_id);
 
@@ -279,7 +268,6 @@ class EngineGroup {
   /// Jobs of the in-flight feed not yet finished; workers decrement it,
   /// the feed's barrier waits for zero.
   std::atomic<std::size_t> pending_{0};
-  aps::obs::Counter* backpressure_ = nullptr;
   aps::obs::Counter* group_feeds_ = nullptr;
   // Feed-local scratch for the shed pre-pass (guarded by mu_).
   std::vector<std::uint32_t> feed_tenants_;  ///< tenant index per input

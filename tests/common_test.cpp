@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/cli.h"
-#include "common/mpsc_queue.h"
 #include "common/units.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
@@ -242,82 +241,6 @@ TEST(CliFlags, ParsesAllSyntaxes) {
 TEST(Units, EnumToString) {
   EXPECT_STREQ(to_string(HazardType::kH1TooMuchInsulin), "H1");
   EXPECT_STREQ(to_string(ControlAction::kStopInsulin), "stop_insulin");
-}
-
-TEST(MpscQueue, FifoWithBoundedCapacityAndWraparound) {
-  MpscQueue<int> queue(4);
-  int out = 0;
-  EXPECT_FALSE(queue.try_pop(out));  // empty
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(queue.try_push(i));
-  }
-  EXPECT_EQ(queue.capacity(), 4u);
-  EXPECT_EQ(queue.size_approx(), 4u);
-  EXPECT_FALSE(queue.try_push(99));  // full = explicit backpressure
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(queue.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(queue.try_pop(out));
-  // Wrap the ring a few times: sequence numbers must stay consistent.
-  for (int round = 0; round < 5; ++round) {
-    EXPECT_TRUE(queue.try_push(10 * round));
-    EXPECT_TRUE(queue.try_push(10 * round + 1));
-    ASSERT_TRUE(queue.try_pop(out));
-    EXPECT_EQ(out, 10 * round);
-    ASSERT_TRUE(queue.try_pop(out));
-    EXPECT_EQ(out, 10 * round + 1);
-  }
-}
-
-TEST(MpscQueue, CapacityRoundsUpToPowerOfTwo) {
-  MpscQueue<int> queue(5);  // rounds to 8
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(queue.try_push(i));
-  }
-  EXPECT_FALSE(queue.try_push(8));
-}
-
-TEST(MpscQueue, MultiProducerDeliversEveryItemInPerProducerOrder) {
-  // The serving group's ingest pattern: several frontend threads pushing,
-  // one worker draining. Every item must arrive exactly once and each
-  // producer's items must stay in its push order.
-  constexpr std::uint64_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 5000;
-  MpscQueue<std::uint64_t> queue(256);
-
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        while (!queue.try_push((p << 32) | i)) {
-          std::this_thread::yield();  // bounded: spin on backpressure
-        }
-      }
-    });
-  }
-
-  std::vector<std::uint64_t> next(kProducers, 0);
-  std::uint64_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    std::uint64_t item = 0;
-    if (!queue.try_pop(item)) {
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t p = item >> 32;
-    const std::uint64_t seq = item & 0xffffffffu;
-    ASSERT_LT(p, kProducers);
-    ASSERT_EQ(seq, next[p]) << "producer " << p << " out of order";
-    next[p]++;
-    received++;
-  }
-  for (auto& t : producers) t.join();
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(next[p], kPerProducer);
-  }
-  std::uint64_t drained = 0;
-  EXPECT_FALSE(queue.try_pop(drained));
 }
 
 }  // namespace

@@ -566,6 +566,11 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   group_config.replicas = 2;
   group_config.engine.registry = &registry;
   group_config.admission.enabled = true;
+  // p99 thresholds no real feed reaches, over a one-tick window: one
+  // synthetic slow tick forces the ladder and the next feed starts it down.
+  group_config.admission.degrade_p99_us = 1e9;
+  group_config.admission.shed_p99_us = 2e9;
+  group_config.admission.latency_window = 1;
   group_config.admission.min_dwell_ticks = 2;
   group_config.admission.retry_after_ms = 20;
   group_config.admission.tenant_quotas = {
@@ -593,8 +598,8 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
     EXPECT_TRUE(reply.served);
   }
 
-  // Saturate the ladder, as a full ingest queue would.
-  group.admission().observe_tick(1.0, 0.0);
+  // Force the top of the ladder with one tick slower than shed_p99_us.
+  group.admission().observe_tick(3e9);
   ASSERT_EQ(group.admission().state(), serve::OverloadState::kShed);
 
   // An open while shedding: typed reject carrying the backoff hint.
@@ -611,7 +616,7 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   // bulk's bucket is empty (quotas only bite while shedding, and its
   // burst is ~zero), so its tick sheds with the seq echoed back; care is
   // in quota and still served from the same batch.
-  group.admission().observe_tick(1.0, 0.0);  // re-arm past the server feed
+  group.admission().observe_tick(3e9);  // re-arm past the server feed
   client.send_tick(0, 1, stream[1]);
   client.send_tick(1, 1, stream[1]);
   bool care_served = false, bulk_shed = false;
@@ -630,7 +635,7 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   EXPECT_TRUE(care_served);
   EXPECT_TRUE(bulk_shed);
 
-  // The ladder clears after calm feeds (dwell = 1 per rung); a retrying
+  // The ladder clears after calm feeds (dwell = 2 per rung); a retrying
   // open now succeeds by backing off instead of failing.
   for (int k = 2; k < 6; ++k) {
     client.send_tick(0, static_cast<std::uint64_t>(k), stream[k]);

@@ -28,16 +28,20 @@ constexpr int kCohort = 4;
 
 using testutil::rule_bundle;
 
-/// Queue-fraction-only thresholds with a short dwell so the state machine
-/// is walked with a handful of synthetic observations.
+/// p99 thresholds far above any real feed, a one-tick window (the p99 is
+/// the last tick) and a short dwell, so the state machine is walked with a
+/// handful of synthetic tick latencies.
+constexpr double kDegradeUs = 1e9;
+constexpr double kShedUs = 2e9;
+
 serve::AdmissionConfig fast_config() {
   serve::AdmissionConfig config;
   config.enabled = true;
-  config.degrade_queue_frac = 0.5;
-  config.shed_queue_frac = 0.9;
+  config.degrade_p99_us = kDegradeUs;
+  config.shed_p99_us = kShedUs;
   config.recover_ratio = 0.7;
   config.min_dwell_ticks = 4;
-  config.latency_window = 8;
+  config.latency_window = 1;
   return config;
 }
 
@@ -56,26 +60,27 @@ TEST(Admission, EscalationIsImmediateRecoveryNeedsDwell) {
   EXPECT_EQ(registry.gauge_value("serve_overload_state"), 0.0);
 
   // One bad tick escalates; a worse one escalates again, no dwell.
-  adm.observe_tick(0.6, 0.0);
+  adm.observe_tick(1.2 * kDegradeUs);
   EXPECT_EQ(adm.state(), serve::OverloadState::kDegrade);
-  adm.observe_tick(0.95, 0.0);
+  adm.observe_tick(1.1 * kShedUs);
   EXPECT_EQ(adm.state(), serve::OverloadState::kShed);
   EXPECT_EQ(registry.gauge_value("serve_overload_state"), 2.0);
 
   // Three calm ticks: dwell (4) not reached, still shedding.
-  for (int i = 0; i < 3; ++i) adm.observe_tick(0.0, 0.0);
+  for (int i = 0; i < 3; ++i) adm.observe_tick(0.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kShed);
 
-  // 0.7 sits inside the hysteresis band (>= shed_frac * recover_ratio =
-  // 0.63) — not an escalation, but it must reset the dwell counter.
-  adm.observe_tick(0.7, 0.0);
-  for (int i = 0; i < 3; ++i) adm.observe_tick(0.0, 0.0);
+  // 1.5e9 us sits inside the hysteresis band (>= shed_p99_us *
+  // recover_ratio = 1.4e9) — not an escalation, but it must reset the
+  // dwell counter.
+  adm.observe_tick(0.75 * kShedUs);
+  for (int i = 0; i < 3; ++i) adm.observe_tick(0.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kShed);
 
   // Fourth consecutive calm tick: step down ONE rung, not straight home.
-  adm.observe_tick(0.0, 0.0);
+  adm.observe_tick(0.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kDegrade);
-  for (int i = 0; i < 4; ++i) adm.observe_tick(0.0, 0.0);
+  for (int i = 0; i < 4; ++i) adm.observe_tick(0.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kHealthy);
   EXPECT_EQ(registry.gauge_value("serve_overload_state"), 0.0);
 
@@ -90,24 +95,23 @@ TEST(Admission, EscalationIsImmediateRecoveryNeedsDwell) {
             1u);
 }
 
-TEST(Admission, LatencySignalDrivesTheLadderToo) {
+TEST(Admission, P99OverTheWindowDrivesTheLadder) {
   obs::Registry registry;
   auto config = fast_config();
-  config.degrade_queue_frac = 2.0;  // disable the queue signal
-  config.shed_queue_frac = 2.0;
   config.degrade_p99_us = 100.0;
   config.shed_p99_us = 10000.0;
+  config.latency_window = 8;
   serve::AdmissionController adm(config, registry);
 
-  adm.observe_tick(0.0, 50.0);
+  adm.observe_tick(50.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kHealthy);
   // The p99 rank floors, so one outlier in a 2-sample window is not yet
   // the p99 — a single slow tick cannot flap the ladder.
-  adm.observe_tick(0.0, 500.0);
+  adm.observe_tick(500.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kHealthy);
-  adm.observe_tick(0.0, 500.0);  // p99 of the window is now 500us
+  adm.observe_tick(500.0);  // p99 of the window is now 500us
   EXPECT_EQ(adm.state(), serve::OverloadState::kDegrade);
-  for (int i = 0; i < 3; ++i) adm.observe_tick(0.0, 20000.0);
+  for (int i = 0; i < 3; ++i) adm.observe_tick(20000.0);
   EXPECT_EQ(adm.state(), serve::OverloadState::kShed);
 }
 
@@ -124,12 +128,12 @@ TEST(Admission, BucketsOnlyBiteWhileShedding) {
   // Healthy and degraded states admit everything — quotas are an overload
   // protection, not a calm-weather rate limit.
   EXPECT_EQ(adm.admit_ticks(bulk, 100), 100u);
-  adm.observe_tick(0.6, 0.0);
+  adm.observe_tick(1.2 * kDegradeUs);
   ASSERT_EQ(adm.state(), serve::OverloadState::kDegrade);
   EXPECT_EQ(adm.admit_ticks(bulk, 100), 100u);
   EXPECT_TRUE(adm.admit_open("bulk"));
 
-  adm.observe_tick(0.95, 0.0);
+  adm.observe_tick(1.1 * kShedUs);
   ASSERT_EQ(adm.state(), serve::OverloadState::kShed);
 
   // Shedding: the bucket holds 4 tokens; 10 requested -> 4 admitted in
@@ -159,7 +163,7 @@ TEST(Admission, DisabledControllerAdmitsEverything) {
   obs::Registry registry;
   serve::AdmissionConfig config;  // enabled = false
   serve::AdmissionController adm(config, registry);
-  adm.observe_tick(1.0, 1e9);
+  adm.observe_tick(1e12);
   EXPECT_EQ(adm.state(), serve::OverloadState::kHealthy);
   EXPECT_TRUE(adm.admit_open("anyone"));
   EXPECT_EQ(adm.admit_ticks(adm.tenant_index("anyone"), 10), 10u);
@@ -169,7 +173,7 @@ TEST(AdmissionGroup, InQuotaTenantsNeverLoseATickWhileShedding) {
   serve::GroupConfig config;
   config.replicas = 2;
   config.engine.telemetry = false;  // group-owned registry, isolated counts
-  config.admission.enabled = true;
+  config.admission = fast_config();
   config.admission.min_dwell_ticks = 2;
   config.admission.retry_after_ms = 125;
   config.admission.tenant_quotas = {
@@ -248,8 +252,8 @@ TEST(AdmissionGroup, InQuotaTenantsNeverLoseATickWhileShedding) {
   for (int k = 0; k < 3; ++k) cycle();
   EXPECT_EQ(care_shed + bulk_shed, 0u);
 
-  // Force the top of the ladder (as a saturated queue would).
-  group.admission().observe_tick(1.0, 0.0);
+  // Force the top of the ladder with one tick slower than kShedUs.
+  group.admission().observe_tick(1.1 * kShedUs);
   ASSERT_EQ(group.admission().state(), serve::OverloadState::kShed);
 
   // Opens are rejected with the typed error and the backoff hint.
@@ -266,11 +270,11 @@ TEST(AdmissionGroup, InQuotaTenantsNeverLoseATickWhileShedding) {
 
   // Shedding: bulk's bucket holds 2 tokens, so exactly 2 of its 4 ticks
   // are served this cycle; care (unlimited) never loses one. The feed's
-  // own observe_tick sees a calm queue, so re-arm the ladder each cycle.
+  // own observe_tick sees a fast tick, so re-arm the ladder each cycle.
   cycle();
   EXPECT_EQ(care_shed, 0u);
   EXPECT_EQ(bulk_shed, 2u);
-  group.admission().observe_tick(1.0, 0.0);
+  group.admission().observe_tick(1.1 * kShedUs);
   cycle();  // bucket dry: all 4 bulk ticks shed
   EXPECT_EQ(care_shed, 0u);
   EXPECT_EQ(bulk_shed, 6u);

@@ -2,7 +2,8 @@
 // pins for groups of 1, 2 and 8 replicas): stable consistent-hash routing
 // and restore placement, flat RSS through heavy session churn,
 // deadline-aware degradation (twin-answered ticks counted, zero below
-// pressure), shutdown racing feeds, queue backpressure, and exactly one
+// pressure), the per-replica job slot under back-to-back feeds that wake
+// changing subsets of replicas, shutdown racing feeds, and exactly one
 // thread per replica.
 #include <gtest/gtest.h>
 
@@ -302,91 +303,89 @@ TEST(EngineGroup, FeedsRacingShutdownFailCleanlyNotCrash) {
   EXPECT_NO_THROW(group->shutdown());
 }
 
-namespace {
-
-/// Deterministic monitor that burns wall time: makes a 2-slot ingest
-/// queue genuinely fill while the frontend is still enqueuing chunks.
-class SlowDeterministicMonitor final : public monitor::Monitor {
- public:
-  void reset() override { cycles_ = 0; }
-  [[nodiscard]] monitor::Decision observe(
-      const monitor::Observation& obs) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-    ++cycles_;
-    monitor::Decision d;
-    d.alarm = obs.bg < 70.0 || obs.bg > 300.0;
-    if (d.alarm) {
-      d.predicted = obs.bg < 70.0 ? HazardType::kH1TooMuchInsulin
-                                  : HazardType::kH2TooLittleInsulin;
-      d.rule_id = static_cast<int>(cycles_ % 7);
-    }
-    return d;
-  }
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::unique_ptr<monitor::Monitor> clone() const override {
-    auto copy = std::make_unique<SlowDeterministicMonitor>();
-    copy->cycles_ = cycles_;
-    return copy;
-  }
-
- private:
-  std::uint64_t cycles_ = 0;
-  std::string name_ = "slow";
-};
-
-}  // namespace
-
-TEST(EngineGroup, QueueFullBackpressureLosesNothing) {
-  // A deliberately tiny ingest queue (2 slots) with single-tick jobs and a
-  // slow monitor: the frontend must hit try_push failure (counted in
-  // serve_group_backpressure_total), yet once the pressure clears every
-  // tick was served exactly once and decisions are bit-identical to an
-  // unpressured reference engine — backpressure stalls, it never drops.
+TEST(EngineGroup, SlotHandOffSurvivesBackToBackFeedsOnChangingReplicas) {
+  // Thousands of back-to-back feeds, each waking a different subset of a
+  // 4-replica group's workers: one replica, two, all four, or one replica
+  // with several inputs of one session. A replica a feed skips must not
+  // re-run its stale slot on its next wake, and a wake must never be lost
+  // (a lost one hangs the barrier until the ctest timeout). Every decision
+  // must match a single reference engine fed the same inputs, and the
+  // group must count exactly one cycle per input served. Runs under the
+  // TSan CI job via the "threads" label.
   serve::GroupConfig config;
-  config.replicas = 1;
-  config.queue_capacity = 2;
-  config.max_ticks_per_job = 1;
+  config.replicas = 4;
   config.engine.telemetry = false;
   serve::EngineGroup group(config);
-  group.register_monitor("slow", [](int) {
-    return std::make_unique<SlowDeterministicMonitor>();
-  });
+  group.register_bundle(testutil::tiny_bundle());
   serve::MonitorEngine reference({.registry = nullptr, .telemetry = false});
-  reference.register_monitor("slow", [](int) {
-    return std::make_unique<SlowDeterministicMonitor>();
-  });
+  reference.register_bundle(testutil::tiny_bundle());
 
-  constexpr std::size_t kSessions = 8;
-  constexpr std::size_t kSteps = 5;
+  constexpr std::size_t kSessions = 24;
+  constexpr std::size_t kStreamSteps = 64;
   std::vector<serve::SessionId> ids, ref_ids;
   std::vector<std::vector<monitor::Observation>> streams;
+  std::vector<std::vector<std::size_t>> owned(group.replicas());
   for (std::size_t s = 0; s < kSessions; ++s) {
-    const std::string patient = "bp/p" + std::to_string(s);
-    ids.push_back(group.open_session(patient, "slow", 0));
-    ref_ids.push_back(reference.open_session(patient, "slow", 0));
-    streams.push_back(session_stream(s, kSteps));
+    const std::string patient = "slot-p" + std::to_string(s);
+    const std::string& kind = kKinds[s % kKinds.size()];
+    const int index = static_cast<int>(s) % kCohort;
+    ids.push_back(group.open_session(patient, kind, index));
+    ref_ids.push_back(reference.open_session(patient, kind, index));
+    streams.push_back(session_stream(300 + s, kStreamSteps));
+    owned[serve::EngineGroup::replica_of_session(ids.back())].push_back(s);
+  }
+  for (std::size_t r = 0; r < owned.size(); ++r) {
+    ASSERT_FALSE(owned[r].empty()) << "replica " << r << " owns no session";
   }
 
-  for (std::size_t k = 0; k < kSteps; ++k) {
-    std::vector<serve::SessionInput> batch, ref_batch;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      batch.push_back({ids[s], streams[s][k]});
-      ref_batch.push_back({ref_ids[s], streams[s][k]});
+  std::vector<std::size_t> cursor(kSessions, 0);
+  std::vector<serve::SessionInput> batch, ref_batch;
+  const auto add = [&](std::size_t s) {
+    const auto& obs = streams[s][cursor[s]++ % kStreamSteps];
+    batch.push_back({ids[s], obs});
+    ref_batch.push_back({ref_ids[s], obs});
+  };
+  const auto add_replica = [&](std::size_t r) {
+    for (const std::size_t s : owned[r % owned.size()]) add(s);
+  };
+
+  constexpr std::size_t kFeeds = 4000;
+  std::uint64_t served = 0;
+  for (std::size_t k = 0; k < kFeeds; ++k) {
+    batch.clear();
+    ref_batch.clear();
+    const std::size_t r = k / 4;
+    switch (k % 4) {
+      case 0:  // one replica
+        add_replica(r);
+        break;
+      case 1:  // two replicas
+        add_replica(r);
+        add_replica(r + 1);
+        break;
+      case 2:  // every replica
+        for (std::size_t all = 0; all < owned.size(); ++all) add_replica(all);
+        break;
+      default: {  // several inputs of one session
+        const auto& sessions = owned[(r + 2) % owned.size()];
+        const std::size_t s = sessions[k % sessions.size()];
+        for (int repeat = 0; repeat < 3; ++repeat) add(s);
+        break;
+      }
     }
     const auto got = group.feed(batch);
     const auto want = reference.feed(ref_batch);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_TRUE(testutil::decisions_equal(want[i], got[i]))
-          << "cycle " << k << " input " << i;
+          << "feed " << k << " input " << i;
     }
+    served += batch.size();
   }
-  // 8 single-tick jobs per feed against a 2-slot queue served at ~300us a
-  // tick: the producer must have seen a full queue.
-  EXPECT_GT(group.registry().counter_value("serve_group_backpressure_total"),
-            0u);
+  EXPECT_EQ(group.total_cycles(), served);
+  EXPECT_EQ(reference.total_cycles(), served);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    EXPECT_EQ(group.stats(ids[s]).cycles, kSteps);  // nothing silently lost
+    EXPECT_EQ(group.stats(ids[s]).cycles, cursor[s]) << "session " << s;
   }
 }
 

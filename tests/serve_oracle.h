@@ -8,10 +8,10 @@
 // engine registers, fed one input at a time in batch order. A degraded
 // tick is answered by the session's scalar twin (the engine's default
 // lstm -> dt map) while the primary observes and discards. Targets are a
-// MonitorEngine (f64 or f32), EngineGroups of any replica count with or
-// without job chunking, and a group behind the TCP ingest door whose
-// recorded listfile is replayed at the end. Ops a target's plane does not
-// carry (reload over the wire, say) are skipped for that target.
+// MonitorEngine (f64 or f32), EngineGroups of any replica count, and a
+// group behind the TCP ingest door whose recorded listfile is replayed at
+// the end. Ops a target's plane does not carry (reload over the wire, say)
+// are skipped for that target.
 //
 // Test-only: nothing here is linked into the aps library.
 // serve_oracle_test parameterizes the runner over the targets, and
@@ -282,6 +282,12 @@ class Target {
   virtual std::string finish(const Counters&) { return {}; }
 };
 
+/// A group target's p99 admission thresholds: far above any real feed,
+/// over a one-tick window, so one synthetic slow tick sets the rung and
+/// the next non-empty feed steps it down.
+constexpr double kDegradeUs = 1e9;
+constexpr double kShedUs = 2e9;
+
 /// A MonitorEngine or an EngineGroup, built by make(registry, builds): a
 /// restore builds the next instance (builds + 1), e.g. at another
 /// precision or replica count, and restores every session into it.
@@ -334,16 +340,18 @@ class PlaneTarget : public Target {
       plane_->feed(inputs, decisions);
     }
   }
-  /// Groups degrade and shed through their admission ladder.
+  /// Groups degrade and shed through their admission ladder: one tick as
+  /// slow as kDegradeUs..kShedUs (inside the shed rung's hysteresis band,
+  /// so it never steps a shedding group down) or past kShedUs.
   void degrade() override {
     if constexpr (kGroup) {
-      plane_->admission().observe_tick(0.8, 0.0);
+      plane_->admission().observe_tick(1.5 * kDegradeUs);
     } else {
       degrade_ = true;
     }
   }
   void shed() override {
-    if constexpr (kGroup) plane_->admission().observe_tick(1.0, 0.0);
+    if constexpr (kGroup) plane_->admission().observe_tick(1.5 * kShedUs);
   }
   void restore(std::vector<SessionId>& ids) override {
     std::vector<serve::SessionSnapshot> snaps;
@@ -398,14 +406,15 @@ inline std::unique_ptr<Target> engine_target(monitor::Precision precision,
 /// A group with admission on (one-tick dwell, so the ladder steps down a
 /// rung per non-empty feed; an empty quota for "bulk"). Each restore moves
 /// the sessions to a group one replica larger, or back: a resized ring.
-inline std::unique_ptr<Target> group_target(std::size_t replicas,
-                                            std::size_t ticks_per_job) {
+inline std::unique_ptr<Target> group_target(std::size_t replicas) {
   return std::make_unique<PlaneTarget<serve::EngineGroup>>(
       [=](obs::Registry* registry, int builds) {
         serve::GroupConfig config{.replicas = replicas + builds % 2,
-                                  .max_ticks_per_job = ticks_per_job,
                                   .engine = {.registry = registry}};
         config.admission.enabled = true;
+        config.admission.degrade_p99_us = kDegradeUs;
+        config.admission.shed_p99_us = kShedUs;
+        config.admission.latency_window = 1;
         config.admission.min_dwell_ticks = 1;
         config.admission.tenant_quotas = {
             {"bulk", {.ticks_per_sec = 1e-6, .burst = 1e-6}}};

@@ -25,8 +25,8 @@ using oracle::Spec;
 constexpr std::uint64_t kSequencesPerTarget = 8;
 
 std::vector<Spec> targets() {
-  const auto group = [](std::size_t replicas, std::size_t ticks_per_job) {
-    return [=] { return oracle::group_target(replicas, ticks_per_job); };
+  const auto group = [](std::size_t replicas) {
+    return [=] { return oracle::group_target(replicas); };
   };
   const Caps group_caps{.shed = true};
   return {
@@ -35,11 +35,9 @@ std::vector<Spec> targets() {
       // Zero decision flips at float32; each restore flips the precision.
       {"engine_f32", {.hostile = false},
        [] { return oracle::engine_target(monitor::Precision::kF32, true); }},
-      {"group1", group_caps, group(1, 0)},
-      {"group2", group_caps, group(2, 0)},
-      {"group8", group_caps, group(8, 0)},
-      {"group2_chunk1", group_caps, group(2, 1)},
-      {"group8_chunk3", group_caps, group(8, 3)},
+      {"group1", group_caps, group(1)},
+      {"group2", group_caps, group(2)},
+      {"group8", group_caps, group(8)},
       {"tcp_replay",
        {.reload = false, .reset = false, .restore = false, .degrade = false,
         .door = true},

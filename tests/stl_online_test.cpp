@@ -1,73 +1,29 @@
-// Online STL evaluation and algebraic-law property sweeps.
+// Per-cycle STL rule checks and algebraic-law property sweeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stl/online.h"
 #include "stl/parser.h"
 
 namespace {
 
 using namespace aps::stl;
 
-// --- OnlineEvaluator ------------------------------------------------------------
-
-TEST(Online, MatchesOfflineAtNewestSample) {
-  const auto f = parse_formula("H[0,2] (BG < 150)");
-  OnlineEvaluator online({"BG"}, /*horizon=*/16);
-
-  const std::vector<double> bg = {120, 130, 140, 160, 140, 130, 120, 110};
-  Trace offline(5.0);
-  std::vector<double> so_far;
-  for (const double v : bg) {
-    online.push({{"BG", v}});
-    so_far.push_back(v);
-    Trace trace(5.0);
-    trace.set("BG", so_far);
-    EXPECT_EQ(online.sat(*f),
-              f->sat(trace, static_cast<int>(so_far.size()) - 1))
-        << "after pushing " << v;
-  }
-}
-
-TEST(Online, BoundedHistoryForgetsOldSamples) {
-  // "BG was once above 200" with an unbounded past operator, but only 4
-  // samples of history: the spike must age out of the window.
-  const auto f = parse_formula("O[0,end] (BG > 200)");
-  OnlineEvaluator online({"BG"}, /*horizon=*/4);
-  online.push({{"BG", 250.0}});
-  EXPECT_TRUE(online.sat(*f));
-  for (int i = 0; i < 3; ++i) {
-    online.push({{"BG", 120.0}});
-    EXPECT_TRUE(online.sat(*f)) << i;  // spike still inside the window
-  }
-  online.push({{"BG", 120.0}});  // fifth sample: spike evicted
-  EXPECT_FALSE(online.sat(*f));
-  EXPECT_EQ(online.total_samples(), 5);
-  EXPECT_EQ(online.retained(), 4u);
-}
+// --- Rules checked per control cycle -----------------------------------------
 
 TEST(Online, StreamingRuleCheckOverContext) {
-  // A Table I-shaped instantaneous rule evaluated per cycle.
+  // A Table I-shaped instantaneous rule evaluated at each cycle of a trace.
   const auto rule = parse_formula(
       "(BG > 120 and IOB < {beta}) -> !u3");
-  OnlineEvaluator online({"BG", "IOB", "u3"}, 8);
   const ParamMap params{{"beta", 1.0}};
+  Trace trace(5.0);
+  trace.set("BG", {150.0, 150.0, 150.0});
+  trace.set("IOB", {0.5, 0.5, 2.0});
+  trace.set("u3", {0.0, 1.0, 1.0});
 
-  online.push({{"BG", 150.0}, {"IOB", 0.5}, {"u3", 0.0}});
-  EXPECT_TRUE(online.sat(*rule, params));
-  online.push({{"BG", 150.0}, {"IOB", 0.5}, {"u3", 1.0}});  // unsafe stop
-  EXPECT_FALSE(online.sat(*rule, params));
-  online.push({{"BG", 150.0}, {"IOB", 2.0}, {"u3", 1.0}});  // enough IOB
-  EXPECT_TRUE(online.sat(*rule, params));
-}
-
-TEST(Online, RejectsBadUsage) {
-  OnlineEvaluator online({"BG"}, 4);
-  const auto f = parse_formula("BG > 0");
-  EXPECT_THROW((void)online.robustness(*f), std::logic_error);
-  EXPECT_THROW(online.push({{"wrong", 1.0}}), std::invalid_argument);
-  EXPECT_THROW(OnlineEvaluator({"BG"}, 0), std::invalid_argument);
+  EXPECT_TRUE(rule->sat(trace, 0, params));
+  EXPECT_FALSE(rule->sat(trace, 1, params));  // unsafe stop
+  EXPECT_TRUE(rule->sat(trace, 2, params));   // enough IOB
 }
 
 // --- Algebraic laws (property sweeps) ----------------------------------------------
@@ -158,8 +114,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StlLaws, ::testing::Range(0, 10));
 
 }  // namespace
 
-// --- Runtime consistency: the streaming STL check over a real closed-loop
-// trace must agree step-by-step with the synthesized CawMonitor logic.
+// --- Runtime consistency: the STL form of every rule, checked at each step
+// of a real closed-loop trace, must agree with the synthesized CawMonitor
+// logic.
 #include "core/threshold_pipeline.h"
 #include "monitor/caw.h"
 #include "sim/stack.h"
@@ -185,34 +142,30 @@ TEST(Online, AgreesWithSynthesizedMonitorOverRealTrace) {
   caw_config.thresholds = monitor::default_thresholds(2.0);
   const monitor::CawMonitor synthesized(caw_config);
 
-  // One evaluator per rule; horizon 1 turns G[0,end] into the
-  // instantaneous check the monitor executes.
   std::vector<FormulaPtr> formulas;
   ParamMap params;
   for (const auto& rule : monitor::caw_rules()) {
     formulas.push_back(monitor::rule_to_stl(rule, caw_config));
     params[rule.param] = caw_config.thresholds.at(rule.param);
   }
-  OnlineEvaluator online(
-      {"BG", "BG_rate", "IOB", "IOB_rate", "u1", "u2", "u3", "u4"},
-      /*horizon=*/1);
 
   for (std::size_t k = 0; k < run.steps.size(); ++k) {
     const auto obs = sim::observation_from_record(
         run, k, controller->basal_rate(), controller->isf());
-    std::map<std::string, double> sample = {
-        {"BG", obs.bg},
-        {"BG_rate", obs.bg_rate},
-        {"IOB", obs.iob},
-        {"IOB_rate", obs.iob_rate}};
+    // The cycle's sample as a one-step trace: G[0,end] at its only step is
+    // the instantaneous check the monitor executes each cycle.
+    Trace step(5.0);
+    step.set("BG", {obs.bg});
+    step.set("BG_rate", {obs.bg_rate});
+    step.set("IOB", {obs.iob});
+    step.set("IOB_rate", {obs.iob_rate});
     for (int a = 0; a < 4; ++a) {
-      sample[std::string("u").append(std::to_string(a + 1))] =
-          static_cast<int>(obs.action) == a ? 1.0 : 0.0;
+      step.set(std::string("u").append(std::to_string(a + 1)),
+               {static_cast<int>(obs.action) == a ? 1.0 : 0.0});
     }
-    online.push(sample);
     for (std::size_t r = 0; r < formulas.size(); ++r) {
       const auto& rule = monitor::caw_rules()[r];
-      EXPECT_EQ(online.sat(*formulas[r], params),
+      EXPECT_EQ(formulas[r]->sat(step, 0, params),
                 !synthesized.rule_violated(rule, obs))
           << "rule " << rule.id << " at step " << k;
     }
