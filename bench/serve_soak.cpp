@@ -360,7 +360,6 @@ int main(int argc, char** argv) try {
     serve::GroupConfig oconfig;
     oconfig.replicas = replicas;
     oconfig.engine.registry = &registry;
-    oconfig.admission.enabled = true;
     oconfig.admission.degrade_p99_us = 1.0;
     oconfig.admission.shed_p99_us = 0.0;  // never past kDegrade
     oconfig.admission.min_dwell_ticks = 1u << 30;
@@ -449,7 +448,6 @@ int main(int argc, char** argv) try {
     serve::GroupConfig sconfig;
     sconfig.replicas = replicas;
     sconfig.engine.registry = &registry;
-    sconfig.admission.enabled = true;
     sconfig.admission.degrade_p99_us = 0.5;
     sconfig.admission.shed_p99_us = 1.0;  // any tick latency trips kShed
     sconfig.admission.min_dwell_ticks = 1u << 30;

@@ -58,7 +58,7 @@ int AdmissionController::signal_level(double p99_us, double scale) const {
 }
 
 void AdmissionController::observe_tick(double tick_us) {
-  if (!config_.enabled) return;
+  if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
 
   window_[window_pos_] = tick_us;
@@ -167,7 +167,7 @@ void AdmissionController::refill_locked(
 }
 
 bool AdmissionController::admit_open(std::string_view tenant) {
-  if (!config_.enabled) return true;
+  if (!enabled()) return true;
   if (state_.load(std::memory_order_relaxed) != OverloadState::kShed) {
     return true;
   }
@@ -178,7 +178,7 @@ bool AdmissionController::admit_open(std::string_view tenant) {
 
 std::size_t AdmissionController::admit_ticks(std::uint32_t tenant_index,
                                              std::size_t count) {
-  if (!config_.enabled || count == 0) return count;
+  if (!enabled() || count == 0) return count;
   if (state_.load(std::memory_order_relaxed) != OverloadState::kShed) {
     return count;
   }

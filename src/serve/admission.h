@@ -114,9 +114,6 @@ struct TenantQuota {
 };
 
 struct AdmissionConfig {
-  /// Off by default: an EngineGroup without admission serves every tick
-  /// (degrading only through GroupConfig::tick_deadline_us).
-  bool enabled = false;
   /// Quota for tenants without an explicit entry (0 = unlimited).
   TenantQuota default_quota = {};
   /// Per-tenant overrides, keyed by tenant name (see tenant_of).
@@ -124,7 +121,10 @@ struct AdmissionConfig {
 
   // -- Overload state machine signal ----------------------------------------
   /// p99 tick latency (us, over `latency_window` recent ticks) at which
-  /// the group enters kDegrade / kShed. 0 disables the signal.
+  /// the group enters kDegrade / kShed. 0 turns that rung off. Both 0 (the
+  /// default) turns admission off: the ladder never leaves kHealthy, so
+  /// the group serves every tick (degrading only through
+  /// GroupConfig::tick_deadline_us) and no quota bites.
   double degrade_p99_us = 0.0;
   double shed_p99_us = 0.0;
   /// De-escalation hysteresis: the signal must sit below
@@ -143,7 +143,10 @@ class AdmissionController {
  public:
   AdmissionController(AdmissionConfig config, aps::obs::Registry& registry);
 
-  [[nodiscard]] bool enabled() const { return config_.enabled; }
+  /// True when either p99 threshold is set (see AdmissionConfig).
+  [[nodiscard]] bool enabled() const {
+    return config_.degrade_p99_us > 0.0 || config_.shed_p99_us > 0.0;
+  }
   [[nodiscard]] const AdmissionConfig& config() const { return config_; }
   [[nodiscard]] OverloadState state() const {
     return state_.load(std::memory_order_relaxed);

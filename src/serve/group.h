@@ -214,7 +214,7 @@ class EngineGroup {
   /// The registry every replica (and the group's own series) reports into.
   [[nodiscard]] aps::obs::Registry& registry() const { return *registry_; }
   /// The group's admission controller (always constructed; no-op unless
-  /// GroupConfig::admission.enabled).
+  /// GroupConfig::admission sets a p99 threshold).
   [[nodiscard]] AdmissionController& admission() const { return *admission_; }
 
  private:

@@ -565,7 +565,6 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   serve::GroupConfig group_config;
   group_config.replicas = 2;
   group_config.engine.registry = &registry;
-  group_config.admission.enabled = true;
   // p99 thresholds no real feed reaches, over a one-tick window: one
   // synthetic slow tick forces the ladder and the next feed starts it down.
   group_config.admission.degrade_p99_us = 1e9;

@@ -36,7 +36,6 @@ constexpr double kShedUs = 2e9;
 
 serve::AdmissionConfig fast_config() {
   serve::AdmissionConfig config;
-  config.enabled = true;
   config.degrade_p99_us = kDegradeUs;
   config.shed_p99_us = kShedUs;
   config.recover_ratio = 0.7;
@@ -160,13 +159,57 @@ TEST(Admission, BucketsOnlyBiteWhileShedding) {
 }
 
 TEST(Admission, DisabledControllerAdmitsEverything) {
+  // The p99 thresholds are the switch: both 0 (the default) is off, even
+  // with a quota that would shed at the top of the ladder.
   obs::Registry registry;
-  serve::AdmissionConfig config;  // enabled = false
+  serve::AdmissionConfig config;
+  config.latency_window = 1;
+  config.tenant_quotas = {{"bulk", {.ticks_per_sec = 1e-6, .burst = 1.0}}};
   serve::AdmissionController adm(config, registry);
+  EXPECT_FALSE(adm.enabled());
+  const auto bulk = adm.tenant_index("bulk");
   adm.observe_tick(1e12);
   EXPECT_EQ(adm.state(), serve::OverloadState::kHealthy);
-  EXPECT_TRUE(adm.admit_open("anyone"));
-  EXPECT_EQ(adm.admit_ticks(adm.tenant_index("anyone"), 10), 10u);
+  EXPECT_TRUE(adm.admit_open("bulk"));
+  EXPECT_EQ(adm.admit_ticks(bulk, 10), 10u);
+  EXPECT_EQ(adm.shed_opens_total(), 0u);
+  EXPECT_EQ(adm.shed_ticks_total(), 0u);
+  EXPECT_EQ(registry.counter_value("serve_overload_transitions_total",
+                                   {{"to", "shed"}}),
+            0u);
+}
+
+TEST(Admission, EachThresholdTurnsOnOnlyItsRung) {
+  // Degrade threshold alone: admission is on, but the ladder tops out at
+  // kDegrade, so opens and quota-bound ticks still pass.
+  {
+    obs::Registry registry;
+    auto config = fast_config();
+    config.shed_p99_us = 0.0;
+    config.tenant_quotas = {{"bulk", {.ticks_per_sec = 1e-6, .burst = 1.0}}};
+    serve::AdmissionController adm(config, registry);
+    EXPECT_TRUE(adm.enabled());
+    const auto bulk = adm.tenant_index("bulk");
+    adm.observe_tick(1e12);
+    EXPECT_EQ(adm.state(), serve::OverloadState::kDegrade);
+    EXPECT_TRUE(adm.admit_open("bulk"));
+    EXPECT_EQ(adm.admit_ticks(bulk, 10), 10u);
+  }
+  // Shed threshold alone: one slow tick goes straight to kShed, and the
+  // quota and the open gate bite.
+  {
+    obs::Registry registry;
+    auto config = fast_config();
+    config.degrade_p99_us = 0.0;
+    config.tenant_quotas = {{"bulk", {.ticks_per_sec = 1e-6, .burst = 1.0}}};
+    serve::AdmissionController adm(config, registry);
+    EXPECT_TRUE(adm.enabled());
+    const auto bulk = adm.tenant_index("bulk");
+    adm.observe_tick(1.1 * kShedUs);
+    EXPECT_EQ(adm.state(), serve::OverloadState::kShed);
+    EXPECT_FALSE(adm.admit_open("bulk"));
+    EXPECT_EQ(adm.admit_ticks(bulk, 10), 1u);
+  }
 }
 
 TEST(AdmissionGroup, InQuotaTenantsNeverLoseATickWhileShedding) {

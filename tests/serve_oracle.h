@@ -411,7 +411,6 @@ inline std::unique_ptr<Target> group_target(std::size_t replicas) {
       [=](obs::Registry* registry, int builds) {
         serve::GroupConfig config{.replicas = replicas + builds % 2,
                                   .engine = {.registry = registry}};
-        config.admission.enabled = true;
         config.admission.degrade_p99_us = kDegradeUs;
         config.admission.shed_p99_us = kShedUs;
         config.admission.latency_window = 1;
