@@ -27,6 +27,17 @@ class RingBuffer {
     }
   }
 
+  /// push() for callers that overwrite the element in place: returns a
+  /// default-constructed new element while filling, then the oldest
+  /// element itself (now the newest), so an element that owns storage is
+  /// reused instead of copied.
+  [[nodiscard]] T& push_slot() {
+    if (data_.size() < capacity_) return data_.emplace_back();
+    T& slot = data_[head_];
+    head_ = (head_ + 1) % capacity_;
+    return slot;
+  }
+
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool empty() const { return data_.empty(); }

@@ -160,7 +160,7 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> indices,
   return node_index;
 }
 
-std::vector<double> DecisionTree::predict_proba(
+const DecisionTree::Node& DecisionTree::leaf(
     std::span<const double> features) const {
   assert(trained());
   std::size_t node = 0;
@@ -169,24 +169,35 @@ std::vector<double> DecisionTree::predict_proba(
     node = static_cast<std::size_t>(
         features[n.feature] <= n.threshold ? n.left : n.right);
   }
-  return nodes_[node].class_probs;
+  return nodes_[node];
+}
+
+std::vector<double> DecisionTree::predict_proba(
+    std::span<const double> features) const {
+  return leaf(features).class_probs;
 }
 
 int DecisionTree::predict(std::span<const double> features) const {
-  const auto probs = predict_proba(features);
+  const auto& probs = leaf(features).class_probs;
   return static_cast<int>(
       std::max_element(probs.begin(), probs.end()) - probs.begin());
 }
 
 std::vector<int> DecisionTree::predict_batch(const Matrix& features) const {
+  std::vector<int> out;
+  predict_batch(features, out);
+  return out;
+}
+
+void DecisionTree::predict_batch(const Matrix& features,
+                                 std::vector<int>& out) const {
   assert(trained());
-  std::vector<int> out(features.rows());
+  out.resize(features.rows());
   for (std::size_t r = 0; r < features.rows(); ++r) {
     const std::span<const double> row(features.data() + r * features.cols(),
                                       features.cols());
     out[r] = predict(row);
   }
-  return out;
 }
 
 }  // namespace aps::ml

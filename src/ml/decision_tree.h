@@ -37,6 +37,8 @@ class DecisionTree {
   /// predict(row r) — the tree walk is row-independent, batching keeps the
   /// node array hot across rows.
   [[nodiscard]] std::vector<int> predict_batch(const Matrix& features) const;
+  /// predict_batch into a caller-owned vector, resized to the row count.
+  void predict_batch(const Matrix& features, std::vector<int>& out) const;
 
   [[nodiscard]] bool trained() const { return !nodes_.empty(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -55,6 +57,9 @@ class DecisionTree {
   };
 
   struct BuildScratch;
+
+  /// The leaf a feature row reaches.
+  [[nodiscard]] const Node& leaf(std::span<const double> features) const;
 
   /// Grow the subtree over `indices`, which it reorders in place: on a
   /// split, the left child's rows come first, each side in its original

@@ -14,9 +14,11 @@
 // IEEE operation sequence per output element as the legacy ml::Matrix
 // loops — accumulation in ascending k, separate multiply and add (no FMA;
 // the build pins -ffp-contract=off), and the legacy skip of zero left-hand
-// multipliers. SIMD vectorizes across OUTPUT COLUMNS only, which reorders
-// nothing, so float64 results are bit-identical across scalar/AVX2/NEON
-// and to the pre-kernel code. The transcendentals (exp, sigmoid, tanh in
+// multipliers. SIMD vectorizes across OUTPUT COLUMNS and, in the AVX2
+// gemm_accum, blocks across dense rows (six rows with no zero multiplier
+// share every load of the right-hand operand once it outgrows L1).
+// Neither reorders any element's operations, so float64 results are
+// bit-identical across scalar/AVX2/NEON and to the pre-kernel code. The transcendentals (exp, sigmoid, tanh in
 // the gate pass and the softmax) are the in-repo functions below, not
 // libm: "bit-identical" means the same in-repo op sequence on every
 // backend and every host, whichever exp/tanh the host's libm would pick.
@@ -162,6 +164,8 @@ void softmax_rows(double* x, std::size_t rows, std::size_t cols);
 
 /// c(m x n) += a(m x k) * b(k x n), ascending-k mul+add (no FMA, no zero
 /// skip) — bitwise backend-invariant, tolerance-pinned against float64.
+/// AVX2 blocks it across rows as in the float64 kernel, every run of six
+/// rows being dense here.
 void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n);
 

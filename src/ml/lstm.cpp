@@ -534,70 +534,116 @@ void Lstm::standardize_row(std::span<double> row) const {
   standardizer_.transform_row(row);
 }
 
-std::vector<int> Lstm::predict_batch_standardized(std::span<const double> x,
-                                                  std::size_t n,
-                                                  std::size_t steps) const {
-  std::vector<int> out;
-  predict_batch_standardized(x, n, steps, out);
-  return out;
+namespace {
+
+// The per-precision kernels behind forward_layers.
+void fill_bias_rows(double* z, const double* b, std::size_t rows,
+                    std::size_t cols) {
+  kernels::fill_bias_rows(z, b, rows, cols);
+}
+void fill_bias_rows(float* z, const float* b, std::size_t rows,
+                    std::size_t cols) {
+  kernels::fill_bias_rows_f32(z, b, rows, cols);
+}
+void gemm_accum(const double* a, const double* b, double* c, std::size_t m,
+                std::size_t k, std::size_t n) {
+  kernels::gemm_accum(a, b, c, m, k, n);
+}
+void gemm_accum(const float* a, const float* b, float* c, std::size_t m,
+                std::size_t k, std::size_t n) {
+  kernels::gemm_accum_f32(a, b, c, m, k, n);
+}
+void lstm_gates(const double* z, double* c, double* h, double* out,
+                std::size_t lanes, std::size_t hidden) {
+  kernels::lstm_gates(z, c, h, out, lanes, hidden);
+}
+void lstm_gates(const float* z, float* c, float* h, float* out,
+                std::size_t lanes, std::size_t hidden) {
+  kernels::lstm_gates_f32(z, c, h, out, lanes, hidden);
+}
+
+/// The recurrent stack over a lane-major batch x[(t * n + lane) * width
+/// + j], every lane's hidden/cell state advancing together. For a fixed
+/// step t each layer input is an (n x width) row-major matrix, so a step
+/// is one bias fill, ONE batched GEMM per gate matrix (its weights
+/// streamed once per step instead of once per lane) and a fused gate
+/// pass. Row `lane` of each GEMM performs exactly the per-lane
+/// vec_matmul_add sequence forward() runs, and the gate pass matches its
+/// gate loop, so at float64 the pass is bit-identical to predicting each
+/// window alone. Returns the top layer's outputs (steps x n x width, with
+/// `width` updated to its hidden size).
+template <typename T, typename LayerT>
+const T* forward_layers(const T* in, std::size_t& width, std::size_t n,
+                        std::size_t steps, const std::vector<LayerT>& layers,
+                        Lstm::InferenceWorkspace::Buffers<T>& ws) {
+  std::size_t slot = 0;
+  for (const auto& layer : layers) {
+    const std::size_t h_size = layer.hidden;
+    std::vector<T>& out = ws.out[slot];
+    slot ^= 1;
+    out.resize(steps * n * h_size);
+    ws.h.resize(n * h_size);
+    ws.c.assign(n * h_size, T{0});
+    ws.z.resize(n * 4 * h_size);
+    for (std::size_t t = 0; t < steps; ++t) {
+      fill_bias_rows(ws.z.data(), layer.b.data(), n, 4 * h_size);
+      gemm_accum(in + t * n * width, layer.w.data(), ws.z.data(), n, width,
+                 4 * h_size);
+      // At t == 0 the hidden state is all zeros, which the float64 GEMM's
+      // zero skip would pass over anyway.
+      if (t > 0) {
+        gemm_accum(ws.h.data(), layer.u.data(), ws.z.data(), n, h_size,
+                   4 * h_size);
+      }
+      lstm_gates(ws.z.data(), ws.c.data(), ws.h.data(),
+                 out.data() + t * n * h_size, n, h_size);
+    }
+    in = out.data();
+    width = h_size;
+  }
+  return in;
+}
+
+/// First-maximum argmax of each probability row, like predict().
+void argmax_rows(const std::vector<double>& probs, std::size_t n,
+                 std::size_t classes, std::vector<int>& out) {
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = probs.data() + i * classes;
+    out[i] = static_cast<int>(std::max_element(row, row + classes) - row);
+  }
+}
+
+}  // namespace
+
+void Lstm::predict_batch_standardized(std::span<const double> x,
+                                      std::size_t n, std::size_t steps,
+                                      std::vector<int>& out,
+                                      InferenceWorkspace& ws) const {
+  assert(trained());
+  out.clear();
+  if (n == 0) return;
+  std::size_t width = x.size() / (n * steps);
+  const double* top =
+      forward_layers(x.data(), width, n, steps, layers_, ws.f64);
+
+  // Dense head on each lane's final hidden state: one n-row GEMM, row
+  // `lane` the per-lane vec_matmul_add, then the same softmax and
+  // first-maximum argmax as predict().
+  const std::size_t classes = head_b.cols();
+  ws.probs.resize(n * classes);
+  kernels::fill_bias_rows(ws.probs.data(), head_b.data(), n, classes);
+  kernels::gemm_accum(top + (steps - 1) * n * width, head_w.data(),
+                      ws.probs.data(), n, width, classes);
+  kernels::softmax_rows(ws.probs.data(), n, classes);
+  argmax_rows(ws.probs, n, classes, out);
 }
 
 void Lstm::predict_batch_standardized(std::span<const double> x,
                                       std::size_t n, std::size_t steps,
                                       std::vector<int>& out) const {
-  assert(trained());
-  out.assign(n, 0);
-  if (n == 0) return;
-
-  // Hidden/cell state for every lane advances together in SoA buffers.
-  // For a fixed step t the lane-major buffer current[(t * n + lane) *
-  // width ..] is an (n x width) row-major matrix, so each step is ONE
-  // batched GEMM against the gate weights (streamed once per step instead
-  // of once per lane) plus a fused gate pass. Row `lane` of the GEMM
-  // performs exactly the per-lane vec_matmul_add sequence forward() runs,
-  // and kernels::lstm_gates matches its gate loop, so the pass stays
-  // bit-identical to predicting each window alone.
-  std::size_t width = x.size() / (n * steps);
-  std::vector<double> current(x.begin(), x.end());
-  std::vector<double> next;
-  std::vector<double> h, c, z;
-  for (const auto& layer : layers_) {
-    const std::size_t h_size = layer.hidden;
-    h.assign(n * h_size, 0.0);
-    c.assign(n * h_size, 0.0);
-    next.assign(steps * n * h_size, 0.0);
-    z.resize(n * 4 * h_size);
-    for (std::size_t t = 0; t < steps; ++t) {
-      kernels::fill_bias_rows(z.data(), layer.b.data(), n, 4 * h_size);
-      kernels::gemm_accum(current.data() + t * n * width, layer.w.data(),
-                          z.data(), n, width, 4 * h_size);
-      kernels::gemm_accum(h.data(), layer.u.data(), z.data(), n, h_size,
-                          4 * h_size);
-      kernels::lstm_gates(z.data(), c.data(), h.data(),
-                          next.data() + t * n * h_size, n, h_size);
-    }
-    width = h_size;
-    current.swap(next);
-  }
-
-  // Dense head on each lane's final hidden state.
-  const std::size_t classes = head_b.cols();
-  std::vector<double> probs(n * classes);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<double> logits(probs.data() + i * classes, classes);
-    for (std::size_t cidx = 0; cidx < classes; ++cidx) {
-      logits[cidx] = head_b.at(0, cidx);
-    }
-    const std::span<const double> last(
-        current.data() + ((steps - 1) * n + i) * width, width);
-    vec_matmul_add(last, head_w, logits);
-  }
-  // Same softmax + first-maximum argmax as predict() for bit-identity.
-  kernels::softmax_rows(probs.data(), n, classes);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = probs.data() + i * classes;
-    out[i] = static_cast<int>(std::max_element(row, row + classes) - row);
-  }
+  InferenceWorkspace ws;
+  predict_batch_standardized(x, n, steps, out, ws);
 }
 
 std::shared_ptr<const Lstm::F32Weights> Lstm::f32_weights() const {
@@ -636,66 +682,38 @@ std::shared_ptr<const Lstm::F32Weights> Lstm::f32_weights() const {
 void Lstm::warm_f32_cache() const { (void)f32_weights(); }
 
 void Lstm::forward_batch_f32(std::span<const float> x, std::size_t n,
-                             std::size_t steps,
-                             std::vector<double>& probs) const {
+                             std::size_t steps, InferenceWorkspace& ws) const {
   const auto wts = f32_weights();
   std::size_t width = x.size() / (n * steps);
-  std::vector<float> current(x.begin(), x.end());
-  std::vector<float> next;
-  std::vector<float> h, c, z;
-  for (const auto& layer : wts->layers) {
-    const std::size_t h_size = layer.hidden;
-    h.assign(n * h_size, 0.0f);
-    c.assign(n * h_size, 0.0f);
-    next.assign(steps * n * h_size, 0.0f);
-    z.resize(n * 4 * h_size);
-    for (std::size_t t = 0; t < steps; ++t) {
-      kernels::fill_bias_rows_f32(z.data(), layer.b.data(), n, 4 * h_size);
-      kernels::gemm_accum_f32(current.data() + t * n * width, layer.w.data(),
-                              z.data(), n, width, 4 * h_size);
-      kernels::gemm_accum_f32(h.data(), layer.u.data(), z.data(), n, h_size,
-                              4 * h_size);
-      kernels::lstm_gates_f32(z.data(), c.data(), h.data(),
-                              next.data() + t * n * h_size, n, h_size);
-    }
-    width = h_size;
-    current.swap(next);
-  }
+  const float* top =
+      forward_layers(x.data(), width, n, steps, wts->layers, ws.f32);
 
   // Dense head per lane; the float64 path's softmax, in double over the
   // float32 logits.
   const std::size_t classes = head_b.cols();
-  probs.resize(n * classes);
+  ws.probs.resize(n * classes);
   for (std::size_t i = 0; i < n; ++i) {
-    const float* last = current.data() + ((steps - 1) * n + i) * width;
+    const float* last = top + ((steps - 1) * n + i) * width;
     for (std::size_t cidx = 0; cidx < classes; ++cidx) {
       float s = wts->head_b[cidx];
       for (std::size_t r = 0; r < width; ++r) {
         s += last[r] * wts->head_w[r * classes + cidx];
       }
-      probs[i * classes + cidx] = static_cast<double>(s);
+      ws.probs[i * classes + cidx] = static_cast<double>(s);
     }
   }
-  kernels::softmax_rows(probs.data(), n, classes);
+  kernels::softmax_rows(ws.probs.data(), n, classes);
 }
 
 void Lstm::predict_batch_standardized_f32(std::span<const float> x,
                                           std::size_t n, std::size_t steps,
-                                          std::vector<int>& out) const {
+                                          std::vector<int>& out,
+                                          InferenceWorkspace& ws) const {
   assert(trained());
-  out.assign(n, 0);
+  out.clear();
   if (n == 0) return;
-  std::vector<double> probs;
-  forward_batch_f32(x, n, steps, probs);
-  const std::size_t classes = head_b.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = probs.data() + i * classes;
-    std::size_t best = 0;
-    for (std::size_t cidx = 1; cidx < classes; ++cidx) {
-      if (row[cidx] > row[best]) best = cidx;
-    }
-    out[i] = static_cast<int>(best);
-  }
+  forward_batch_f32(x, n, steps, ws);
+  argmax_rows(ws.probs, n, head_b.cols(), out);
 }
 
 std::vector<double> Lstm::predict_proba_f32(const Matrix& window) const {
@@ -705,9 +723,9 @@ std::vector<double> Lstm::predict_proba_f32(const Matrix& window) const {
   for (std::size_t i = 0; i < flat.size(); ++i) {
     flat[i] = static_cast<float>(std_window.raw()[i]);
   }
-  std::vector<double> probs;
-  forward_batch_f32(flat, 1, std_window.rows(), probs);
-  return probs;
+  InferenceWorkspace ws;
+  forward_batch_f32(flat, 1, std_window.rows(), ws);
+  return std::move(ws.probs);
 }
 
 std::vector<int> Lstm::predict_batch(std::span<const Matrix> windows) const {
@@ -729,7 +747,9 @@ std::vector<int> Lstm::predict_batch(std::span<const Matrix> windows) const {
                 flat.begin() + static_cast<long>((t * n + i) * width));
     }
   }
-  return predict_batch_standardized(flat, n, steps);
+  std::vector<int> out;
+  predict_batch_standardized(flat, n, steps, out);
+  return out;
 }
 
 }  // namespace aps::ml

@@ -60,14 +60,31 @@ class Lstm {
   /// predict(windows[i]).
   [[nodiscard]] std::vector<int> predict_batch(
       std::span<const Matrix> windows) const;
+  /// Buffers of one batched inference pass, owned by the caller and
+  /// reused across calls. They only grow, so once a workspace has served
+  /// its largest batch, the passes below allocate nothing.
+  struct InferenceWorkspace {
+    template <typename T>
+    struct Buffers {
+      std::vector<T> out[2];  ///< layer outputs, steps x n x hidden; layers
+                              ///< alternate between the two
+      std::vector<T> h, c;    ///< n x hidden recurrent state
+      std::vector<T> z;       ///< n x 4H gate pre-activations
+    };
+    Buffers<double> f64;
+    Buffers<float> f32;
+    std::vector<double> probs;  ///< n x classes
+  };
+
   /// predict_batch core for callers that keep their own standardized,
   /// lane-major flat window buffer x[(t * n + lane) * features + j] (the
   /// streaming monitor batch standardizes each feature row once on entry
-  /// instead of re-standardizing whole windows every cycle).
-  [[nodiscard]] std::vector<int> predict_batch_standardized(
-      std::span<const double> x, std::size_t n, std::size_t steps) const;
-  /// Allocation-reusing variant for per-tick callers (the serving shards):
-  /// `out` is resized to n and overwritten.
+  /// instead of re-standardizing whole windows every cycle). `out` is
+  /// resized to n and overwritten; `ws` holds every intermediate.
+  void predict_batch_standardized(std::span<const double> x, std::size_t n,
+                                  std::size_t steps, std::vector<int>& out,
+                                  InferenceWorkspace& ws) const;
+  /// The same with a workspace of its own, for one-off callers.
   void predict_batch_standardized(std::span<const double> x, std::size_t n,
                                   std::size_t steps,
                                   std::vector<int>& out) const;
@@ -78,8 +95,8 @@ class Lstm {
   /// pinned against the float64 path (<= 1e-4 on probabilities, no
   /// decision flips on the golden cohort) — not bit-identical to it.
   void predict_batch_standardized_f32(std::span<const float> x, std::size_t n,
-                                      std::size_t steps,
-                                      std::vector<int>& out) const;
+                                      std::size_t steps, std::vector<int>& out,
+                                      InferenceWorkspace& ws) const;
   /// Float32-path per-class probabilities for one raw window.
   [[nodiscard]] std::vector<double> predict_proba_f32(
       const Matrix& window) const;
@@ -198,9 +215,9 @@ class Lstm {
   [[nodiscard]] Matrix standardize_window(const Matrix& window) const;
   [[nodiscard]] std::shared_ptr<const F32Weights> f32_weights() const;
   /// Float32 batched forward over a standardized lane-major buffer; fills
-  /// `probs` row-major (n x classes), softmax computed in double.
+  /// ws.probs row-major (n x classes), softmax computed in double.
   void forward_batch_f32(std::span<const float> x, std::size_t n,
-                         std::size_t steps, std::vector<double>& probs) const;
+                         std::size_t steps, InferenceWorkspace& ws) const;
 
   LstmConfig config_;
   std::vector<double> epoch_losses_;  ///< per-epoch val loss of last fit()

@@ -36,6 +36,14 @@ class Matrix {
   [[nodiscard]] const std::vector<double>& raw() const { return data_; }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
+  /// Reshape to rows x cols, keeping the storage: a reused scratch matrix
+  /// stops allocating once it has held its largest shape. Elements that
+  /// were there stay in flat order; new ones are zero.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
 
   /// Xavier/Glorot uniform initialization, deterministic per seed.
   static Matrix xavier(std::size_t rows, std::size_t cols,

@@ -39,33 +39,32 @@ Decision decision_from_class(int predicted_class, int classes,
 namespace {
 
 /// One gather -> predict -> decision cycle, shared by the DT and MLP
-/// batches (and the serving path): fills `scratch` with each lane's
+/// batches (and the serving path): fills `scratch.rows` with each lane's
 /// features, runs one model call via `predict` (a callable mapping the
-/// feature matrix to predicted classes, so callers choose the precision
-/// path), maps classes to decisions. `scratch` is caller-owned so hot
-/// loops reuse it across cycles.
+/// feature matrix to predicted classes in its second argument, so callers
+/// choose the precision path), maps classes to decisions.
 template <typename Predict>
-void predict_step(Predict&& predict, int classes, aps::ml::Matrix& scratch,
+void predict_step(Predict&& predict, int classes, FeatureScratch& scratch,
                   std::span<const Observation> obs, std::span<Decision> out) {
-  if (scratch.rows() != obs.size() || scratch.cols() != kMlFeatureCount) {
-    scratch = aps::ml::Matrix(obs.size(), kMlFeatureCount);
-  }
+  scratch.rows.resize(obs.size(), kMlFeatureCount);
   for (std::size_t r = 0; r < obs.size(); ++r) {
     ml_features_into(
-        obs[r], std::span<double>(scratch.raw().data() + r * kMlFeatureCount,
-                                  kMlFeatureCount));
+        obs[r],
+        std::span<double>(scratch.rows.data() + r * kMlFeatureCount,
+                          kMlFeatureCount));
   }
-  const std::vector<int> predicted = predict(scratch);
+  predict(scratch.rows, scratch.classes);
   for (std::size_t r = 0; r < obs.size(); ++r) {
-    out[r] = decision_from_class(predicted[r], classes, obs[r]);
+    out[r] = decision_from_class(scratch.classes[r], classes, obs[r]);
   }
 }
 
-/// predict_step callable for a model's float64 reference path.
-template <typename Model>
-auto predict_f64(const Model& model) {
-  return [&model](const aps::ml::Matrix& features) {
-    return model.predict_batch(features);
+/// The MLP's predict_step callable at the batch's precision.
+auto mlp_predict(const aps::ml::Mlp& model, Precision precision) {
+  return [&model, precision](const aps::ml::Matrix& features,
+                             std::vector<int>& out) {
+    out = precision == Precision::kF32 ? model.predict_batch_f32(features)
+                                       : model.predict_batch(features);
   };
 }
 
@@ -178,17 +177,19 @@ std::unique_ptr<Monitor> DtMonitorBatch::extract_lane(std::size_t) const {
 
 void DtMonitorBatch::observe_step(std::span<const Observation> obs,
                                   std::span<Decision> out) {
-  predict_step(predict_f64(*model_), classes_, scratch_, obs, out);
+  const auto predict = [this](const aps::ml::Matrix& features,
+                              std::vector<int>& classes) {
+    model_->predict_batch(features, classes);
+  };
+  predict_step(predict, classes_, scratch_, obs, out);
 }
 
 void DtMonitorBatch::observe_lanes(std::span<const std::size_t>,
                                    std::span<const Observation> obs,
                                    std::span<Decision> out) {
   // Lanes carry no state, so the subset step is just a prediction over the
-  // given rows; thread-local scratch keeps concurrent disjoint-subset
-  // calls safe without reallocating on every serving tick.
-  thread_local aps::ml::Matrix scratch;
-  predict_step(predict_f64(*model_), classes_, scratch, obs, out);
+  // given rows.
+  observe_step(obs, out);
 }
 
 bool MlpMonitorBatch::add_lane(const Monitor& prototype) {
@@ -210,26 +211,14 @@ std::unique_ptr<Monitor> MlpMonitorBatch::extract_lane(std::size_t) const {
 
 void MlpMonitorBatch::observe_step(std::span<const Observation> obs,
                                    std::span<Decision> out) {
-  if (precision_ == Precision::kF32) {
-    predict_step([this](const aps::ml::Matrix& f) {
-      return model_->predict_batch_f32(f);
-    }, classes_, scratch_, obs, out);
-  } else {
-    predict_step(predict_f64(*model_), classes_, scratch_, obs, out);
-  }
+  predict_step(mlp_predict(*model_, precision_), classes_, scratch_, obs,
+               out);
 }
 
 void MlpMonitorBatch::observe_lanes(std::span<const std::size_t>,
                                     std::span<const Observation> obs,
                                     std::span<Decision> out) {
-  thread_local aps::ml::Matrix scratch;
-  if (precision_ == Precision::kF32) {
-    predict_step([this](const aps::ml::Matrix& f) {
-      return model_->predict_batch_f32(f);
-    }, classes_, scratch, obs, out);
-  } else {
-    predict_step(predict_f64(*model_), classes_, scratch, obs, out);
-  }
+  observe_step(obs, out);
 }
 
 bool LstmMonitorBatch::add_lane(const Monitor& prototype) {
@@ -277,92 +266,83 @@ void LstmMonitorBatch::observe_step(std::span<const Observation> obs,
     identity_.resize(windows_.size());
     for (std::size_t l = 0; l < identity_.size(); ++l) identity_[l] = l;
   }
-  observe_subset(identity_, obs, out, step_scratch_);
+  observe_lanes(identity_, obs, out);
 }
 
-void LstmMonitorBatch::observe_lanes(std::span<const std::size_t> lanes,
-                                     std::span<const Observation> obs,
-                                     std::span<Decision> out) {
-  // Per-thread scratch: concurrent disjoint-lane calls never share it,
-  // and per-tick callers (the serving shards) reuse its buffers instead
-  // of reallocating the flat window batch every cycle.
-  thread_local Scratch scratch;
-  observe_subset(lanes, obs, out, scratch);
+void LstmMonitorBatch::push_features(std::size_t lane,
+                                     const Observation& obs) {
+  std::vector<double>& raw = raw_windows_[lane].push_slot();
+  raw.resize(kMlFeatureCount);
+  ml_features_into(obs, raw);
+  std::vector<double>& row = windows_[lane].push_slot();
+  row = raw;
+  model_->standardize_row(row);
 }
 
 void LstmMonitorBatch::ingest_lanes(std::span<const std::size_t> lanes,
                                     std::span<const Observation> obs) {
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const std::size_t lane = lanes[i];
-    auto features = ml_features(obs[i]);
-    raw_windows_[lane].push(features);
-    model_->standardize_row(features);
-    windows_[lane].push(std::move(features));
+    push_features(lanes[i], obs[i]);
   }
 }
 
-void LstmMonitorBatch::observe_subset(std::span<const std::size_t> lanes,
-                                      std::span<const Observation> obs,
-                                      std::span<Decision> out,
-                                      Scratch& scratch) {
+void LstmMonitorBatch::observe_lanes(std::span<const std::size_t> lanes,
+                                     std::span<const Observation> obs,
+                                     std::span<Decision> out) {
   // Push this cycle's features (standardized once, on entry — the scalar
   // monitor re-standardizes the whole window every cycle, which is the
   // same per-row transform applied later), then run every full window
   // through one SoA forward pass; lanes still filling their window stay
   // silent.
-  scratch.ready.clear();
-  scratch.ready.reserve(lanes.size());
+  scratch_.ready.clear();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const std::size_t lane = lanes[i];
-    auto features = ml_features(obs[i]);
-    raw_windows_[lane].push(features);
-    model_->standardize_row(features);
-    windows_[lane].push(std::move(features));
+    push_features(lane, obs[i]);
     if (windows_[lane].full()) {
-      scratch.ready.push_back(i);
+      scratch_.ready.push_back(i);
     } else {
       out[i] = {};
     }
   }
-  if (scratch.ready.empty()) return;
+  if (scratch_.ready.empty()) return;
 
   // Lane-major flat batch: flat[(t * n + i) * features + j]. kF32 lanes
   // gather straight into the float32 buffer (standardization stays f64 in
   // the ring rows; only the inference-time cast differs).
-  const std::size_t n = scratch.ready.size();
+  const std::size_t n = scratch_.ready.size();
   const std::size_t steps = kLstmWindow;
   if (precision_ == Precision::kF32) {
-    scratch.flat32.resize(steps * n * kMlFeatureCount);
+    scratch_.flat32.resize(steps * n * kMlFeatureCount);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& window = windows_[lanes[scratch.ready[i]]];
+      const auto& window = windows_[lanes[scratch_.ready[i]]];
       for (std::size_t t = 0; t < steps; ++t) {
         const auto& row = window[t];
         float* dst =
-            scratch.flat32.data() + (t * n + i) * kMlFeatureCount;
+            scratch_.flat32.data() + (t * n + i) * kMlFeatureCount;
         for (std::size_t j = 0; j < row.size(); ++j) {
           dst[j] = static_cast<float>(row[j]);
         }
       }
     }
-    model_->predict_batch_standardized_f32(scratch.flat32, n, steps,
-                                           scratch.classes);
+    model_->predict_batch_standardized_f32(scratch_.flat32, n, steps,
+                                           scratch_.classes, scratch_.model);
   } else {
-    scratch.flat.resize(steps * n * kMlFeatureCount);
+    scratch_.flat.resize(steps * n * kMlFeatureCount);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& window = windows_[lanes[scratch.ready[i]]];
+      const auto& window = windows_[lanes[scratch_.ready[i]]];
       for (std::size_t t = 0; t < steps; ++t) {
         const auto& row = window[t];
         std::copy(row.begin(), row.end(),
-                  scratch.flat.begin() +
+                  scratch_.flat.begin() +
                       static_cast<long>((t * n + i) * kMlFeatureCount));
       }
     }
-    model_->predict_batch_standardized(scratch.flat, n, steps,
-                                       scratch.classes);
+    model_->predict_batch_standardized(scratch_.flat, n, steps,
+                                       scratch_.classes, scratch_.model);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t pos = scratch.ready[i];
-    out[pos] = decision_from_class(scratch.classes[i], classes_, obs[pos]);
+    const std::size_t pos = scratch_.ready[i];
+    out[pos] = decision_from_class(scratch_.classes[i], classes_, obs[pos]);
   }
 }
 

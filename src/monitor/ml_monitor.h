@@ -117,6 +117,13 @@ class LstmMonitor final : public Monitor {
 // groups. All three route every lane's inference through one model call per
 // control cycle and are bit-identical to the per-lane monitors.
 
+/// Per-cycle buffers of the DT and MLP batches, reused by every observe
+/// call: one feature row per lane and the predicted classes.
+struct FeatureScratch {
+  aps::ml::Matrix rows;
+  std::vector<int> classes;
+};
+
 /// One DecisionTree::predict_batch walk per cycle for all lanes.
 class DtMonitorBatch final : public MonitorBatch {
  public:
@@ -136,7 +143,7 @@ class DtMonitorBatch final : public MonitorBatch {
   std::shared_ptr<const aps::ml::DecisionTree> model_;
   int classes_ = 0;
   std::size_t lanes_ = 0;
-  aps::ml::Matrix scratch_;  ///< per-cycle feature rows, reused
+  FeatureScratch scratch_;
 };
 
 /// One Mlp::predict_batch forward per cycle for all lanes.
@@ -161,7 +168,7 @@ class MlpMonitorBatch final : public MonitorBatch {
   int classes_ = 0;
   std::size_t lanes_ = 0;
   Precision precision_ = Precision::kF64;
-  aps::ml::Matrix scratch_;  ///< per-cycle feature rows, reused
+  FeatureScratch scratch_;
 };
 
 /// One Lstm::predict_batch pass per cycle: every ready lane's hidden/cell
@@ -193,18 +200,17 @@ class LstmMonitorBatch final : public MonitorBatch {
   [[nodiscard]] Precision precision() const override { return precision_; }
 
  private:
-  /// Core of observe_step/observe_lanes over an explicit lane set, with
-  /// caller-owned scratch so subset calls stay safe for concurrent
-  /// disjoint-lane use while the full-step sim path reuses member scratch.
+  /// Per-cycle buffers, reused by every observe call.
   struct Scratch {
     std::vector<std::size_t> ready;  ///< positions into the lane subset
     std::vector<double> flat;        ///< lane-major standardized windows
     std::vector<float> flat32;       ///< float32 gather (kF32 lanes)
     std::vector<int> classes;        ///< predicted class per ready lane
+    aps::ml::Lstm::InferenceWorkspace model;
   };
-  void observe_subset(std::span<const std::size_t> lanes,
-                      std::span<const Observation> obs,
-                      std::span<Decision> out, Scratch& scratch);
+  /// Push one observation's features into a lane's raw and standardized
+  /// windows, overwriting the oldest rows in place once they are full.
+  void push_features(std::size_t lane, const Observation& obs);
 
   std::shared_ptr<const aps::ml::Lstm> model_;
   int classes_ = 0;
@@ -212,7 +218,7 @@ class LstmMonitorBatch final : public MonitorBatch {
   std::vector<aps::RingBuffer<std::vector<double>>> windows_;  ///< standardized
   std::vector<aps::RingBuffer<std::vector<double>>> raw_windows_;
   std::vector<std::size_t> identity_;  ///< 0..lanes-1, for observe_step
-  Scratch step_scratch_;               ///< reused by the lockstep sim path
+  Scratch scratch_;
 };
 
 }  // namespace aps::monitor

@@ -96,10 +96,11 @@ class MonitorBatch {
   /// One control cycle for a SUBSET of lanes: out[i] = decision of lane
   /// lanes[i] for obs[i]; unlisted lanes are untouched (their state does
   /// not advance). Lane results must not depend on how the caller
-  /// partitions the subset, and implementations must keep all mutable
-  /// per-call scratch local or thread-local so concurrent calls over
-  /// DISJOINT lane sets are safe — the serving engine splits large ticks
-  /// into chunks that run on different threads against the same batch.
+  /// partitions the subset. A batch is driven by one thread at a time:
+  /// a serving engine is single-threaded and its callers serialize (an
+  /// EngineGroup guards every replica engine with its one lock), so
+  /// implementations keep their per-call scratch as members and reuse
+  /// it across calls.
   virtual void observe_lanes(std::span<const std::size_t> lanes,
                              std::span<const Observation> obs,
                              std::span<Decision> out) = 0;
@@ -111,7 +112,7 @@ class MonitorBatch {
   /// (e.g. the LSTM input window) stays bit-identical to a never-degraded
   /// run once pressure subsides. Stateless monitors need nothing here —
   /// the default is a no-op; stateful batches (LSTM) override. Same
-  /// disjoint-subset concurrency contract as observe_lanes.
+  /// one-thread-at-a-time contract as observe_lanes.
   virtual void ingest_lanes(std::span<const std::size_t> lanes,
                             std::span<const Observation> obs) {
     (void)lanes;

@@ -388,6 +388,91 @@ TEST(KernelGemmF64, NonFiniteOperandUnderZeroMultiplierStaysSkipped) {
   }
 }
 
+/// Widths around where the SIMD backends start blocking rows (k >= 16 and
+/// b at least 48 KB): the first multiple of 8 columns past that size, one
+/// column short of it, and the 4-column and scalar tails after it.
+std::vector<std::size_t> block_widths(std::size_t k, std::size_t elem) {
+  const std::size_t first = (48 * 1024 / (k * elem) + 7) / 8 * 8;
+  return {first - 1, first, first + 1, first + 3, first + 4, first + 7};
+}
+
+/// Row counts for the blocks: one and two full six-row blocks, four- and
+/// five-row tail blocks, and the one to three rows left after either.
+const std::vector<std::size_t> kBlockRowCounts = {1, 2,  3,  4,  5,  6, 7,
+                                                  9, 10, 11, 13, 17, 64};
+
+// The dense row blocks: dense rows (no zero multiplier) share every load of
+// b. Fully dense a at every width; then a zero (+0.0 or -0.0) in every 3rd
+// or 5th row, so blocks gather across the sparse rows and the dense rows
+// left at the end vary.
+TEST(KernelGemmF64, DenseRowBlocksBitIdenticalAllBackends) {
+  BackendGuard guard;
+  Rng rng(31337);
+  const auto check = [&](std::size_t m, std::size_t k, std::size_t n,
+                         std::size_t sparse_every) {
+    auto a = random_vec(m * k, rng, 0.0);
+    for (std::size_t i = 0; sparse_every != 0 && i < m; ++i) {
+      if (i % sparse_every != sparse_every - 1) continue;
+      a[i * k + rng.uniform_int(0, static_cast<int>(k) - 1)] =
+          i % 2 == 0 ? 0.0 : -0.0;
+    }
+    const auto b = random_vec(k * n, rng, 0.0);
+    auto want = random_vec(m * n, rng, 0.0);
+    const auto seed = want;
+    ref_gemm_accum(a.data(), b.data(), want.data(), m, k, n);
+    for (const auto backend : kernels::compiled_backends()) {
+      kernels::set_backend(backend);
+      auto got = seed;
+      kernels::gemm_accum(a.data(), b.data(), got.data(), m, k, n);
+      ASSERT_TRUE(bitwise_equal(want, got))
+          << "gemm_accum " << m << "x" << k << "x" << n << " zero every "
+          << sparse_every << " rows, backend " << kernels::to_string(backend);
+    }
+  };
+  for (const std::size_t k : {std::size_t{16}, std::size_t{17},
+                              std::size_t{64}, std::size_t{128}}) {
+    const auto widths = block_widths(k, sizeof(double));
+    for (const std::size_t m : kBlockRowCounts) {
+      for (const std::size_t n : widths) check(m, k, n, 0);
+      for (const std::size_t sparse_every : {3, 5}) {
+        if (sparse_every <= m) check(m, k, widths[1], sparse_every);
+      }
+    }
+  }
+}
+
+// A row with a zero multiplier between dense rows keeps its skip inside
+// the blocked path: the inf and NaN of b under that zero never reach the
+// output, and the dense rows on either side come out as in the legacy
+// loop.
+TEST(KernelGemmF64, NonFiniteUnderZeroBetweenDenseRowBlocks) {
+  BackendGuard guard;
+  Rng rng(2024);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t m = 13, k = 64, poisoned = 11, sparse_row = 6;
+  for (const std::size_t n : block_widths(k, sizeof(double))) {
+    auto a = random_vec(m * k, rng, 0.0);
+    a[sparse_row * k + poisoned] = -0.0;
+    auto b = random_vec(k * n, rng, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+      b[poisoned * n + j] = j % 2 == 0 ? inf : nan;
+    }
+    std::vector<double> want(m * n, 0.0);
+    ref_gemm_accum(a.data(), b.data(), want.data(), m, k, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_TRUE(std::isfinite(want[sparse_row * n + j]));
+    }
+    for (const auto backend : kernels::compiled_backends()) {
+      kernels::set_backend(backend);
+      std::vector<double> got(m * n, 0.0);
+      kernels::gemm_accum(a.data(), b.data(), got.data(), m, k, n);
+      ASSERT_TRUE(bitwise_equal(want, got))
+          << "n=" << n << " backend " << kernels::to_string(backend);
+    }
+  }
+}
+
 TEST(KernelGemmF64, MatrixPathPinnedToLegacyLoops) {
   // The rewired ml::Matrix entry points must still equal the legacy loop
   // source bit for bit — on the scalar backend AND the dispatch default.
@@ -657,6 +742,35 @@ TEST(KernelGemmF32, BackendInvariantBitwiseAndUlpCloseToF64) {
     }
   }
   RecordProperty("max_ulp_vs_f64", static_cast<int>(max_ulp));
+}
+
+// The float32 row blocks (float32 has no zero skip, so every run of rows
+// is a block): bitwise equal to the scalar backend with a nonzero
+// accumulator start.
+TEST(KernelGemmF32, RowBlocksBackendInvariantBitwise) {
+  BackendGuard guard;
+  Rng rng(16180);
+  for (const std::size_t k : {std::size_t{17}, std::size_t{64},
+                              std::size_t{128}}) {
+    for (const std::size_t n : block_widths(k, sizeof(float))) {
+      for (const std::size_t m : kBlockRowCounts) {
+        const auto a = random_vecf(m * k, rng);
+        const auto b = random_vecf(k * n, rng);
+        const auto seed = random_vecf(m * n, rng);
+        kernels::set_backend(kernels::Backend::kScalar);
+        auto want = seed;
+        kernels::gemm_accum_f32(a.data(), b.data(), want.data(), m, k, n);
+        for (const auto backend : kernels::compiled_backends()) {
+          kernels::set_backend(backend);
+          auto got = seed;
+          kernels::gemm_accum_f32(a.data(), b.data(), got.data(), m, k, n);
+          ASSERT_TRUE(bitwise_equalf(want, got))
+              << "gemm_accum_f32 " << m << "x" << k << "x" << n
+              << " backend " << kernels::to_string(backend);
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelLstmGatesF32, BackendInvariantBitwise) {
