@@ -1,5 +1,4 @@
-// Dispatch plus the scalar backend. The scalar kernels below mirror the
-// pre-kernel ml::Matrix loops statement for statement — they ARE the
+// Dispatch plus the scalar backend. The scalar kernels below are the
 // reference the SIMD backends are pinned against, and tests/kernels_test.cpp
 // pins them bit-identical to hand-written naive loops.
 #include "ml/kernels/kernels.h"
@@ -63,8 +62,7 @@ std::atomic<Backend>& backend_slot() {
 
 namespace scalar {
 
-// Mirrors ml::matmul / ml::vec_matmul_add (m == 1): i-outer, ascending k
-// with the zero skip, j innermost.
+// i-outer, ascending k with the zero skip, j innermost.
 void gemm_accum(const double* a, const double* b, double* c, std::size_t m,
                 std::size_t kd, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -79,8 +77,8 @@ void gemm_accum(const double* a, const double* b, double* c, std::size_t m,
   }
 }
 
-// Mirrors ml::matmul_tn: r-outer (rows of a/b), i middle with the zero
-// skip on a(r, i), j innermost.
+// r-outer (rows of a/b), i middle with the zero skip on a(r, i), j
+// innermost.
 void gemm_tn_accum(const double* a, const double* b, double* c,
                    std::size_t rows, std::size_t m, std::size_t n) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -95,8 +93,8 @@ void gemm_tn_accum(const double* a, const double* b, double* c,
   }
 }
 
-// Mirrors ml::matmul_nt: per-element dot product in ascending k, local
-// accumulator, no zero skip.
+// Per-element dot product in ascending k, local accumulator, no zero
+// skip.
 void gemm_nt(const double* a, const double* b, double* c, std::size_t m,
              std::size_t kd, std::size_t bn) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -380,14 +378,6 @@ void fill_bias_rows_f32(float* z, const float* bias, std::size_t rows,
   for (std::size_t r = 0; r < rows; ++r) {
     float* zrow = z + r * cols;
     for (std::size_t c = 0; c < cols; ++c) zrow[c] = bias[c];
-  }
-}
-
-void add_bias_rows_f32(float* z, const float* bias, std::size_t rows,
-                       std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* zrow = z + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) zrow[c] += bias[c];
   }
 }
 

@@ -11,14 +11,15 @@
 // benches A/B the backends inside one process.
 //
 // Bit-identity contract (float64): every backend performs the exact same
-// IEEE operation sequence per output element as the legacy ml::Matrix
-// loops — accumulation in ascending k, separate multiply and add (no FMA;
-// the build pins -ffp-contract=off), and the legacy skip of zero left-hand
+// IEEE operation sequence per output element as the plain reference loops
+// in tests/kernels_test.cpp (ref_gemm_accum and its siblings) —
+// accumulation in ascending k, separate multiply and add (no FMA; the
+// build pins -ffp-contract=off), and a skip of zero left-hand
 // multipliers. SIMD vectorizes across OUTPUT COLUMNS and, in the AVX2
 // gemm_accum, blocks across dense rows (six rows with no zero multiplier
 // share every load of the right-hand operand once it outgrows L1).
 // Neither reorders any element's operations, so float64 results are
-// bit-identical across scalar/AVX2/NEON and to the pre-kernel code. The transcendentals (exp, sigmoid, tanh in
+// bit-identical across scalar/AVX2/NEON and to those loops. The transcendentals (exp, sigmoid, tanh in
 // the gate pass and the softmax) are the in-repo functions below, not
 // libm: "bit-identical" means the same in-repo op sequence on every
 // backend and every host, whichever exp/tanh the host's libm would pick.
@@ -55,19 +56,21 @@ Backend set_backend(Backend backend);
 // ---- float64 kernels (bit-identity contract) -------------------------------
 
 /// c(m x n) += a(m x k) * b(k x n), all row-major. Ascending-k
-/// accumulation with the legacy a[i][k] == 0 skip: bit-identical to the
-/// pre-kernel ml::matmul / vec_matmul_add loops on every backend.
+/// accumulation with the a[i][k] == 0 skip: bit-identical to
+/// kernels_test's ref_gemm_accum loop on every backend.
 void gemm_accum(const double* a, const double* b, double* c, std::size_t m,
                 std::size_t k, std::size_t n);
 
 /// c(m x n) += a^T * b where a is (rows x m) and b is (rows x n):
-/// the fused-transpose product of the MLP weight gradient. Ascending-row
-/// accumulation with the legacy zero skip (matches ml::matmul_tn).
+/// the fused-transpose product of the weight gradients. Ascending-row
+/// accumulation with the a[r][i] == 0 skip (kernels_test's
+/// ref_gemm_tn_accum).
 void gemm_tn_accum(const double* a, const double* b, double* c,
                    std::size_t rows, std::size_t m, std::size_t n);
 
 /// c(m x bn) = a(m x k) * b(bn x k)^T — row-by-row dot products, each
-/// accumulated in ascending k exactly like ml::matmul_nt (no zero skip).
+/// accumulated in ascending k into a local sum (no zero skip;
+/// kernels_test's ref_gemm_nt).
 void gemm_nt(const double* a, const double* b, double* c, std::size_t m,
              std::size_t k, std::size_t bn);
 
@@ -171,8 +174,6 @@ void gemm_accum_f32(const float* a, const float* b, float* c, std::size_t m,
 
 void fill_bias_rows_f32(float* z, const float* bias, std::size_t rows,
                         std::size_t cols);
-void add_bias_rows_f32(float* z, const float* bias, std::size_t rows,
-                       std::size_t cols);
 void relu_f32(float* x, std::size_t size);
 
 /// float32 fused gate update. Uses the kernel layer's polynomial

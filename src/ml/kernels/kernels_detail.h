@@ -347,9 +347,9 @@ inline float fast_sigmoidf_impl(float x) {
 }
 
 /// float32 fused LSTM gate pass, same gate order and update formulas as the
-/// float64 reference (lstm_gates in kernels.cpp / Lstm::forward). Plain
-/// loops over element-independent arithmetic: each backend TU's compiler
-/// vectorizes this at its own width with identical results.
+/// float64 pass (lstm_gate_step above). Plain loops over
+/// element-independent arithmetic: each backend TU's compiler vectorizes
+/// this at its own width with identical results.
 inline void lstm_gates_f32_portable(const float* __restrict z,
                                     float* __restrict c, float* __restrict h,
                                     float* __restrict out, std::size_t lanes,

@@ -45,16 +45,6 @@ void Lstm::init_layers(std::size_t input_features) {
   head_b_adam_ = AdamState(1, classes);
 }
 
-Matrix Lstm::standardize_window(const Matrix& window) const {
-  if (!config_.standardize || !standardizer_.fitted()) return window;
-  Matrix out = window;
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    std::span<double> row(out.raw().data() + r * out.cols(), out.cols());
-    standardizer_.transform_row(row);
-  }
-  return out;
-}
-
 namespace {
 
 /// Samples per gradient/loss chunk. Fixed (never derived from the thread
@@ -63,44 +53,6 @@ namespace {
 constexpr std::size_t kLstmChunkSamples = 8;
 
 }  // namespace
-
-std::vector<double> Lstm::forward(const Matrix& window) const {
-  const std::size_t steps = window.rows();
-
-  // current: layer input, flat step-major [t * width + j].
-  std::size_t width = window.cols();
-  std::vector<double> current(window.raw().begin(), window.raw().end());
-  std::vector<double> next;
-  std::vector<double> h, c, z;
-  for (const auto& layer : layers_) {
-    const std::size_t h_size = layer.hidden;
-    h.assign(h_size, 0.0);
-    c.assign(h_size, 0.0);
-    z.resize(4 * h_size);
-    next.assign(steps * h_size, 0.0);
-    for (std::size_t t = 0; t < steps; ++t) {
-      for (std::size_t j = 0; j < 4 * h_size; ++j) z[j] = layer.b.at(0, j);
-      const std::span<const double> x_t(current.data() + t * width, width);
-      vec_matmul_add(x_t, layer.w, z);
-      vec_matmul_add(std::span<const double>(h), layer.u, z);
-      kernels::lstm_gates(z.data(), c.data(), h.data(),
-                          next.data() + t * h_size, 1, h_size);
-    }
-    width = h_size;
-    current.swap(next);
-  }
-
-  // Dense head on the final hidden state.
-  const std::span<const double> last(current.data() + (steps - 1) * width,
-                                     width);
-  std::vector<double> logits(static_cast<std::size_t>(config_.classes));
-  for (std::size_t cidx = 0; cidx < logits.size(); ++cidx) {
-    logits[cidx] = head_b.at(0, cidx);
-  }
-  vec_matmul_add(last, head_w, logits);
-  kernels::softmax_rows(logits.data(), 1, logits.size());
-  return logits;
-}
 
 Lstm::StackGradients Lstm::zero_gradients() const {
   StackGradients grads;
@@ -174,10 +126,9 @@ void Lstm::load_chunk(const SequenceDataset& data,
   }
 }
 
-// Batched like predict_batch_standardized: per step, one bias fill and two
-// B-row GEMMs, whose row `lane` performs exactly forward()'s per-window
-// op sequence, then the gate pass forward() runs, caching every activation
-// for BPTT.
+// Batched like the inference pass (forward_layers): per step, one bias
+// fill and two B-row GEMMs, then the same gate sequence, caching every
+// activation for BPTT.
 void Lstm::forward_chunk(ChunkWorkspace& ws) const {
   const std::size_t lanes = ws.lanes;
   const std::size_t steps = ws.steps;
@@ -518,9 +469,24 @@ double Lstm::fit(const SequenceDataset& data, aps::ThreadPool* pool) {
   return best_val;
 }
 
+void Lstm::load_window(const Matrix& window, std::size_t lane,
+                       std::size_t n, double* x) const {
+  const std::size_t width = window.cols();
+  for (std::size_t t = 0; t < window.rows(); ++t) {
+    double* row = x + (t * n + lane) * width;
+    std::copy_n(window.data() + t * width, width, row);
+    standardize_row(std::span<double>(row, width));
+  }
+}
+
 std::vector<double> Lstm::predict_proba(const Matrix& window) const {
   assert(trained());
-  return forward(standardize_window(window));
+  InferenceWorkspace ws;
+  ws.f64.x.resize(window.size());
+  load_window(window, 0, 1, ws.f64.x.data());
+  std::vector<int> out;
+  predict_batch_standardized(ws.f64.x, 1, window.rows(), out, ws);
+  return std::move(ws.probs);
 }
 
 int Lstm::predict(const Matrix& window) const {
@@ -562,20 +528,23 @@ void lstm_gates(const float* z, float* c, float* h, float* out,
   kernels::lstm_gates_f32(z, c, h, out, lanes, hidden);
 }
 
-/// The recurrent stack over a lane-major batch x[(t * n + lane) * width
-/// + j], every lane's hidden/cell state advancing together. For a fixed
-/// step t each layer input is an (n x width) row-major matrix, so a step
-/// is one bias fill, ONE batched GEMM per gate matrix (its weights
-/// streamed once per step instead of once per lane) and a fused gate
-/// pass. Row `lane` of each GEMM performs exactly the per-lane
-/// vec_matmul_add sequence forward() runs, and the gate pass matches its
-/// gate loop, so at float64 the pass is bit-identical to predicting each
-/// window alone. Returns the top layer's outputs (steps x n x width, with
-/// `width` updated to its hidden size).
+/// The one inference pass, at either precision: the recurrent stack over
+/// a lane-major batch x[(t * n + lane) * width + j], every lane's
+/// hidden/cell state advancing together, then the dense head on each
+/// lane's final hidden state and the softmax (in double, over logits of
+/// element type T). For a fixed step t each layer input is an
+/// (n x width) row-major matrix, so a step is one bias fill, ONE batched
+/// GEMM per gate matrix (its weights streamed once per step instead of
+/// once per lane) and a fused gate pass. A GEMM row's operation sequence
+/// does not depend on the other rows, so each lane's probabilities are
+/// bit-identical to a pass over that window alone. Leaves n x classes
+/// probabilities in `probs`.
 template <typename T, typename LayerT>
-const T* forward_layers(const T* in, std::size_t& width, std::size_t n,
-                        std::size_t steps, const std::vector<LayerT>& layers,
-                        Lstm::InferenceWorkspace::Buffers<T>& ws) {
+void forward_layers(const T* in, std::size_t width, std::size_t n,
+                    std::size_t steps, const std::vector<LayerT>& layers,
+                    const T* head_w, const T* head_b, std::size_t classes,
+                    Lstm::InferenceWorkspace::Buffers<T>& ws,
+                    std::vector<double>& probs) {
   std::size_t slot = 0;
   for (const auto& layer : layers) {
     const std::size_t h_size = layer.hidden;
@@ -601,17 +570,14 @@ const T* forward_layers(const T* in, std::size_t& width, std::size_t n,
     in = out.data();
     width = h_size;
   }
-  return in;
-}
 
-/// First-maximum argmax of each probability row, like predict().
-void argmax_rows(const std::vector<double>& probs, std::size_t n,
-                 std::size_t classes, std::vector<int>& out) {
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = probs.data() + i * classes;
-    out[i] = static_cast<int>(std::max_element(row, row + classes) - row);
-  }
+  // Dense head: one n-row GEMM over the top layer's last step.
+  ws.z.resize(n * classes);
+  fill_bias_rows(ws.z.data(), head_b, n, classes);
+  gemm_accum(in + (steps - 1) * n * width, head_w, ws.z.data(), n, width,
+             classes);
+  probs.assign(ws.z.begin(), ws.z.end());
+  kernels::softmax_rows(probs.data(), n, classes);
 }
 
 }  // namespace
@@ -623,20 +589,10 @@ void Lstm::predict_batch_standardized(std::span<const double> x,
   assert(trained());
   out.clear();
   if (n == 0) return;
-  std::size_t width = x.size() / (n * steps);
-  const double* top =
-      forward_layers(x.data(), width, n, steps, layers_, ws.f64);
-
-  // Dense head on each lane's final hidden state: one n-row GEMM, row
-  // `lane` the per-lane vec_matmul_add, then the same softmax and
-  // first-maximum argmax as predict().
   const std::size_t classes = head_b.cols();
-  ws.probs.resize(n * classes);
-  kernels::fill_bias_rows(ws.probs.data(), head_b.data(), n, classes);
-  kernels::gemm_accum(top + (steps - 1) * n * width, head_w.data(),
-                      ws.probs.data(), n, width, classes);
-  kernels::softmax_rows(ws.probs.data(), n, classes);
-  argmax_rows(ws.probs, n, classes, out);
+  forward_layers(x.data(), x.size() / (n * steps), n, steps, layers_,
+                 head_w.data(), head_b.data(), classes, ws.f64, ws.probs);
+  argmax_rows(ws.probs, classes, out);
 }
 
 void Lstm::predict_batch_standardized(std::span<const double> x,
@@ -681,30 +637,6 @@ std::shared_ptr<const Lstm::F32Weights> Lstm::f32_weights() const {
 
 void Lstm::warm_f32_cache() const { (void)f32_weights(); }
 
-void Lstm::forward_batch_f32(std::span<const float> x, std::size_t n,
-                             std::size_t steps, InferenceWorkspace& ws) const {
-  const auto wts = f32_weights();
-  std::size_t width = x.size() / (n * steps);
-  const float* top =
-      forward_layers(x.data(), width, n, steps, wts->layers, ws.f32);
-
-  // Dense head per lane; the float64 path's softmax, in double over the
-  // float32 logits.
-  const std::size_t classes = head_b.cols();
-  ws.probs.resize(n * classes);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* last = top + ((steps - 1) * n + i) * width;
-    for (std::size_t cidx = 0; cidx < classes; ++cidx) {
-      float s = wts->head_b[cidx];
-      for (std::size_t r = 0; r < width; ++r) {
-        s += last[r] * wts->head_w[r * classes + cidx];
-      }
-      ws.probs[i * classes + cidx] = static_cast<double>(s);
-    }
-  }
-  kernels::softmax_rows(ws.probs.data(), n, classes);
-}
-
 void Lstm::predict_batch_standardized_f32(std::span<const float> x,
                                           std::size_t n, std::size_t steps,
                                           std::vector<int>& out,
@@ -712,19 +644,22 @@ void Lstm::predict_batch_standardized_f32(std::span<const float> x,
   assert(trained());
   out.clear();
   if (n == 0) return;
-  forward_batch_f32(x, n, steps, ws);
-  argmax_rows(ws.probs, n, head_b.cols(), out);
+  const auto wts = f32_weights();
+  const std::size_t classes = head_b.cols();
+  forward_layers(x.data(), x.size() / (n * steps), n, steps, wts->layers,
+                 wts->head_w.data(), wts->head_b.data(), classes, ws.f32,
+                 ws.probs);
+  argmax_rows(ws.probs, classes, out);
 }
 
 std::vector<double> Lstm::predict_proba_f32(const Matrix& window) const {
   assert(trained());
-  const Matrix std_window = standardize_window(window);
-  std::vector<float> flat(std_window.raw().size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    flat[i] = static_cast<float>(std_window.raw()[i]);
-  }
   InferenceWorkspace ws;
-  forward_batch_f32(flat, 1, std_window.rows(), ws);
+  ws.f64.x.resize(window.size());
+  load_window(window, 0, 1, ws.f64.x.data());
+  ws.f32.x.assign(ws.f64.x.begin(), ws.f64.x.end());
+  std::vector<int> out;
+  predict_batch_standardized_f32(ws.f32.x, 1, window.rows(), out, ws);
   return std::move(ws.probs);
 }
 
@@ -733,22 +668,15 @@ std::vector<int> Lstm::predict_batch(std::span<const Matrix> windows) const {
   const std::size_t n = windows.size();
   if (n == 0) return {};
   const std::size_t steps = windows.front().rows();
-  const std::size_t width = windows.front().cols();
-
-  // Standardized inputs in lane-major SoA layout:
-  // flat[(t * n + lane) * width + j].
-  std::vector<double> flat(steps * n * width);
+  InferenceWorkspace ws;
+  ws.f64.x.resize(n * windows.front().size());
   for (std::size_t i = 0; i < n; ++i) {
-    assert(windows[i].rows() == steps && windows[i].cols() == width);
-    const Matrix w = standardize_window(windows[i]);
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(w.raw().begin() + static_cast<long>(t * width),
-                w.raw().begin() + static_cast<long>((t + 1) * width),
-                flat.begin() + static_cast<long>((t * n + i) * width));
-    }
+    assert(windows[i].rows() == steps &&
+           windows[i].cols() == windows.front().cols());
+    load_window(windows[i], i, n, ws.f64.x.data());
   }
   std::vector<int> out;
-  predict_batch_standardized(flat, n, steps, out);
+  predict_batch_standardized(ws.f64.x, n, steps, out, ws);
   return out;
 }
 

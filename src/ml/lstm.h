@@ -50,14 +50,14 @@ class Lstm {
   /// standardized copy of the dataset is made.
   double fit(const SequenceDataset& data, aps::ThreadPool* pool = nullptr);
 
-  /// Probability per class for one (steps x features) window.
+  /// Probability per class for one (steps x features) window: the batched
+  /// pass below over a batch of one.
   [[nodiscard]] std::vector<double> predict_proba(const Matrix& window) const;
   [[nodiscard]] int predict(const Matrix& window) const;
-  /// Predicted class per window from one shared pass that steps every
-  /// window's hidden/cell state together over structure-of-arrays buffers
-  /// (lane-major), keeping the gate weights hot across lanes. Per-lane
-  /// arithmetic order matches forward(), so out[i] is bit-identical to
-  /// predict(windows[i]).
+  /// Predicted class per window: the windows are standardized into one
+  /// lane-major buffer and run through the batched pass together. Every
+  /// lane's arithmetic is independent of the others, so out[i] is
+  /// bit-identical to predict(windows[i]).
   [[nodiscard]] std::vector<int> predict_batch(
       std::span<const Matrix> windows) const;
   /// Buffers of one batched inference pass, owned by the caller and
@@ -66,21 +66,26 @@ class Lstm {
   struct InferenceWorkspace {
     template <typename T>
     struct Buffers {
+      std::vector<T> x;       ///< the caller's input, steps x n x features,
+                              ///< lane-major (see predict_batch_standardized)
       std::vector<T> out[2];  ///< layer outputs, steps x n x hidden; layers
                               ///< alternate between the two
       std::vector<T> h, c;    ///< n x hidden recurrent state
-      std::vector<T> z;       ///< n x 4H gate pre-activations
+      std::vector<T> z;       ///< n x 4H gate pre-activations, then the
+                              ///< n x classes logits
     };
     Buffers<double> f64;
     Buffers<float> f32;
-    std::vector<double> probs;  ///< n x classes
+    std::vector<double> probs;  ///< n x classes, left by every pass
   };
 
-  /// predict_batch core for callers that keep their own standardized,
+  /// The batched pass for callers that keep their own standardized,
   /// lane-major flat window buffer x[(t * n + lane) * features + j] (the
-  /// streaming monitor batch standardizes each feature row once on entry
-  /// instead of re-standardizing whole windows every cycle). `out` is
-  /// resized to n and overwritten; `ws` holds every intermediate.
+  /// streaming monitor batch gathers its lanes' windows into ws.f64.x).
+  /// Every window's hidden/cell state steps together, so each step is
+  /// one GEMM per gate matrix for all lanes. `out` is resized to n and
+  /// overwritten with each lane's first-maximum class; ws holds every
+  /// intermediate and the probabilities (ws.probs).
   void predict_batch_standardized(std::span<const double> x, std::size_t n,
                                   std::size_t steps, std::vector<int>& out,
                                   InferenceWorkspace& ws) const;
@@ -97,7 +102,8 @@ class Lstm {
   void predict_batch_standardized_f32(std::span<const float> x, std::size_t n,
                                       std::size_t steps, std::vector<int>& out,
                                       InferenceWorkspace& ws) const;
-  /// Float32-path per-class probabilities for one raw window.
+  /// Float32-path per-class probabilities for one raw window: the float32
+  /// pass over a batch of one.
   [[nodiscard]] std::vector<double> predict_proba_f32(
       const Matrix& window) const;
   /// Build the float32 weight mirror now. Bundle loading calls this once
@@ -184,8 +190,6 @@ class Lstm {
   };
 
   void init_layers(std::size_t input_features);
-  /// Run the stack over one standardized window.
-  [[nodiscard]] std::vector<double> forward(const Matrix& window) const;
   [[nodiscard]] StackGradients zero_gradients() const;
   /// Size every buffer of ws for a chunk of `lanes` windows. Buffers only
   /// grow, so a workspace shaped for a full chunk never reallocates.
@@ -198,7 +202,7 @@ class Lstm {
                   std::span<const double> cw, ChunkWorkspace& ws) const;
   /// Forward pass over the loaded chunk, caching every gate for BPTT;
   /// leaves each lane's class probabilities in ws.probs. Row `lane` runs
-  /// the same op sequence as forward() on that window alone.
+  /// the inference pass's op sequence on that window alone.
   void forward_chunk(ChunkWorkspace& ws) const;
   /// BPTT over the chunk after forward_chunk, accumulating into ws.grads
   /// in the per-window order (window ascending, t descending), so the sums
@@ -212,12 +216,11 @@ class Lstm {
                                      std::span<const double> cw,
                                      std::span<ChunkWorkspace> workspaces,
                                      aps::ThreadPool* pool) const;
-  [[nodiscard]] Matrix standardize_window(const Matrix& window) const;
+  /// Copy `window` into lane `lane` of the n-lane buffer x, standardizing
+  /// each row.
+  void load_window(const Matrix& window, std::size_t lane, std::size_t n,
+                   double* x) const;
   [[nodiscard]] std::shared_ptr<const F32Weights> f32_weights() const;
-  /// Float32 batched forward over a standardized lane-major buffer; fills
-  /// ws.probs row-major (n x classes), softmax computed in double.
-  void forward_batch_f32(std::span<const float> x, std::size_t n,
-                         std::size_t steps, InferenceWorkspace& ws) const;
 
   LstmConfig config_;
   std::vector<double> epoch_losses_;  ///< per-epoch val loss of last fit()

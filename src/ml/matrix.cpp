@@ -1,9 +1,9 @@
 #include "ml/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
-#include "ml/kernels/kernels.h"
 
 namespace aps::ml {
 
@@ -17,47 +17,13 @@ Matrix Matrix::xavier(std::size_t rows, std::size_t cols,
   return m;
 }
 
-// The matrix products route through the SIMD kernel layer
-// (src/ml/kernels/). Each kernel preserves this file's historical
-// per-element operation sequence — ascending-k mul-then-add with the
-// zero-multiplier skip — on every backend, so results here are
-// bit-identical to the original hand-written loops regardless of which
-// backend dispatch selects.
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols());
-  kernels::gemm_accum(a.data(), b.data(), c.raw().data(), a.rows(), a.cols(),
-                      b.cols());
-  return c;
-}
-
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  assert(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  kernels::gemm_tn_accum(a.data(), b.data(), c.raw().data(), a.rows(),
-                         a.cols(), b.cols());
-  return c;
-}
-
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.cols());
-  Matrix c(a.rows(), b.rows());
-  kernels::gemm_nt(a.data(), b.data(), c.raw().data(), a.rows(), a.cols(),
-                   b.rows());
-  return c;
-}
-
-void vec_matmul_add(std::span<const double> x, const Matrix& w,
-                    std::span<double> out) {
-  assert(x.size() == w.rows());
-  assert(out.size() == w.cols());
-  kernels::gemm_accum(x.data(), w.data(), out.data(), 1, w.rows(), w.cols());
-}
-
-void vec_matmul_add(const std::vector<double>& x, const Matrix& w,
-                    std::vector<double>& out) {
-  vec_matmul_add(std::span<const double>(x), w, std::span<double>(out));
+void argmax_rows(std::span<const double> x, std::size_t cols,
+                 std::vector<int>& out) {
+  out.resize(x.size() / cols);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    const double* row = x.data() + r * cols;
+    out[r] = static_cast<int>(std::max_element(row, row + cols) - row);
+  }
 }
 
 }  // namespace aps::ml

@@ -1,5 +1,6 @@
 // Minimal dense row-major matrix used by the from-scratch ML baselines.
-// Not a general linear-algebra library: just the kernels the MLP/LSTM need.
+// Not a general linear-algebra library: the products live in the kernel
+// layer (src/ml/kernels), which the MLP and LSTM call on raw buffers.
 #pragma once
 
 #include <cassert>
@@ -55,18 +56,10 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// c = a * b.
-[[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
-/// c = a^T * b.
-[[nodiscard]] Matrix matmul_tn(const Matrix& a, const Matrix& b);
-/// c = a * b^T.
-[[nodiscard]] Matrix matmul_nt(const Matrix& a, const Matrix& b);
-
-/// y = row-vector x (1 x n) times matrix W (n x m) -> (1 x m), in-place add
-/// into out (must be 1 x m).
-void vec_matmul_add(std::span<const double> x, const Matrix& w,
-                    std::span<double> out);
-void vec_matmul_add(const std::vector<double>& x, const Matrix& w,
-                    std::vector<double>& out);
+/// First-maximum argmax of each row of the row-major (rows x cols) block
+/// x, as std::max_element picks it: out is resized to x.size() / cols.
+/// How every classifier maps its probability rows to classes.
+void argmax_rows(std::span<const double> x, std::size_t cols,
+                 std::vector<int>& out);
 
 }  // namespace aps::ml

@@ -33,7 +33,7 @@ std::size_t Mlp::parameter_count() const {
   return total;
 }
 
-void Mlp::shape_workspace(ChunkWorkspace& ws, std::size_t rows) const {
+void Mlp::shape_workspace(InferenceWorkspace& ws, std::size_t rows) const {
   ws.rows = rows;
   ws.act.resize(weights_.size());
   for (std::size_t l = 0; l < weights_.size(); ++l) {
@@ -59,7 +59,8 @@ void Mlp::load_rows(const Matrix& x, std::span<const std::size_t> indices,
   }
 }
 
-void Mlp::forward_chunk(ChunkWorkspace& ws, DropoutStream* dropout) const {
+void Mlp::forward_chunk(InferenceWorkspace& ws,
+                        DropoutStream* dropout) const {
   const std::size_t n = ws.rows;
   const std::size_t hidden_layers = weights_.size() - 1;
   const bool drop = config_.dropout > 0.0 && dropout != nullptr;
@@ -137,15 +138,22 @@ void Mlp::backward_chunk(ChunkWorkspace& ws, std::span<const int> y,
   }
 }
 
-void Mlp::infer(std::span<const double> features, std::size_t rows,
-                ChunkWorkspace& ws) const {
+void Mlp::load_input(std::span<const double> features, std::size_t rows,
+                     InferenceWorkspace& ws) const {
   const std::size_t width = weights_.front().rows();
   assert(features.size() == rows * width);
-  shape_workspace(ws, rows);
-  std::copy(features.begin(), features.end(), ws.act[0].begin());
+  ws.rows = rows;
+  if (ws.act.empty()) ws.act.emplace_back();
+  ws.act[0].assign(features.begin(), features.end());
   for (std::size_t r = 0; r < rows; ++r) {
     standardize_row(std::span<double>(ws.act[0].data() + r * width, width));
   }
+}
+
+void Mlp::infer(std::span<const double> features, std::size_t rows,
+                InferenceWorkspace& ws) const {
+  load_input(features, rows, ws);
+  shape_workspace(ws, rows);
   forward_chunk(ws, nullptr);
 }
 
@@ -363,9 +371,9 @@ double Mlp::fit(const Dataset& data, aps::ThreadPool* pool) {
 std::vector<double> Mlp::predict_proba(
     std::span<const double> features) const {
   assert(trained());
-  ChunkWorkspace ws;
+  InferenceWorkspace ws;
   infer(features, 1, ws);
-  return ws.probs;
+  return std::move(ws.probs);
 }
 
 int Mlp::predict(std::span<const double> features) const {
@@ -374,21 +382,17 @@ int Mlp::predict(std::span<const double> features) const {
       std::max_element(probs.begin(), probs.end()) - probs.begin());
 }
 
-std::vector<int> Mlp::predict_batch(const Matrix& features) const {
+void Mlp::predict_batch(const Matrix& features, std::vector<int>& out,
+                        InferenceWorkspace& ws) const {
   assert(trained());
-  ChunkWorkspace ws;
   infer(features.raw(), features.rows(), ws);
-  const std::size_t classes = weights_.back().cols();
-  std::vector<int> out(features.rows());
-  for (std::size_t r = 0; r < features.rows(); ++r) {
-    // First-maximum argmax, matching predict()'s std::max_element.
-    const double* row = ws.probs.data() + r * classes;
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < classes; ++c) {
-      if (row[c] > row[best]) best = c;
-    }
-    out[r] = static_cast<int>(best);
-  }
+  argmax_rows(ws.probs, weights_.back().cols(), out);
+}
+
+std::vector<int> Mlp::predict_batch(const Matrix& features) const {
+  InferenceWorkspace ws;
+  std::vector<int> out;
+  predict_batch(features, out, ws);
   return out;
 }
 
@@ -416,63 +420,42 @@ std::shared_ptr<const Mlp::F32Weights> Mlp::f32_weights() const {
 
 void Mlp::warm_f32_cache() const { (void)f32_weights(); }
 
-void Mlp::forward_f32(const Matrix& x, std::vector<double>& probs) const {
+void Mlp::infer_f32(std::span<const double> features, std::size_t rows,
+                    InferenceWorkspace& ws) const {
+  load_input(features, rows, ws);
   const auto wts = f32_weights();
-  const std::size_t n = x.rows();
   const std::size_t hidden_layers = wts->w.size() - 1;
-  std::vector<float> act(x.raw().size());
-  for (std::size_t i = 0; i < act.size(); ++i) {
-    act[i] = static_cast<float>(x.raw()[i]);
-  }
-  std::vector<float> z;
-  std::size_t width = x.cols();
+  ws.act32.assign(ws.act[0].begin(), ws.act[0].end());
+  std::size_t width = weights_.front().rows();
   for (std::size_t l = 0; l < wts->w.size(); ++l) {
     const std::size_t out_dim = wts->out_dims[l];
-    z.resize(n * out_dim);
-    kernels::fill_bias_rows_f32(z.data(), wts->b[l].data(), n, out_dim);
-    kernels::gemm_accum_f32(act.data(), wts->w[l].data(), z.data(), n, width,
-                            out_dim);
-    if (l < hidden_layers) kernels::relu_f32(z.data(), z.size());
-    act.swap(z);
+    ws.z32.resize(rows * out_dim);
+    kernels::fill_bias_rows_f32(ws.z32.data(), wts->b[l].data(), rows,
+                                out_dim);
+    kernels::gemm_accum_f32(ws.act32.data(), wts->w[l].data(), ws.z32.data(),
+                            rows, width, out_dim);
+    if (l < hidden_layers) kernels::relu_f32(ws.z32.data(), ws.z32.size());
+    ws.act32.swap(ws.z32);
     width = out_dim;
   }
   // The float64 path's softmax, in double over the float32 logits.
-  probs.assign(act.begin(), act.end());
-  kernels::softmax_rows(probs.data(), n, width);
+  ws.probs.assign(ws.act32.begin(), ws.act32.end());
+  kernels::softmax_rows(ws.probs.data(), rows, width);
 }
 
-std::vector<int> Mlp::predict_batch_f32(const Matrix& features) const {
+void Mlp::predict_batch_f32(const Matrix& features, std::vector<int>& out,
+                            InferenceWorkspace& ws) const {
   assert(trained());
-  Matrix x = features;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    standardize_row(std::span<double>(x.raw().data() + r * x.cols(), x.cols()));
-  }
-  std::vector<double> probs;
-  forward_f32(x, probs);
-  const auto classes = static_cast<std::size_t>(config_.classes);
-  std::vector<int> out(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double* row = probs.data() + r * classes;
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < classes; ++c) {
-      if (row[c] > row[best]) best = c;
-    }
-    out[r] = static_cast<int>(best);
-  }
-  return out;
+  infer_f32(features.raw(), features.rows(), ws);
+  argmax_rows(ws.probs, weights_.back().cols(), out);
 }
 
 std::vector<double> Mlp::predict_proba_f32(
     std::span<const double> features) const {
   assert(trained());
-  Matrix x(1, features.size());
-  for (std::size_t c = 0; c < features.size(); ++c) {
-    x.at(0, c) = features[c];
-  }
-  standardize_row(std::span<double>(x.raw().data(), x.cols()));
-  std::vector<double> probs;
-  forward_f32(x, probs);
-  return probs;
+  InferenceWorkspace ws;
+  infer_f32(features, 1, ws);
+  return std::move(ws.probs);
 }
 
 }  // namespace aps::ml

@@ -58,21 +58,40 @@ class Mlp {
   /// is made.
   double fit(const Dataset& data, aps::ThreadPool* pool = nullptr);
 
+  /// Buffers of one inference pass, owned by the caller and reused across
+  /// calls. They only grow, so once a workspace has served its largest
+  /// batch, the passes below allocate nothing.
+  struct InferenceWorkspace {
+    std::size_t rows = 0;
+    /// act[0]: standardized input rows; act[l]: output of hidden layer l
+    /// (float64 pass). rows x layer width each.
+    std::vector<std::vector<double>> act;
+    std::vector<double> probs;  ///< rows x classes, left by every pass
+    std::vector<float> act32, z32;  ///< float32 layer input and output
+  };
+
+  /// Per-class probabilities for one raw feature row: the batched pass
+  /// over a batch of one.
   [[nodiscard]] std::vector<double> predict_proba(
       std::span<const double> features) const;
   [[nodiscard]] int predict(std::span<const double> features) const;
-  /// Predicted class per row of `features` from one shared forward pass.
-  /// Every layer of the network is row-independent, so out[r] is
-  /// bit-identical to predict(row r).
+  /// Predicted class per row of `features` from one shared forward pass
+  /// on `ws`; `out` is resized to the row count. Every layer of the
+  /// network is row-independent, so out[r] is bit-identical to
+  /// predict(row r).
+  void predict_batch(const Matrix& features, std::vector<int>& out,
+                     InferenceWorkspace& ws) const;
+  /// The same with a workspace of its own, for one-off callers.
   [[nodiscard]] std::vector<int> predict_batch(const Matrix& features) const;
   /// predict_batch through the float32 kernel path (serving-lane inference
   /// precision). Weights are cast once per model generation and cached;
   /// probabilities are softmaxed in double over the float32 logits.
   /// Tolerance-pinned against the float64 path (<= 1e-4 on probabilities,
   /// no decision flips on the golden cohort) — not bit-identical to it.
-  [[nodiscard]] std::vector<int> predict_batch_f32(
-      const Matrix& features) const;
-  /// Float32-path per-class probabilities for one raw feature row.
+  void predict_batch_f32(const Matrix& features, std::vector<int>& out,
+                         InferenceWorkspace& ws) const;
+  /// Float32-path per-class probabilities for one raw feature row: the
+  /// float32 pass over a batch of one.
   [[nodiscard]] std::vector<double> predict_proba_f32(
       std::span<const double> features) const;
   /// Build the float32 weight mirror now. Bundle loading calls this once
@@ -94,18 +113,12 @@ class Mlp {
  private:
   friend struct aps::io::ModelSerde;
 
-  /// Buffers for one chunk's forward and backward pass, sized by
-  /// shape_workspace. fit() owns one per chunk of a full minibatch and
-  /// reuses it for every step and validation pass; inference sizes a
-  /// fresh one for its batch.
-  struct ChunkWorkspace {
-    std::size_t rows = 0;
-    /// act[0]: standardized input rows; act[l]: output of hidden layer l
-    /// (after ReLU and dropout). rows x layer width each.
-    std::vector<std::vector<double>> act;
-    std::vector<double> probs;  ///< rows x classes: softmax, then dLoss/dz
-    /// Training only (sized by fit()): rows x widest hidden layer
-    /// backward buffers, and this chunk's unnormalized gradients.
+  /// Buffers for one chunk's forward and backward pass: the inference
+  /// buffers plus the training-only ones. fit() owns one per chunk of a
+  /// full minibatch and reuses it for every step and validation pass.
+  struct ChunkWorkspace : InferenceWorkspace {
+    /// Rows x widest hidden layer backward buffers, and this chunk's
+    /// unnormalized gradients (sized by fit()).
     std::vector<double> delta, delta_prev;
     std::vector<Matrix> grad_w, grad_b;
     double weight_sum = 0.0;  ///< class weight of the chunk's rows
@@ -133,7 +146,7 @@ class Mlp {
 
   /// Size ws's forward buffers for `rows` rows. Capacity only grows, so a
   /// workspace shaped for a full chunk never reallocates.
-  void shape_workspace(ChunkWorkspace& ws, std::size_t rows) const;
+  void shape_workspace(InferenceWorkspace& ws, std::size_t rows) const;
   /// Apply the fitted standardizer to one raw feature row (no-op when
   /// standardization is off).
   void standardize_row(std::span<double> row) const;
@@ -143,7 +156,7 @@ class Mlp {
   /// Forward pass over ws.act[0], keeping every hidden activation for
   /// backward_chunk; leaves the class probabilities in ws.probs. With a
   /// dropout stream, hidden units are dropped (inverted dropout).
-  void forward_chunk(ChunkWorkspace& ws, DropoutStream* dropout) const;
+  void forward_chunk(InferenceWorkspace& ws, DropoutStream* dropout) const;
   /// Gradient of the chunk's weighted cross-entropy, accumulated
   /// unnormalized into ws.grad_w/grad_b (its total class weight into
   /// ws.weight_sum). Row r's label is y[indices[r]]. Pure w.r.t. the
@@ -151,16 +164,20 @@ class Mlp {
   void backward_chunk(ChunkWorkspace& ws, std::span<const int> y,
                       std::span<const std::size_t> indices,
                       std::span<const double> cw) const;
-  /// Standardize raw feature rows into ws and run the inference forward
-  /// pass; every layer is row-independent, so row r of ws.probs is
+  /// Copy raw feature rows into ws.act[0], standardizing each.
+  void load_input(std::span<const double> features, std::size_t rows,
+                  InferenceWorkspace& ws) const;
+  /// The float64 inference pass: load_input, then forward_chunk without
+  /// dropout. Every layer is row-independent, so row r of ws.probs is
   /// bit-identical to a one-row pass over row r.
   void infer(std::span<const double> features, std::size_t rows,
-             ChunkWorkspace& ws) const;
+             InferenceWorkspace& ws) const;
   [[nodiscard]] std::shared_ptr<const F32Weights> f32_weights() const;
-  /// Forward through the float32 kernels over a standardized batch;
-  /// fills `probs` row-major (n x classes), softmax computed in double.
-  void forward_f32(const Matrix& x_standardized,
-                   std::vector<double>& probs) const;
+  /// The float32 inference pass: load_input, then every layer through the
+  /// float32 kernels (bias fill, then GEMM); fills ws.probs row-major
+  /// (rows x classes), softmax computed in double.
+  void infer_f32(std::span<const double> features, std::size_t rows,
+                 InferenceWorkspace& ws) const;
   /// Class-weighted mean cross-entropy over the indexed raw rows of x, in
   /// fixed chunks spread over the workspaces; per-row losses are summed
   /// in row order, so the result does not depend on the pool.

@@ -1,5 +1,6 @@
 #include "monitor/ml_monitor.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace aps::monitor {
@@ -57,15 +58,6 @@ void predict_step(Predict&& predict, int classes, FeatureScratch& scratch,
   for (std::size_t r = 0; r < obs.size(); ++r) {
     out[r] = decision_from_class(scratch.classes[r], classes, obs[r]);
   }
-}
-
-/// The MLP's predict_step callable at the batch's precision.
-auto mlp_predict(const aps::ml::Mlp& model, Precision precision) {
-  return [&model, precision](const aps::ml::Matrix& features,
-                             std::vector<int>& out) {
-    out = precision == Precision::kF32 ? model.predict_batch_f32(features)
-                                       : model.predict_batch(features);
-  };
 }
 
 }  // namespace
@@ -175,21 +167,16 @@ std::unique_ptr<Monitor> DtMonitorBatch::extract_lane(std::size_t) const {
   return std::make_unique<DtMonitor>(model_, classes_);
 }
 
-void DtMonitorBatch::observe_step(std::span<const Observation> obs,
-                                  std::span<Decision> out) {
+void DtMonitorBatch::observe_lanes(std::span<const std::size_t>,
+                                   std::span<const Observation> obs,
+                                   std::span<Decision> out) {
+  // Lanes carry no state, so a step is just a prediction over the given
+  // rows.
   const auto predict = [this](const aps::ml::Matrix& features,
                               std::vector<int>& classes) {
     model_->predict_batch(features, classes);
   };
   predict_step(predict, classes_, scratch_, obs, out);
-}
-
-void DtMonitorBatch::observe_lanes(std::span<const std::size_t>,
-                                   std::span<const Observation> obs,
-                                   std::span<Decision> out) {
-  // Lanes carry no state, so the subset step is just a prediction over the
-  // given rows.
-  observe_step(obs, out);
 }
 
 bool MlpMonitorBatch::add_lane(const Monitor& prototype) {
@@ -209,16 +196,18 @@ std::unique_ptr<Monitor> MlpMonitorBatch::extract_lane(std::size_t) const {
   return std::make_unique<MlpMonitor>(model_, classes_);
 }
 
-void MlpMonitorBatch::observe_step(std::span<const Observation> obs,
-                                   std::span<Decision> out) {
-  predict_step(mlp_predict(*model_, precision_), classes_, scratch_, obs,
-               out);
-}
-
 void MlpMonitorBatch::observe_lanes(std::span<const std::size_t>,
                                     std::span<const Observation> obs,
                                     std::span<Decision> out) {
-  observe_step(obs, out);
+  const auto predict = [this](const aps::ml::Matrix& features,
+                              std::vector<int>& classes) {
+    if (precision_ == Precision::kF32) {
+      model_->predict_batch_f32(features, classes, workspace_);
+    } else {
+      model_->predict_batch(features, classes, workspace_);
+    }
+  };
+  predict_step(predict, classes_, scratch_, obs, out);
 }
 
 bool LstmMonitorBatch::add_lane(const Monitor& prototype) {
@@ -226,57 +215,30 @@ bool LstmMonitorBatch::add_lane(const Monitor& prototype) {
                                    windows_.size())) {
     return false;
   }
-  // Adopt the prototype's streaming state: raw rows verbatim, standardized
-  // copies for the inference buffer (the same per-row transform the scalar
-  // monitor applies at predict time, so decisions stay bit-identical).
-  const auto& proto = static_cast<const LstmMonitor&>(prototype);
-  windows_.emplace_back(kLstmWindow);
-  raw_windows_.emplace_back(kLstmWindow);
-  for (std::size_t t = 0; t < proto.window().size(); ++t) {
-    std::vector<double> row = proto.window()[t];
-    raw_windows_.back().push(row);
-    model_->standardize_row(row);
-    windows_.back().push(std::move(row));
-  }
+  // Adopt the prototype's streaming state: its raw rows, verbatim.
+  windows_.push_back(static_cast<const LstmMonitor&>(prototype).window());
   return true;
 }
 
-void LstmMonitorBatch::reset_lane(std::size_t lane) {
-  windows_[lane].clear();
-  raw_windows_[lane].clear();
-}
+void LstmMonitorBatch::reset_lane(std::size_t lane) { windows_[lane].clear(); }
 
 void LstmMonitorBatch::remove_lane(std::size_t lane) {
   windows_[lane] = std::move(windows_.back());
   windows_.pop_back();
-  raw_windows_[lane] = std::move(raw_windows_.back());
-  raw_windows_.pop_back();
 }
 
 std::unique_ptr<Monitor> LstmMonitorBatch::extract_lane(
     std::size_t lane) const {
   auto monitor = std::make_unique<LstmMonitor>(model_, classes_);
-  monitor->set_window(raw_windows_[lane]);
+  monitor->set_window(windows_[lane]);
   return monitor;
-}
-
-void LstmMonitorBatch::observe_step(std::span<const Observation> obs,
-                                    std::span<Decision> out) {
-  if (identity_.size() != windows_.size()) {
-    identity_.resize(windows_.size());
-    for (std::size_t l = 0; l < identity_.size(); ++l) identity_[l] = l;
-  }
-  observe_lanes(identity_, obs, out);
 }
 
 void LstmMonitorBatch::push_features(std::size_t lane,
                                      const Observation& obs) {
-  std::vector<double>& raw = raw_windows_[lane].push_slot();
-  raw.resize(kMlFeatureCount);
-  ml_features_into(obs, raw);
   std::vector<double>& row = windows_[lane].push_slot();
-  row = raw;
-  model_->standardize_row(row);
+  row.resize(kMlFeatureCount);
+  ml_features_into(obs, row);
 }
 
 void LstmMonitorBatch::ingest_lanes(std::span<const std::size_t> lanes,
@@ -289,11 +251,8 @@ void LstmMonitorBatch::ingest_lanes(std::span<const std::size_t> lanes,
 void LstmMonitorBatch::observe_lanes(std::span<const std::size_t> lanes,
                                      std::span<const Observation> obs,
                                      std::span<Decision> out) {
-  // Push this cycle's features (standardized once, on entry — the scalar
-  // monitor re-standardizes the whole window every cycle, which is the
-  // same per-row transform applied later), then run every full window
-  // through one SoA forward pass; lanes still filling their window stay
-  // silent.
+  // Push this cycle's features, then run every full window through one
+  // SoA forward pass; lanes still filling their window stay silent.
   scratch_.ready.clear();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const std::size_t lane = lanes[i];
@@ -306,39 +265,30 @@ void LstmMonitorBatch::observe_lanes(std::span<const std::size_t> lanes,
   }
   if (scratch_.ready.empty()) return;
 
-  // Lane-major flat batch: flat[(t * n + i) * features + j]. kF32 lanes
-  // gather straight into the float32 buffer (standardization stays f64 in
-  // the ring rows; only the inference-time cast differs).
+  // Lane-major flat batch x[(t * n + i) * features + j], each row
+  // standardized as it is gathered: the per-row transform the scalar
+  // monitor applies to its whole window, so the buffer is bit-identical
+  // to the one predict() builds. kF32 lanes cast the gathered buffer.
   const std::size_t n = scratch_.ready.size();
   const std::size_t steps = kLstmWindow;
+  auto& ws = scratch_.model;
+  ws.f64.x.resize(steps * n * kMlFeatureCount);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& window = windows_[lanes[scratch_.ready[i]]];
+    for (std::size_t t = 0; t < steps; ++t) {
+      const std::span<double> dst(
+          ws.f64.x.data() + (t * n + i) * kMlFeatureCount, kMlFeatureCount);
+      std::copy(window[t].begin(), window[t].end(), dst.begin());
+      model_->standardize_row(dst);
+    }
+  }
   if (precision_ == Precision::kF32) {
-    scratch_.flat32.resize(steps * n * kMlFeatureCount);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& window = windows_[lanes[scratch_.ready[i]]];
-      for (std::size_t t = 0; t < steps; ++t) {
-        const auto& row = window[t];
-        float* dst =
-            scratch_.flat32.data() + (t * n + i) * kMlFeatureCount;
-        for (std::size_t j = 0; j < row.size(); ++j) {
-          dst[j] = static_cast<float>(row[j]);
-        }
-      }
-    }
-    model_->predict_batch_standardized_f32(scratch_.flat32, n, steps,
-                                           scratch_.classes, scratch_.model);
+    ws.f32.x.assign(ws.f64.x.begin(), ws.f64.x.end());
+    model_->predict_batch_standardized_f32(ws.f32.x, n, steps,
+                                           scratch_.classes, ws);
   } else {
-    scratch_.flat.resize(steps * n * kMlFeatureCount);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& window = windows_[lanes[scratch_.ready[i]]];
-      for (std::size_t t = 0; t < steps; ++t) {
-        const auto& row = window[t];
-        std::copy(row.begin(), row.end(),
-                  scratch_.flat.begin() +
-                      static_cast<long>((t * n + i) * kMlFeatureCount));
-      }
-    }
-    model_->predict_batch_standardized(scratch_.flat, n, steps,
-                                       scratch_.classes, scratch_.model);
+    model_->predict_batch_standardized(ws.f64.x, n, steps, scratch_.classes,
+                                       ws);
   }
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t pos = scratch_.ready[i];

@@ -133,8 +133,6 @@ class DtMonitorBatch final : public MonitorBatch {
   void remove_lane(std::size_t lane) override;
   [[nodiscard]] std::unique_ptr<Monitor> extract_lane(
       std::size_t lane) const override;
-  void observe_step(std::span<const Observation> obs,
-                    std::span<Decision> out) override;
   void observe_lanes(std::span<const std::size_t> lanes,
                      std::span<const Observation> obs,
                      std::span<Decision> out) override;
@@ -146,7 +144,8 @@ class DtMonitorBatch final : public MonitorBatch {
   FeatureScratch scratch_;
 };
 
-/// One Mlp::predict_batch forward per cycle for all lanes.
+/// One Mlp::predict_batch forward per cycle for all lanes, on the batch's
+/// own inference workspace.
 class MlpMonitorBatch final : public MonitorBatch {
  public:
   [[nodiscard]] bool add_lane(const Monitor& prototype) override;
@@ -155,8 +154,6 @@ class MlpMonitorBatch final : public MonitorBatch {
   void remove_lane(std::size_t lane) override;
   [[nodiscard]] std::unique_ptr<Monitor> extract_lane(
       std::size_t lane) const override;
-  void observe_step(std::span<const Observation> obs,
-                    std::span<Decision> out) override;
   void observe_lanes(std::span<const std::size_t> lanes,
                      std::span<const Observation> obs,
                      std::span<Decision> out) override;
@@ -169,14 +166,16 @@ class MlpMonitorBatch final : public MonitorBatch {
   std::size_t lanes_ = 0;
   Precision precision_ = Precision::kF64;
   FeatureScratch scratch_;
+  aps::ml::Mlp::InferenceWorkspace workspace_;
 };
 
 /// One Lstm::predict_batch pass per cycle: every ready lane's hidden/cell
 /// state advances together in SoA buffers; lanes still filling their input
 /// window stay silent, exactly like the scalar monitor. Each lane keeps
-/// its window twice: standardized rows feed the flat SoA inference buffer
-/// (each row standardized once, on entry), raw rows support lane
-/// extraction and state adoption (add_lane from a mid-stream snapshot).
+/// one ring of raw feature rows, which lane extraction and state adoption
+/// (add_lane from a mid-stream snapshot) hand over as they are; each
+/// cycle standardizes the ready windows as it gathers them into the
+/// lane-major inference buffer.
 class LstmMonitorBatch final : public MonitorBatch {
  public:
   [[nodiscard]] bool add_lane(const Monitor& prototype) override;
@@ -185,13 +184,11 @@ class LstmMonitorBatch final : public MonitorBatch {
   void remove_lane(std::size_t lane) override;
   [[nodiscard]] std::unique_ptr<Monitor> extract_lane(
       std::size_t lane) const override;
-  void observe_step(std::span<const Observation> obs,
-                    std::span<Decision> out) override;
   void observe_lanes(std::span<const std::size_t> lanes,
                      std::span<const Observation> obs,
                      std::span<Decision> out) override;
-  /// The window-push half of observe_lanes without the forward pass: raw
-  /// and standardized rows advance exactly as they would on a normal tick,
+  /// The window-push half of observe_lanes without the forward pass: the
+  /// lanes' windows advance exactly as they would on a normal tick,
   /// so a degraded stretch leaves the lane's subsequent decisions
   /// bit-identical to a never-degraded stream.
   void ingest_lanes(std::span<const std::size_t> lanes,
@@ -203,21 +200,19 @@ class LstmMonitorBatch final : public MonitorBatch {
   /// Per-cycle buffers, reused by every observe call.
   struct Scratch {
     std::vector<std::size_t> ready;  ///< positions into the lane subset
-    std::vector<double> flat;        ///< lane-major standardized windows
-    std::vector<float> flat32;       ///< float32 gather (kF32 lanes)
     std::vector<int> classes;        ///< predicted class per ready lane
+    /// The model's buffers; the ready windows are gathered into its
+    /// input (model.f64.x, cast to model.f32.x for kF32 lanes).
     aps::ml::Lstm::InferenceWorkspace model;
   };
-  /// Push one observation's features into a lane's raw and standardized
-  /// windows, overwriting the oldest rows in place once they are full.
+  /// Push one observation's features into a lane's window, overwriting
+  /// the oldest row in place once it is full.
   void push_features(std::size_t lane, const Observation& obs);
 
   std::shared_ptr<const aps::ml::Lstm> model_;
   int classes_ = 0;
   Precision precision_ = Precision::kF64;
-  std::vector<aps::RingBuffer<std::vector<double>>> windows_;  ///< standardized
-  std::vector<aps::RingBuffer<std::vector<double>>> raw_windows_;
-  std::vector<std::size_t> identity_;  ///< 0..lanes-1, for observe_step
+  std::vector<aps::RingBuffer<std::vector<double>>> windows_;  ///< raw rows
   Scratch scratch_;
 };
 

@@ -56,8 +56,9 @@ enum class Precision { kF64, kF32 };
 /// Mlp::predict_batch / Lstm::predict_batch forward for the whole shard)
 /// stay batched inside the simulation hot loop. Lane semantics are
 /// bit-identical to calling Monitor::observe on one clone per lane (the
-/// golden-trace suite enforces this); mitigation decisions remain per-lane
-/// in the simulator.
+/// randomized differential oracles in tests/sim_oracle_test.cpp and
+/// tests/serve_oracle_test.cpp diff every decision against scalar
+/// references); mitigation decisions remain per-lane in the simulator.
 class MonitorBatch {
  public:
   virtual ~MonitorBatch() = default;
@@ -87,15 +88,11 @@ class MonitorBatch {
   [[nodiscard]] virtual std::unique_ptr<Monitor> extract_lane(
       std::size_t lane) const = 0;
 
-  /// One lockstep control cycle: out[l] = decision of lane l's monitor for
-  /// obs[l], with per-lane state advanced exactly as Monitor::observe
-  /// would.
-  virtual void observe_step(std::span<const Observation> obs,
-                            std::span<Decision> out) = 0;
-
   /// One control cycle for a SUBSET of lanes: out[i] = decision of lane
-  /// lanes[i] for obs[i]; unlisted lanes are untouched (their state does
-  /// not advance). Lane results must not depend on how the caller
+  /// lanes[i] for obs[i], with that lane's state advanced exactly as
+  /// Monitor::observe would; unlisted lanes are untouched (their state
+  /// does not advance). A lockstep step over every lane passes the
+  /// indices 0..lanes()-1. Lane results must not depend on how the caller
   /// partitions the subset. A batch is driven by one thread at a time:
   /// a serving engine is single-threaded and its callers serialize (an
   /// EngineGroup guards every replica engine with its one lock), so
@@ -170,12 +167,6 @@ class PerLaneMonitorBatch final : public MonitorBatch {
   [[nodiscard]] std::unique_ptr<Monitor> extract_lane(
       std::size_t lane) const override {
     return lanes_[lane]->clone();
-  }
-  void observe_step(std::span<const Observation> obs,
-                    std::span<Decision> out) override {
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
-      out[l] = lanes_[l]->observe(obs[l]);
-    }
   }
   void observe_lanes(std::span<const std::size_t> lanes,
                      std::span<const Observation> obs,

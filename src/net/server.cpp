@@ -29,6 +29,9 @@ namespace {
 /// rather than buffer without bound.
 constexpr std::size_t kMaxOutbufBytes = 16u << 20;  // 16 MiB
 
+/// Ceiling on one group.feed() batch; longer queues span ticks.
+constexpr std::size_t kMaxBatch = 8192;
+
 std::string errno_message(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -557,8 +560,8 @@ struct IngestServer::Impl {
     std::vector<PendingClose> closes;
 
     for (auto& [fd, conn] : connections) {
-      if (inputs.size() >= config.max_batch) break;
-      while (!conn.events.empty() && inputs.size() < config.max_batch) {
+      if (inputs.size() >= kMaxBatch) break;
+      while (!conn.events.empty() && inputs.size() < kMaxBatch) {
         PendingEvent& ev = conn.events.front();
         const auto sit = conn.sessions.find(ev.token);
         if (sit == conn.sessions.end()) {

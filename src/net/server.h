@@ -80,8 +80,6 @@ struct ServerConfig {
   /// IO-thread batching cadence. 0 = feed as soon as any events are
   /// queued (lowest latency; right for tests and benches).
   std::uint32_t tick_interval_ms = 0;
-  /// Ceiling on one group.feed() batch; longer queues span ticks.
-  std::size_t max_batch = 8192;
   /// When non-empty, record every session stream to this listfile.
   std::string listfile;
   /// Metrics sink; nullptr = the group's registry.

@@ -204,19 +204,16 @@ SessionId MonitorEngine::place_session(Session session,
   if (session.shard == nullptr) {
     auto fresh = std::make_unique<ServeShard>(session.monitor_name, version,
                                               next_shard_ordinal_);
-    // Degrade twin: if the map covers this monitor AND the degrade-to
+    // Degrade twin: if this is the degrade-from monitor AND the degrade-to
     // monitor exists at the SAME generation (one register_bundle call
     // registers both), the shard carries a twin batch so kDegraded ticks
     // can answer from the cheap kind. A missing or stale-generation
     // target simply leaves the shard non-degradable.
-    for (const auto& [from, to] : config_.degrade) {
-      if (from != session.monitor_name || to == from) continue;
-      const auto to_it = monitors_.find(to);
-      if (to_it == monitors_.end() || to_it->second.version != version) {
-        continue;
+    if (session.monitor_name == kDegradeFrom) {
+      const auto to_it = monitors_.find(std::string(kDegradeTo));
+      if (to_it != monitors_.end() && to_it->second.version == version) {
+        fresh->set_degrade_twin(to_it->second.factory(session.patient_index));
       }
-      fresh->set_degrade_twin(to_it->second.factory(session.patient_index));
-      break;
     }
     fresh->set_precision(config_.precision);
     const auto added = fresh->try_add_lane(prototype, id);

@@ -46,6 +46,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,13 +84,20 @@ struct SessionSnapshot {
 
 /// How a feed tick is served. kNormal runs every session's own monitor;
 /// kDegraded is the overload escape hatch — sessions whose shard carries a
-/// degrade twin (see EngineConfig::degrade) are answered by the cheap twin
+/// degrade twin (see kDegradeFrom) are answered by the cheap twin
 /// while their primary monitor only ingests the observation, so the
 /// primary's stream continues bit-identically once pressure subsides.
 /// Callers (the replica worker in serve::EngineGroup) pick the mode per
 /// tick from deadline pressure; sessions without a twin always serve
 /// normally.
 enum class FeedMode { kNormal, kDegraded };
+
+/// Overload degrade pair: shards of the kDegradeFrom monitor get a twin of
+/// the kDegradeTo monitor from the same bundle generation, enabling
+/// FeedMode::kDegraded ticks. The LSTM (window-bound, transcendental-heavy)
+/// degrades to the decision tree, the cheapest ML monitor in every bundle.
+inline constexpr std::string_view kDegradeFrom = "lstm";
+inline constexpr std::string_view kDegradeTo = "dt";
 
 struct EngineConfig {
   /// Must be 0 or 1 (both mean: serve on the calling thread); any other
@@ -113,12 +121,6 @@ struct EngineConfig {
   /// Drift-detector tuning for shards whose generation carries
   /// training stats.
   aps::obs::DriftConfig drift = {};
-  /// Overload degrade map: shards of a `first`
-  /// monitor get a twin of the `second` monitor from the same bundle
-  /// generation, enabling FeedMode::kDegraded ticks. The default degrades
-  /// the LSTM (window-bound, transcendental-heavy) to the decision tree —
-  /// the cheapest ML monitor in every bundle. Empty disables degradation.
-  std::vector<std::pair<std::string, std::string>> degrade = {{"lstm", "dt"}};
 };
 
 /// One shard's stretch-latency distribution ("<monitor>@g<generation>"); a

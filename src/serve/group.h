@@ -29,7 +29,7 @@
 // Overload: under deadline pressure (a worker picks a tick job up later
 // than GroupConfig::tick_deadline_us after the feed filled its slot) the
 // replica serves that tick degraded: sessions whose shard carries a
-// degrade twin (lstm -> dt by default) are answered by the cheap twin
+// degrade twin (lstm -> dt) are answered by the cheap twin
 // while the primary monitor ingests the observation, so control ticks are
 // never missed and the primary stream resumes bit-identically. Degraded
 // cycles surface in serve_degraded_ticks_total and
@@ -71,10 +71,6 @@ struct GroupConfig {
   /// Engine replicas (1..255; the replica index lives in the session id's
   /// top 8 bits).
   std::size_t replicas = 2;
-  /// Virtual nodes per replica on the consistent-hash ring. More vnodes =
-  /// smoother patient distribution; 64 keeps the imbalance under a few
-  /// percent at 100k sessions.
-  std::size_t virtual_nodes = 64;
   /// Overload deadline: if a worker picks a tick job up more than this
   /// many microseconds after the feed filled its slot, the replica serves
   /// that tick in FeedMode::kDegraded (twin-answered for degradable

@@ -177,7 +177,7 @@ class ServeShard {
   std::unique_ptr<aps::monitor::MonitorBatch> batch_;  ///< created on first lane
   // Overload twin: a cheap monitor of the degrade-to kind whose batch keeps
   // one lane per primary lane (added/removed in lockstep). Null unless the
-  // engine's degrade map covers this shard's monitor.
+  // engine's degrade pair starts at this shard's monitor.
   std::unique_ptr<aps::monitor::Monitor> twin_prototype_;
   std::unique_ptr<aps::monitor::MonitorBatch> twin_batch_;
   std::vector<SessionId> lane_sessions_;  ///< session occupying each lane

@@ -112,6 +112,8 @@ struct MonitorBank {
   // Gather/scatter scratch, sized per group on demand.
   std::vector<aps::monitor::Observation> group_obs;
   std::vector<aps::monitor::Decision> group_out;
+  /// 0, 1, 2, ...: a group's batch-local lane indices are a prefix.
+  std::vector<std::size_t> every_lane;
 
   void add_lane(const aps::monitor::Monitor& prototype, std::size_t lane) {
     place_lane<aps::monitor::PerLaneMonitorBatch>(
@@ -132,12 +134,15 @@ struct MonitorBank {
   void observe_step(std::span<const aps::monitor::Observation> obs,
                     std::span<aps::monitor::Decision> decisions) {
     for (auto& group : groups) {
-      group_obs.resize(group.lanes.size());
-      group_out.resize(group.lanes.size());
-      for (std::size_t sub = 0; sub < group.lanes.size(); ++sub) {
+      const std::size_t n = group.lanes.size();
+      group_obs.resize(n);
+      group_out.resize(n);
+      for (std::size_t sub = 0; sub < n; ++sub) {
         group_obs[sub] = obs[group.lanes[sub]];
       }
-      group.batch->observe_step(group_obs, group_out);
+      while (every_lane.size() < n) every_lane.push_back(every_lane.size());
+      group.batch->observe_lanes(std::span(every_lane).first(n), group_obs,
+                                 group_out);
       for (std::size_t sub = 0; sub < group.lanes.size(); ++sub) {
         decisions[group.lanes[sub]] = group_out[sub];
       }

@@ -24,7 +24,6 @@
 
 #include "common/rng.h"
 #include "ml/kernels/kernels.h"
-#include "ml/matrix.h"
 
 namespace {
 
@@ -470,24 +469,6 @@ TEST(KernelGemmF64, NonFiniteUnderZeroBetweenDenseRowBlocks) {
       ASSERT_TRUE(bitwise_equal(want, got))
           << "n=" << n << " backend " << kernels::to_string(backend);
     }
-  }
-}
-
-TEST(KernelGemmF64, MatrixPathPinnedToLegacyLoops) {
-  // The rewired ml::Matrix entry points must still equal the legacy loop
-  // source bit for bit — on the scalar backend AND the dispatch default.
-  BackendGuard guard;
-  aps::ml::Matrix a = aps::ml::Matrix::xavier(7, 17, 99);
-  aps::ml::Matrix b = aps::ml::Matrix::xavier(17, 12, 100);
-  a.at(3, 5) = 0.0;  // exercise the zero-skip
-  a.at(0, 0) = 0.0;
-  std::vector<double> want(7 * 12, 0.0);
-  ref_gemm_accum(a.data(), b.data(), want.data(), 7, 17, 12);
-  for (const auto backend : kernels::compiled_backends()) {
-    kernels::set_backend(backend);
-    const aps::ml::Matrix c = aps::ml::matmul(a, b);
-    ASSERT_TRUE(bitwise_equal(want, c.raw()))
-        << "matmul backend " << kernels::to_string(backend);
   }
 }
 

@@ -1,15 +1,20 @@
-// ML library: matrix kernels, standardizer, decision tree, MLP, LSTM.
+// ML library: matrix, standardizer, decision tree, MLP, LSTM.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "io/artifact_io.h"
+#include "io/serial.h"
 #include "ml/decision_tree.h"
 #include "ml/kernels/kernels.h"
 #include "ml/lstm.h"
@@ -20,37 +25,6 @@ namespace {
 using namespace aps::ml;
 
 // --- Matrix -----------------------------------------------------------------
-
-TEST(Matrix, MatmulAgainstHandComputed) {
-  Matrix a(2, 3);
-  a.at(0, 0) = 1; a.at(0, 1) = 2; a.at(0, 2) = 3;
-  a.at(1, 0) = 4; a.at(1, 1) = 5; a.at(1, 2) = 6;
-  Matrix b(3, 2);
-  b.at(0, 0) = 7;  b.at(0, 1) = 8;
-  b.at(1, 0) = 9;  b.at(1, 1) = 10;
-  b.at(2, 0) = 11; b.at(2, 1) = 12;
-  const Matrix c = matmul(a, b);
-  EXPECT_DOUBLE_EQ(c.at(0, 0), 58.0);
-  EXPECT_DOUBLE_EQ(c.at(0, 1), 64.0);
-  EXPECT_DOUBLE_EQ(c.at(1, 0), 139.0);
-  EXPECT_DOUBLE_EQ(c.at(1, 1), 154.0);
-}
-
-TEST(Matrix, TransposedProductsAgree) {
-  const Matrix a = Matrix::xavier(4, 3, 1);
-  const Matrix b = Matrix::xavier(4, 2, 2);
-  // a^T * b computed two ways.
-  Matrix at(3, 4);
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 3; ++c) at.at(c, r) = a.at(r, c);
-  const Matrix direct = matmul(at, b);
-  const Matrix fused = matmul_tn(a, b);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) {
-      EXPECT_NEAR(direct.at(r, c), fused.at(r, c), 1e-12);
-    }
-  }
-}
 
 TEST(Matrix, XavierIsDeterministicAndBounded) {
   const Matrix a = Matrix::xavier(10, 10, 3);
@@ -301,10 +275,111 @@ TEST(Lstm, ProbabilitiesFormDistribution) {
 
 // --- Batched inference -------------------------------------------------------
 
+/// A trained LSTM's weights, read back from its serialized form.
+struct LstmWeights {
+  struct Layer {
+    std::size_t hidden = 0;
+    Matrix w, u, b;
+  };
+  std::vector<Layer> layers;
+  Matrix head_w, head_b;
+};
+
+Matrix read_matrix(aps::io::BinaryReader& in) {
+  const std::uint64_t rows = in.u64();
+  const std::uint64_t cols = in.u64();
+  Matrix m(rows, cols);
+  m.raw() = in.vec_f64();
+  return m;
+}
+
+LstmWeights weights_of(const Lstm& lstm) {
+  aps::io::BinaryWriter out;
+  aps::io::write_lstm(out, lstm);
+  aps::io::BinaryReader in(out.bytes(), "lstm");
+  // Skip the config: hidden units, classes, Adam (four doubles), epochs,
+  // batch size, validation fraction, patience, two flags and the seed.
+  for (std::uint64_t n = in.u64(); n > 0; --n) (void)in.u64();
+  (void)in.i32();
+  for (int k = 0; k < 4; ++k) (void)in.f64();
+  (void)in.i32();
+  (void)in.u64();
+  (void)in.f64();
+  (void)in.i32();
+  (void)in.u8();
+  (void)in.u8();
+  (void)in.u64();
+  LstmWeights weights;
+  weights.layers.resize(in.u64());
+  for (auto& layer : weights.layers) {
+    layer.hidden = in.u64();
+    layer.w = read_matrix(in);
+    layer.u = read_matrix(in);
+    layer.b = read_matrix(in);
+  }
+  weights.head_w = read_matrix(in);
+  weights.head_b = read_matrix(in);
+  return weights;
+}
+
+/// z[j] += x[k] * w(k, j) for ascending k, skipping zero multipliers: the
+/// kernels' float64 product, as a plain loop.
+void accumulate(const double* x, const Matrix& w, std::vector<double>& z) {
+  for (std::size_t k = 0; k < w.rows(); ++k) {
+    if (x[k] == 0.0) continue;
+    for (std::size_t j = 0; j < w.cols(); ++j) z[j] += x[k] * w.at(k, j);
+  }
+}
+
+/// One window through the stack alone, with plain loops and the in-repo
+/// transcendentals: per step z = b + x_t W + h U, the gates, then the head
+/// on the last hidden state and a max-shifted softmax.
+std::vector<double> reference_proba(const Lstm& lstm,
+                                    const LstmWeights& weights,
+                                    const Matrix& window) {
+  const std::size_t steps = window.rows();
+  std::size_t width = window.cols();
+  std::vector<double> in = window.raw();
+  for (std::size_t t = 0; t < steps; ++t) {
+    lstm.standardize_row(std::span<double>(in.data() + t * width, width));
+  }
+  for (const auto& layer : weights.layers) {
+    const std::size_t hs = layer.hidden;
+    std::vector<double> h(hs, 0.0), c(hs, 0.0), z(4 * hs), out(steps * hs);
+    for (std::size_t t = 0; t < steps; ++t) {
+      z = layer.b.raw();
+      accumulate(in.data() + t * width, layer.w, z);
+      accumulate(h.data(), layer.u, z);
+      for (std::size_t j = 0; j < hs; ++j) {
+        const double gi = kernels::sigmoid_f64(z[j]);
+        const double gf = kernels::sigmoid_f64(z[hs + j]);
+        const double gg = kernels::tanh_f64(z[2 * hs + j]);
+        const double go = kernels::sigmoid_f64(z[3 * hs + j]);
+        c[j] = gf * c[j] + gi * gg;
+        h[j] = go * kernels::tanh_f64(c[j]);
+        out[t * hs + j] = h[j];
+      }
+    }
+    in = std::move(out);
+    width = hs;
+  }
+  std::vector<double> probs = weights.head_b.raw();
+  accumulate(in.data() + (steps - 1) * width, weights.head_w, probs);
+  double max_v = -std::numeric_limits<double>::infinity();
+  for (const double v : probs) max_v = std::max(max_v, v);
+  double sum = 0.0;
+  for (double& v : probs) {
+    v = kernels::exp_f64(v - max_v);
+    sum += v;
+  }
+  for (double& v : probs) v /= sum;
+  return probs;
+}
+
 TEST(Lstm, PredictBatchMatchesSequential) {
   // Mirrors the Mlp::predict_batch pin in serve_test: the SoA pass that
-  // steps every window's hidden/cell state together must reproduce the
-  // per-window path bit for bit.
+  // steps every window's hidden/cell state together must reproduce a
+  // plain per-window forward bit for bit, probabilities and classes.
   aps::Rng rng(53);
   const auto data = window_mean_task(300, rng);
   LstmConfig config;
@@ -312,10 +387,16 @@ TEST(Lstm, PredictBatchMatchesSequential) {
   config.max_epochs = 5;
   Lstm lstm(config);
   lstm.fit(data);
+  const LstmWeights weights = weights_of(lstm);
   const auto batched = lstm.predict_batch(data.sequences);
   ASSERT_EQ(batched.size(), data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(batched[i], lstm.predict(data.sequences[i])) << "window " << i;
+    const auto want = reference_proba(lstm, weights, data.sequences[i]);
+    EXPECT_EQ(lstm.predict_proba(data.sequences[i]), want) << "window " << i;
+    EXPECT_EQ(batched[i], static_cast<int>(std::max_element(want.begin(),
+                                                            want.end()) -
+                                           want.begin()))
+        << "window " << i;
   }
 }
 
@@ -704,6 +785,164 @@ TEST(Lstm, F32CacheInvalidatedByRefit) {
   }
   // The two trainings genuinely differ, so a stale cache would show up.
   EXPECT_NE(before, after);
+}
+
+// Float32 probabilities, recorded exactly (17 significant digits round-
+// trip) on the scalar backend before the LSTM's hand-written float32 head
+// loop and the MLP's allocating float32 forward were folded into the
+// shared batched passes. The float32 kernels keep one operation order on
+// every backend, so every compiled backend must reproduce them bit for
+// bit. The fixtures are the two-layer LSTM of TwoLayerFitMatchesRecorded-
+// Goldens and the MLP of SgdFitMatchesRecordedGoldens.
+
+Lstm two_layer_lstm_fixture(const SequenceDataset& data) {
+  LstmConfig config;
+  config.hidden_units = {8, 4};
+  config.max_epochs = 5;
+  config.seed = 91;
+  Lstm lstm(config);
+  (void)lstm.fit(data);
+  return lstm;
+}
+
+Mlp sgd_mlp_fixture(const Dataset& data) {
+  MlpConfig config;
+  config.hidden_units = {40, 12};
+  config.max_epochs = 5;
+  config.seed = 91;
+  config.adam.beta1 = 0.0;
+  config.adam.epsilon = 1e3;
+  config.adam.learning_rate = 1e3;
+  Mlp mlp(config);
+  (void)mlp.fit(data);
+  return mlp;
+}
+
+/// Restores the ambient dispatch choice even when an ASSERT returns early.
+struct BackendGuard {
+  kernels::Backend saved = kernels::active_backend();
+  ~BackendGuard() { kernels::set_backend(saved); }
+};
+
+TEST(Lstm, F32ProbabilitiesMatchRecordedGoldens) {
+  const std::vector<double> kGolden = {
+      0.54917626812006981, 0.45082373187993019, 0.54261364666377765,
+      0.4573863533362223,  0.50277381338670601, 0.49722618661329393,
+      0.51934561252582057, 0.48065438747417949, 0.53802110171071638,
+      0.46197889828928357, 0.51581531694361693, 0.48418468305638307,
+      0.4630183821868421,  0.5369816178131579,  0.54935470181680701,
+      0.45064529818319299, 0.52592581990753184, 0.47407418009246821,
+      0.52194408621441213, 0.47805591378558787, 0.51651926342603216,
+      0.48348073657396784, 0.51678213725615385, 0.48321786274384609};
+  aps::Rng rng(67);
+  const auto data = window_mean_task(250, rng);
+  const Lstm lstm = two_layer_lstm_fixture(data);
+  BackendGuard guard;
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    std::vector<double> probes;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const auto probs = lstm.predict_proba_f32(data.sequences[i]);
+      probes.insert(probes.end(), probs.begin(), probs.end());
+    }
+    ASSERT_EQ(probes.size(), kGolden.size());
+    for (std::size_t i = 0; i < kGolden.size(); ++i) {
+      EXPECT_EQ(probes[i], kGolden[i])
+          << "backend=" << kernels::to_string(backend) << " probe " << i;
+    }
+  }
+}
+
+TEST(Mlp, F32ProbabilitiesMatchRecordedGoldens) {
+  const std::vector<double> kGolden = {
+      4.2199690703080685e-06, 0.99999578003092959,   0.99296752207639427,
+      0.0070324779236058069,  3.1157919123856804e-05, 0.99996884208087622,
+      0.98032600258872504,    0.019673997411274968,  0.99481768575417828,
+      0.0051823142458217019,  9.490973906723178e-05, 0.99990509026093277,
+      3.0746217676313716e-06, 0.99999692537823237,   0.00034430229376865496,
+      0.99965569770623142,    0.99453707238528188,   0.0054629276147180493,
+      0.0022086598975006979,  0.99779134010249926,   3.6309264302386403e-06,
+      0.99999636907356981,    0.92592192347288316,   0.074078076527116787};
+  aps::Rng rng(67);
+  const auto data = axis_separable(250, rng);
+  const Mlp mlp = sgd_mlp_fixture(data);
+  BackendGuard guard;
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    std::vector<double> probes;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const std::span<const double> row(data.x.data() + i * data.x.cols(),
+                                        data.x.cols());
+      const auto probs = mlp.predict_proba_f32(row);
+      probes.insert(probes.end(), probs.begin(), probs.end());
+    }
+    ASSERT_EQ(probes.size(), kGolden.size());
+    for (std::size_t i = 0; i < kGolden.size(); ++i) {
+      EXPECT_EQ(probes[i], kGolden[i])
+          << "backend=" << kernels::to_string(backend) << " probe " << i;
+    }
+  }
+}
+
+// Lane invariance of the float32 passes: row i of a 16-lane batch equals
+// the batch-of-one pass over input i, bitwise, on every backend (the AVX2
+// GEMM blocks six rows at a time, so 16 lanes cover full blocks and a
+// tail).
+TEST(Lstm, F32BatchRowsMatchSingleWindowPasses) {
+  aps::Rng rng(67);
+  const auto data = window_mean_task(250, rng);
+  const Lstm lstm = two_layer_lstm_fixture(data);
+  constexpr std::size_t kLanes = 16;
+  const std::size_t steps = data.steps();
+  const std::size_t width = data.features();
+  std::vector<float> x(steps * kLanes * width);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    for (std::size_t t = 0; t < steps; ++t) {
+      std::vector<double> row(data.sequences[i].data() + t * width,
+                              data.sequences[i].data() + (t + 1) * width);
+      lstm.standardize_row(row);
+      std::copy(row.begin(), row.end(), x.begin() + (t * kLanes + i) * width);
+    }
+  }
+  BackendGuard guard;
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    Lstm::InferenceWorkspace ws;
+    std::vector<int> classes;
+    lstm.predict_batch_standardized_f32(x, kLanes, steps, classes, ws);
+    const std::size_t n_classes = ws.probs.size() / kLanes;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const std::vector<double> row(ws.probs.begin() + i * n_classes,
+                                    ws.probs.begin() + (i + 1) * n_classes);
+      EXPECT_EQ(row, lstm.predict_proba_f32(data.sequences[i]))
+          << "backend=" << kernels::to_string(backend) << " lane " << i;
+    }
+  }
+}
+
+TEST(Mlp, F32BatchRowsMatchSingleRowPasses) {
+  aps::Rng rng(67);
+  const auto data = axis_separable(250, rng);
+  const Mlp mlp = sgd_mlp_fixture(data);
+  constexpr std::size_t kLanes = 16;
+  Matrix rows(kLanes, data.x.cols());
+  std::copy_n(data.x.data(), rows.size(), rows.data());
+  BackendGuard guard;
+  for (const auto backend : kernels::compiled_backends()) {
+    kernels::set_backend(backend);
+    Mlp::InferenceWorkspace ws;
+    std::vector<int> classes;
+    mlp.predict_batch_f32(rows, classes, ws);
+    const std::size_t n_classes = ws.probs.size() / kLanes;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const std::vector<double> row(ws.probs.begin() + i * n_classes,
+                                    ws.probs.begin() + (i + 1) * n_classes);
+      const std::span<const double> input(rows.data() + i * rows.cols(),
+                                          rows.cols());
+      EXPECT_EQ(row, mlp.predict_proba_f32(input))
+          << "backend=" << kernels::to_string(backend) << " lane " << i;
+    }
+  }
 }
 
 // --- Deterministic reservoir subsampling --------------------------------------

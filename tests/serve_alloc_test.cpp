@@ -1,9 +1,9 @@
 // Steady-state serving makes no heap allocation: once a monitor batch has
 // served its largest tick, observe_lanes (and, for the LSTM, ingest_lanes)
 // reuses the batch's own buffers and the caller's spans, and a group feed
-// adds none on its replica workers. Pinned here for the LSTM batch at
-// float64 and float32 and for the decision-tree batch, the monitors whose
-// serving path is allocation-free today.
+// adds none on its replica workers. Pinned here for the LSTM and MLP
+// batches at float64 and float32 and for the decision-tree batch: every
+// ML monitor's serving path.
 //
 // This binary replaces the global operator new with one that counts every
 // allocation, on any thread, while counting is on.
@@ -166,6 +166,20 @@ TEST(ServeAlloc, LstmBatchIngestLanesAllocatesNothing) {
   }
 }
 
+TEST(ServeAlloc, MlpBatchF64ObserveLanesAllocatesNothing) {
+  const monitor::MlpMonitor prototype(testutil::tiny_bundle().mlp, 2);
+  auto batch = batch_of(prototype);
+  EXPECT_EQ(allocations_per_tick(*batch, false), 0.0);
+}
+
+TEST(ServeAlloc, MlpBatchF32ObserveLanesAllocatesNothing) {
+  const monitor::MlpMonitor prototype(testutil::tiny_bundle().mlp, 2);
+  testutil::tiny_bundle().mlp->warm_f32_cache();
+  auto batch = batch_of(prototype);
+  batch->set_precision(monitor::Precision::kF32);
+  EXPECT_EQ(allocations_per_tick(*batch, false), 0.0);
+}
+
 TEST(ServeAlloc, DtBatchObserveLanesAllocatesNothing) {
   const monitor::DtMonitor prototype(testutil::tiny_bundle().dt, 2);
   auto batch = batch_of(prototype);
@@ -174,8 +188,8 @@ TEST(ServeAlloc, DtBatchObserveLanesAllocatesNothing) {
 
 // The same streams through a 2-replica EngineGroup: the caller's feed and
 // both replica workers allocate nothing once every lane's window is full.
-TEST(ServeAlloc, GroupFeedAllocatesNothingForLstmAndDt) {
-  for (const char* kind : {"lstm", "dt"}) {
+TEST(ServeAlloc, GroupFeedAllocatesNothingForMlMonitors) {
+  for (const char* kind : {"lstm", "mlp", "dt"}) {
     for (const auto precision :
          {monitor::Precision::kF64, monitor::Precision::kF32}) {
       serve::GroupConfig config;
@@ -211,13 +225,15 @@ TEST(ServeAlloc, GroupFeedAllocatesNothingForLstmAndDt) {
   }
 }
 
-// The counter itself sees a batch that allocates per call: the MLP batch
-// still gets its predicted classes back in a fresh vector. (Once the MLP
-// path is allocation-free too, this becomes its zero pin.)
+// The counter itself sees a batch that allocates per call: per-lane
+// scalar LSTM monitors, whose observe builds a window Matrix every cycle.
 TEST(ServeAlloc, CounterSeesAnAllocatingBatch) {
-  const monitor::MlpMonitor prototype(testutil::tiny_bundle().mlp, 2);
-  auto batch = batch_of(prototype);
-  EXPECT_GT(allocations_per_tick(*batch, false), 0.0);
+  const monitor::LstmMonitor prototype(two_layer_lstm(), 2);
+  monitor::PerLaneMonitorBatch batch;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    ASSERT_TRUE(batch.add_lane(prototype));
+  }
+  EXPECT_GT(allocations_per_tick(batch, false), 0.0);
 }
 
 }  // namespace

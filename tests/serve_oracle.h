@@ -68,10 +68,9 @@ class Reference {
   }
   SessionId open_session(const std::string& monitor_name, int patient_index) {
     Session session{factories_.at(monitor_name)(patient_index), nullptr, {}};
-    for (const auto& [from, to] : serve::EngineConfig{}.degrade) {
-      if (from == monitor_name && factories_.count(to) != 0) {
-        session.twin = factories_.at(to)(patient_index);
-      }
+    const std::string twin(serve::kDegradeTo);
+    if (monitor_name == serve::kDegradeFrom && factories_.count(twin) != 0) {
+      session.twin = factories_.at(twin)(patient_index);
     }
     sessions_.push_back(std::move(session));
     return static_cast<SessionId>(sessions_.size() - 1);
