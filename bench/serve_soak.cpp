@@ -8,7 +8,7 @@
 //     first post-warmup checkpoint and the end stays inside the allocator
 //     slack budget, catching any per-churn leak (lanes, ids, registry
 //     series) at 10k+ churn events,
-//   * with the overload deadline disabled, zero ticks serve degraded.
+//   * with the admission ladder off, zero ticks serve degraded.
 //
 // After the soak, two ADMISSION OVERLOAD stages drive a fresh group at 2x
 // offered load (every session ticked twice per cycle) with the ladder
@@ -32,7 +32,6 @@
 //   --replicas=<n>     engine replicas (default 4)
 //   --ticks=<n>        measured soak ticks (default 120)
 //   --churn=<n>        sessions closed+reopened per tick (default 32)
-//   --deadline-us=<n>  group tick deadline; 0 = degradation off (default 0)
 //   --ml               include DT/MLP/LSTM sessions (default ON)
 //   --p99-budget-ms=<x>  tick p99 gate (default 250 ms — single-core CI
 //                        containers time-slice all replicas on one CPU)
@@ -178,8 +177,6 @@ int main(int argc, char** argv) try {
       flags.get_int("ticks", smoke ? 40 : (long_run ? 600 : 120)));
   const std::size_t churn = static_cast<std::size_t>(
       flags.get_int("churn", smoke ? 16 : (long_run ? 64 : 32)));
-  const auto deadline_us =
-      static_cast<std::uint32_t>(flags.get_int("deadline-us", 0));
   const bool with_ml = flags.get_bool("ml", true);
   const double p99_budget_ms = flags.get_double("p99-budget-ms", 250.0);
   const double rss_slack_mb = flags.get_double("rss-slack-mb", 64.0);
@@ -194,9 +191,8 @@ int main(int argc, char** argv) try {
 
   std::printf("== serve_soak ==\n");
   std::printf(
-      "%zu sessions, %zu replicas, %zu ticks, churn %zu/tick, deadline %u us, "
-      "%s models\n",
-      sessions, replicas, ticks, churn, deadline_us,
+      "%zu sessions, %zu replicas, %zu ticks, churn %zu/tick, %s models\n",
+      sessions, replicas, ticks, churn,
       with_ml ? "rule+ML" : "rule-based");
 
   core::ArtifactBundle bundle;
@@ -205,7 +201,6 @@ int main(int argc, char** argv) try {
 
   serve::GroupConfig config;
   config.replicas = replicas;
-  config.tick_deadline_us = deadline_us;
   serve::EngineGroup group(config);
   group.register_bundle(bundle);
 
@@ -307,7 +302,6 @@ int main(int argc, char** argv) try {
       {{"sessions", static_cast<double>(sessions)},
        {"replicas", static_cast<double>(replicas)},
        {"churn_events", static_cast<double>(churned_total)},
-       {"deadline_us", static_cast<double>(deadline_us)},
        {"p50_us", m.p50_us},
        {"p95_us", m.p95_us},
        {"p99_us", m.p99_us},
@@ -334,16 +328,15 @@ int main(int argc, char** argv) try {
                 rss_growth, rss_slack_mb);
     ok = false;
   }
-  if (deadline_us == 0 && m.degraded_ticks != 0) {
+  if (m.degraded_ticks != 0) {
     std::printf(
-        "GATE FAIL: %ju degraded cycles with degradation disabled\n",
+        "GATE FAIL: %ju degraded cycles with admission off\n",
         static_cast<std::uintmax_t>(m.degraded_ticks));
     ok = false;
   }
   std::printf("\nsoak gates (p99 <= %.0f ms, RSS growth <= %.0f MB, "
-              "%zu sessions held%s): %s\n",
-              p99_budget_ms, rss_slack_mb, sessions,
-              deadline_us == 0 ? ", 0 degraded" : "", ok ? "PASS" : "FAIL");
+              "%zu sessions held, 0 degraded): %s\n",
+              p99_budget_ms, rss_slack_mb, sessions, ok ? "PASS" : "FAIL");
 
   // == Admission overload stages ============================================
   // A fresh, smaller group per stage with a PRIVATE registry, so shed and

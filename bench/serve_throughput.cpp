@@ -189,20 +189,21 @@ Cell measure(serve::EngineGroup& group, std::vector<serve::SessionInput>& batch,
 }
 
 /// The same loop on one engine driven directly on this thread (the A/B
-/// stages), through the SoA feed overload a replica worker uses.
+/// stages), through the SoA feed a replica worker uses.
 serve::LatencySummary measure(serve::MonitorEngine& engine,
                               std::vector<serve::SessionInput>& batch,
                               const std::vector<monitor::Observation>& variants,
                               double budget_ms) {
   using clock = std::chrono::steady_clock;
   std::vector<serve::SessionId> sessions(batch.size());
+  std::vector<monitor::Observation> obs_row(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     sessions[i] = batch[i].session;
+    obs_row[i] = batch[i].obs;
   }
-  std::vector<monitor::Observation> obs_row(batch.size());
   std::vector<monitor::Decision> decisions(batch.size());
   for (std::size_t warm = 0; warm < monitor::kLstmWindow; ++warm) {
-    (void)engine.feed(batch);
+    engine.feed(sessions, obs_row, decisions);
   }
   engine.reset_latency();
   std::size_t variant = 0;

@@ -28,7 +28,11 @@ int main(int argc, char** argv) {
   ThreadPool pool;
   TextTable table({"simulator", "monitor", "FPR", "FNR", "ACC", "F1",
                    "simFPR", "simFNR", "simACC", "simF1"});
-  const std::vector<std::string> lineup = {"dt", "mlp", "lstm", "cawt"};
+  // --ml=0 trains no model: the line-up shrinks to the non-ML monitor.
+  const std::vector<std::string> lineup =
+      config.train_ml
+          ? std::vector<std::string>{"dt", "mlp", "lstm", "cawt"}
+          : std::vector<std::string>{"cawt"};
 
   for (const auto& stack :
        {sim::glucosym_openaps_stack(), sim::padova_basalbolus_stack()}) {

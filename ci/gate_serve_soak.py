@@ -3,9 +3,9 @@
 
 Belt and braces next to the bench's own exit code: re-checks the recorded
 JSON so the gate also covers what actually lands in the published artifact.
-Checks the calm soak stage (p99 budget, flat RSS, zero degraded cycles with
-degradation disabled, churn actually happened) and both admission overload
-stages:
+Checks the calm soak stage (p99 budget, flat RSS, zero degraded cycles --
+admission is off there, so nothing may degrade -- churn actually happened)
+and both admission overload stages:
 
   * overload_degrade -- the ladder sat at kDegrade, 2x offered load was
     absorbed with zero sheds, and tick p99 stayed inside the same budget
@@ -49,9 +49,9 @@ def main():
     if soak["rss_growth_mb"] > RSS_SLACK_MB:
         failures.append(
             f"RSS grew {soak['rss_growth_mb']:.1f} MB across the soak")
-    if soak["deadline_us"] == 0 and soak["degraded_cycles"] != 0:
+    if soak["degraded_cycles"] != 0:
         failures.append(f"{soak['degraded_cycles']:.0f} degraded cycles "
-                        f"with degradation disabled")
+                        f"with admission off")
     if soak["churn_events"] <= 0:
         failures.append("no churn events recorded")
 

@@ -90,6 +90,7 @@ ReplayStats replay_cohort(serve::EngineGroup& group,
     steps = std::max(steps, trace.run->steps.size());
   }
   std::vector<serve::SessionInput> batch;
+  std::vector<monitor::Decision> decisions;
   for (std::size_t k = 0; k < steps; ++k) {
     batch.clear();
     for (const auto& trace : traces) {
@@ -98,7 +99,9 @@ ReplayStats replay_cohort(serve::EngineGroup& group,
                        sim::observation_from_record(
                            *trace.run, k, trace.basal_rate, trace.isf)});
     }
-    for (const auto& decision : group.feed(batch)) {
+    decisions.resize(batch.size());
+    group.feed(batch, decisions);
+    for (const auto& decision : decisions) {
       if (decision.alarm) ++stats.alarms;
     }
     stats.cycles += batch.size();

@@ -265,10 +265,12 @@ ReplayResult replay_listfile(const std::string& path,
   // per-session order matters for bit-identical decisions.
   std::vector<aps::serve::SessionInput> batch;
   std::vector<std::uint64_t> batch_keys;
+  std::vector<aps::monitor::Decision> decisions;
 
   const auto flush = [&] {
     if (batch.empty()) return;
-    const std::vector<aps::monitor::Decision> decisions = group.feed(batch);
+    decisions.resize(batch.size());
+    group.feed(batch, decisions);
     for (std::size_t i = 0; i < decisions.size(); ++i) {
       auto it = sessions.find(batch_keys[i]);
       if (it == sessions.end()) continue;

@@ -64,9 +64,6 @@ struct IngestServer::Impl {
     std::deque<PendingEvent> events;
     /// Client token -> live group session.
     std::unordered_map<std::uint64_t, aps::serve::SessionId> sessions;
-    /// Admission tenant from the hello's client name (labels only; the
-    /// quota tenant is the patient-id prefix, resolved per session).
-    std::string tenant = "default";
     bool hello_done = false;
     bool paused = false;      ///< EPOLLIN removed until the next tick drain
     bool want_write = false;  ///< EPOLLOUT armed for a partial outbuf
@@ -447,7 +444,6 @@ struct IngestServer::Impl {
                       "version mismatch");
         return false;
       }
-      conn.tenant = std::string(aps::serve::tenant_of(hello.client_name));
       conn.hello_done = true;
       send(conn, HelloAckMsg{.protocol_version = kNetVersion,
                              .generation = group.generation(),

@@ -123,8 +123,8 @@ struct AdmissionConfig {
   /// p99 tick latency (us, over `latency_window` recent ticks) at which
   /// the group enters kDegrade / kShed. 0 turns that rung off. Both 0 (the
   /// default) turns admission off: the ladder never leaves kHealthy, so
-  /// the group serves every tick (degrading only through
-  /// GroupConfig::tick_deadline_us) and no quota bites.
+  /// the group serves every tick on the primary monitors and no quota
+  /// bites.
   double degrade_p99_us = 0.0;
   double shed_p99_us = 0.0;
   /// De-escalation hysteresis: the signal must sit below

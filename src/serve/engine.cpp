@@ -36,7 +36,7 @@ MonitorEngine::MonitorEngine(EngineConfig config) : config_(config) {
   const auto latency_spec = aps::obs::HistogramSpec::latency_us();
   metrics_.tick_latency = &registry_->histogram(
       "serve_tick_latency_us", latency_spec, {},
-      "feed()/feed_one() wall time per tick");
+      "feed() wall time per tick");
   metrics_.ticks =
       &registry_->counter("serve_ticks_total", {}, "feed ticks served");
   metrics_.cycles = &registry_->counter("serve_cycles_total", {},
@@ -64,7 +64,7 @@ MonitorEngine::MonitorEngine(EngineConfig config) : config_(config) {
       "drift_samples_total", {}, "observations folded into drift detectors");
   metrics_.degraded_ticks = &registry_->counter(
       "serve_degraded_ticks_total", {},
-      "session-cycles answered by a degrade twin under deadline pressure");
+      "session-cycles answered by a degrade twin (kDegraded feeds)");
   // Which ML kernel backend this process dispatches to (scalar/avx2/neon);
   // a labeled flag gauge so dashboards can pivot on the backend string.
   registry_
@@ -367,31 +367,6 @@ void MonitorEngine::reset_latency() {
   }
 }
 
-std::vector<aps::monitor::Decision> MonitorEngine::feed(
-    std::span<const SessionInput> inputs) {
-  std::vector<aps::monitor::Decision> decisions(inputs.size());
-  feed(inputs, decisions);
-  return decisions;
-}
-
-void MonitorEngine::feed(std::span<const SessionInput> inputs,
-                         std::span<aps::monitor::Decision> decisions) {
-  if (decisions.size() != inputs.size()) {
-    throw std::invalid_argument(
-        "feed: decisions span size " + std::to_string(decisions.size()) +
-        " does not match inputs size " + std::to_string(inputs.size()));
-  }
-  // Repack AoS into the SoA scratch once; the SoA overload is the native
-  // path (no further payload copy when the batch is already grouped).
-  aos_sessions_.resize(inputs.size());
-  aos_obs_.resize(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    aos_sessions_[i] = inputs[i].session;
-    aos_obs_[i] = inputs[i].obs;
-  }
-  feed(aos_sessions_, aos_obs_, decisions, FeedMode::kNormal);
-}
-
 void MonitorEngine::feed(std::span<const SessionId> sessions,
                          std::span<const aps::monitor::Observation> obs,
                          std::span<aps::monitor::Decision> decisions,
@@ -638,37 +613,6 @@ void MonitorEngine::feed_sharded(std::span<const SessionId> sessions,
       }
     }
   }
-}
-
-aps::monitor::Decision MonitorEngine::feed_one(
-    SessionId id, const aps::monitor::Observation& obs) {
-  Session& session = checked_session(id);
-  const auto t0 = std::chrono::steady_clock::now();
-  aps::monitor::Decision decision;
-  const std::size_t lane = session.lane;
-  session.shard->observe_lanes(
-      std::span<const std::size_t>(&lane, 1),
-      std::span<const aps::monitor::Observation>(&obs, 1),
-      std::span<aps::monitor::Decision>(&decision, 1));
-  ++session.stats.cycles;
-  if (decision.alarm) {
-    ++session.stats.alarms;
-    metrics_.alarms->add(1);
-  }
-  if (config_.telemetry && drift_tick_due()) {
-    accumulate_drift(*session.shard,
-                     std::span<const aps::monitor::Observation>(&obs, 1));
-    if (session.shard->drift() != nullptr &&
-        session.shard->drift_gauge() != nullptr) {
-      session.shard->drift_gauge()->set(session.shard->drift()->score());
-    }
-  }
-  ++total_cycles_;
-  record_latency(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count(),
-      1);
-  return decision;
 }
 
 void MonitorEngine::reset_session(SessionId id) {

@@ -87,9 +87,10 @@ struct SessionSnapshot {
 /// degrade twin (see kDegradeFrom) are answered by the cheap twin
 /// while their primary monitor only ingests the observation, so the
 /// primary's stream continues bit-identically once pressure subsides.
-/// Callers (the replica worker in serve::EngineGroup) pick the mode per
-/// tick from deadline pressure; sessions without a twin always serve
-/// normally.
+/// In serve::EngineGroup one policy picks the mode: the admission ladder
+/// (admission.h) serves a whole group feed kDegraded while it sits at
+/// kDegrade or kShed, and kNormal otherwise. Sessions without a twin
+/// always serve normally.
 enum class FeedMode { kNormal, kDegraded };
 
 /// Overload degrade pair: shards of the kDegradeFrom monitor get a twin of
@@ -147,7 +148,7 @@ struct LatencySummary {
   double p99_us = 0.0;
   double max_us = 0.0;        ///< slowest measured tick
   /// Session-cycles answered by a degrade twin (FeedMode::kDegraded ticks
-  /// on shards with a twin) — zero below deadline pressure.
+  /// on shards with a twin) — zero while admission keeps a group healthy.
   std::uint64_t degraded_ticks = 0;
   /// Per-shard stretch latency (telemetry on).
   std::vector<ShardLatencySummary> shards;
@@ -196,29 +197,18 @@ class MonitorEngine {
 
   // -- Streaming --
 
-  /// Process one batch; decisions[i] answers inputs[i]. Inputs may target
-  /// any mix of sessions; multiple inputs for one session are applied in
-  /// batch order. Throws std::out_of_range for unknown/closed sessions
-  /// (before any input is processed).
-  std::vector<aps::monitor::Decision> feed(
-      std::span<const SessionInput> inputs);
-  /// Allocation-free variant for hot callers (the network front door's
-  /// tick loop): decisions.size() must equal inputs.size(); decisions[i]
-  /// answers inputs[i]. Same validation and ordering semantics as above.
-  void feed(std::span<const SessionInput> inputs,
-            std::span<aps::monitor::Decision> decisions);
-  /// Structure-of-arrays variant — the replica worker's hot path:
-  /// decisions[i] answers obs[i] for sessions[i], same validation and
-  /// ordering semantics as the AoS overloads but with no per-tick copy of
-  /// the observation payload when the batch is already grouped (steady
-  /// state: one input per session, shard-contiguous). `mode` selects the
-  /// overload policy for this tick (see FeedMode).
+  /// Process one batch: decisions[i] answers obs[i] for sessions[i]
+  /// (all three spans the same size). Inputs may target any mix of
+  /// sessions; multiple inputs for one session are applied in batch order.
+  /// Throws std::out_of_range for unknown/closed sessions (before any
+  /// input is processed). A steady-state batch (one input per session,
+  /// shard-contiguous) is served with no per-tick copy of the observation
+  /// payload. `mode` selects the overload policy for this tick (see
+  /// FeedMode).
   void feed(std::span<const SessionId> sessions,
             std::span<const aps::monitor::Observation> obs,
             std::span<aps::monitor::Decision> decisions,
             FeedMode mode = FeedMode::kNormal);
-  aps::monitor::Decision feed_one(SessionId id,
-                                  const aps::monitor::Observation& obs);
   /// Reset the session's monitor state (new trace, same patient).
   void reset_session(SessionId id);
 
@@ -333,8 +323,6 @@ class MonitorEngine {
   std::uint64_t drift_tick_ = 0;  ///< feed ticks since construction (sampling)
 
   // Scratch reused across feed() calls to avoid per-batch allocation churn.
-  std::vector<SessionId> aos_sessions_;  ///< AoS feed() SoA repack
-  std::vector<aps::monitor::Observation> aos_obs_;
   std::vector<std::uint32_t> round_of_;
   std::vector<std::uint32_t> occ_;        ///< per-session occurrence count
   std::vector<std::uint32_t> occ_epoch_;  ///< lazy-reset epoch per session

@@ -1,6 +1,7 @@
 #include "serve/group.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -121,19 +122,8 @@ void EngineGroup::worker_loop(Replica& replica) {
 
 void EngineGroup::run_job(Replica& replica) {
   try {
-    FeedMode mode =
-        replica.job.degrade ? FeedMode::kDegraded : FeedMode::kNormal;
-    if (mode == FeedMode::kNormal && config_.tick_deadline_us > 0) {
-      const auto lag_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now() -
-                              replica.job.enqueued)
-                              .count();
-      if (lag_us > static_cast<long long>(config_.tick_deadline_us)) {
-        mode = FeedMode::kDegraded;
-      }
-    }
     replica.engine->feed(replica.local_sessions, replica.local_obs,
-                         replica.local_decisions, mode);
+                         replica.local_decisions, mode_);
   } catch (...) {
     // The feed clears replica.error before filling the slot and reads it
     // after the barrier, so this write never races.
@@ -328,11 +318,11 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
                        return !replica->local_sessions.empty();
                      })),
                  std::memory_order_relaxed);
-  const bool degrade_all = adm_state != OverloadState::kHealthy;
+  mode_ = adm_state == OverloadState::kHealthy ? FeedMode::kNormal
+                                               : FeedMode::kDegraded;
   for (auto& replica : replicas_) {
     if (replica->local_sessions.empty()) continue;
     replica->local_decisions.resize(replica->local_sessions.size());
-    replica->job = {std::chrono::steady_clock::now(), degrade_all};
     replica->pushed.fetch_add(1, std::memory_order_release);
     replica->pushed.notify_one();
   }
@@ -361,19 +351,6 @@ void EngineGroup::feed(std::span<const SessionInput> inputs,
             .count();
     admission_->observe_tick(tick_us);
   }
-}
-
-std::vector<aps::monitor::Decision> EngineGroup::feed(
-    std::span<const SessionInput> inputs) {
-  std::vector<aps::monitor::Decision> decisions(inputs.size());
-  feed(inputs, decisions);
-  return decisions;
-}
-
-aps::monitor::Decision EngineGroup::feed_one(
-    SessionId id, const aps::monitor::Observation& obs) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return checked_replica(id).engine->feed_one(id & kLocalMask, obs);
 }
 
 void EngineGroup::reset_session(SessionId id) {

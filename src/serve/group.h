@@ -15,26 +15,28 @@
 // groups of 1, 2 and 8 replicas to the same scalar reference as a single
 // engine.
 //
-// Thread model: the group is the serving plane's one synchronized object.
-// One mutex guards every public entry that reaches a replica engine, and a
-// feed holds it from fan-out through the barrier; workers only run jobs a
-// feed handed them, so while the lock is free every worker is idle. A
-// register_* call thus reaches every replica as one step. One slot per
-// replica is all a feed needs: it hands each replica at most one job and
-// waits for it, so a second job never queues behind the first. The slot is
-// written under the lock, then published by bumping the replica's push
-// ticket; the worker's completion count orders the results back. The ring
-// is immutable, so replica_of() and replicas() take no lock.
+// Thread model: one group mutex guards every public entry that reaches a
+// replica engine, and a feed holds it from fan-out through the barrier;
+// workers only run jobs a feed handed them, so while the lock is free
+// every worker is idle. A register_* call thus reaches every replica as
+// one step. One slot per replica is all a feed needs: it hands each
+// replica at most one job and waits for it, so a second job never queues
+// behind the first. The slot and the feed's FeedMode are written under
+// the lock, then published by bumping the replica's push ticket; the
+// worker's completion count orders the results back. The ring is
+// immutable, so replica_of() and replicas() take no lock. The group's
+// AdmissionController keeps its own mutex: open_session() consults it
+// before taking the group lock, and its state may be read from any thread.
 //
-// Overload: under deadline pressure (a worker picks a tick job up later
-// than GroupConfig::tick_deadline_us after the feed filled its slot) the
-// replica serves that tick degraded: sessions whose shard carries a
-// degrade twin (lstm -> dt) are answered by the cheap twin
-// while the primary monitor ingests the observation, so control ticks are
-// never missed and the primary stream resumes bit-identically. Degraded
-// cycles surface in serve_degraded_ticks_total and
-// LatencySummary::degraded_ticks. Admission control (admission.h) reads
-// each feed's wall latency, which includes every replica's pickup lag.
+// Overload: one policy decides which model answers. While the admission
+// ladder (admission.h) sits at kDegrade or kShed, a feed serves every
+// replica FeedMode::kDegraded: sessions whose shard carries a degrade
+// twin (lstm -> dt) are answered by the cheap twin while the primary
+// monitor ingests the observation, so control ticks are never missed and
+// the primary stream resumes bit-identically. Degraded cycles surface in
+// serve_degraded_ticks_total and LatencySummary::degraded_ticks. The
+// ladder reads each feed's wall latency, which includes every replica's
+// pickup lag.
 //
 // Session ids encode the owning replica in the top bits
 // ((replica << 24) | engine-local id), so routing a frame or a close is
@@ -42,7 +44,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,12 +72,6 @@ struct GroupConfig {
   /// Engine replicas (1..255; the replica index lives in the session id's
   /// top 8 bits).
   std::size_t replicas = 2;
-  /// Overload deadline: if a worker picks a tick job up more than this
-  /// many microseconds after the feed filled its slot, the replica serves
-  /// that tick in FeedMode::kDegraded (twin-answered for degradable
-  /// shards) instead of letting control ticks slip further. 0 disables
-  /// degradation.
-  std::uint32_t tick_deadline_us = 0;
   /// Admission control policy (disabled by default; see admission.h).
   AdmissionConfig admission = {};
   /// Configuration for every replica engine. When `registry` is null the
@@ -182,12 +177,6 @@ class EngineGroup {
   void feed(std::span<const SessionInput> inputs,
             std::span<aps::monitor::Decision> decisions,
             std::span<TickOutcome> outcomes = {});
-  std::vector<aps::monitor::Decision> feed(
-      std::span<const SessionInput> inputs);
-  /// Single-session control-path tick, run on the caller's thread under
-  /// the group lock (no worker hand-off, no deadline accounting).
-  aps::monitor::Decision feed_one(SessionId id,
-                                  const aps::monitor::Observation& obs);
   void reset_session(SessionId id);
 
   // -- Snapshot / restore --
@@ -214,19 +203,11 @@ class EngineGroup {
   [[nodiscard]] AdmissionController& admission() const { return *admission_; }
 
  private:
-  /// A replica's job slot: the replica's scratch buffers (guarded by mu_)
-  /// hold the payload, always the whole partition; the slot adds the time
-  /// the feed filled it, for deadline accounting, and whether admission
-  /// already decided the job runs degraded. Completion is reported through
-  /// the group's pending_ counter.
-  struct TickJob {
-    std::chrono::steady_clock::time_point enqueued;
-    bool degrade = false;
-  };
-
+  /// A replica's job slot is its scratch buffers (guarded by mu_), which
+  /// hold the whole partition; the feed's mode_ says how to serve it.
+  /// Completion is reported through the group's pending_ counter.
   struct Replica {
     std::unique_ptr<MonitorEngine> engine;
-    TickJob job;  ///< written by feed() under mu_ before the ticket bump
     /// Push ticket: one bump per filled slot, plus one at shutdown.
     std::atomic<std::uint64_t> pushed{0};
     std::thread worker;
@@ -264,6 +245,9 @@ class EngineGroup {
   /// Jobs of the in-flight feed not yet finished; workers decrement it,
   /// the feed's barrier waits for zero.
   std::atomic<std::size_t> pending_{0};
+  /// How the in-flight feed serves every replica; written by feed() under
+  /// mu_ before any ticket bump, read by workers after their acquire.
+  FeedMode mode_ = FeedMode::kNormal;
   aps::obs::Counter* group_feeds_ = nullptr;
   // Feed-local scratch for the shed pre-pass (guarded by mu_).
   std::vector<std::uint32_t> feed_tenants_;  ///< tenant index per input

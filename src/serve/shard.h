@@ -63,8 +63,8 @@ class ServeShard {
   [[nodiscard]] aps::obs::DriftDetector* drift() const { return drift_.get(); }
 
   /// Install the degrade twin: a cheap stand-in monitor (e.g. the decision
-  /// tree from the same bundle generation) that answers ticks when the
-  /// engine is over its deadline while the primary batch only ingests.
+  /// tree from the same bundle generation) that answers FeedMode::kDegraded
+  /// ticks while the primary batch only ingests.
   /// Must be installed before the first lane; lanes are added to the twin
   /// in lockstep with the primary, so twin lane indices coincide.
   void set_degrade_twin(std::unique_ptr<aps::monitor::Monitor> twin) {

@@ -149,7 +149,8 @@ TEST_F(IoCorruptionTest, HotReloadOfCorruptBundleLeavesLiveEngineUntouched) {
   }
   const auto feed_and_check = [&](std::size_t k) {
     for (std::size_t s = 0; s < kinds.size(); ++s) {
-      const auto got = engine.feed_one(ids[s], stream[k]);
+      const serve::SessionInput input{ids[s], stream[k]};
+      const auto got = testutil::feed(engine, {&input, 1})[0];
       const auto want = references[s]->observe(stream[k]);
       ASSERT_TRUE(testutil::decisions_equal(want, got))
           << kinds[s] << " cycle " << k;

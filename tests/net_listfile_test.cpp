@@ -155,7 +155,7 @@ std::uint64_t record_live_run(serve::MonitorEngine& engine,
                           .seq = k,
                           .obs = session.stream[k]});
     }
-    const auto decisions = engine.feed(batch);
+    const auto decisions = testutil::feed(engine, batch);
     for (std::size_t i = 0; i < decisions.size(); ++i) {
       writer.record_decision({.key = batch[i].session,
                               .seq = k,

@@ -74,8 +74,9 @@ TEST(ServeF32Equivalence, PrecisionReportedPerShard) {
   const auto mlp = f32.open_session("p-mlp", "mlp", 0);
   const auto guideline = f32.open_session("p-guideline", "guideline", 0);
   for (const auto& obs : testutil::synth_stream(10, 9003)) {
-    (void)f32.feed_one(mlp, obs);
-    (void)f32.feed_one(guideline, obs);
+    const std::vector<serve::SessionInput> batch = {{mlp, obs},
+                                                    {guideline, obs}};
+    (void)testutil::feed(f32, batch);
   }
   for (const char* shard : {"mlp@g1", "guideline@g1"}) {
     EXPECT_EQ(registry.gauge_value("serve_shard_precision",

@@ -1,10 +1,9 @@
 // Replica-sharded serving beyond stream equality (which serve_oracle_test
 // pins for groups of 1, 2 and 8 replicas): stable consistent-hash routing
-// and restore placement, flat RSS through heavy session churn,
-// deadline-aware degradation (twin-answered ticks counted, zero below
-// pressure), the per-replica job slot under back-to-back feeds that wake
-// changing subsets of replicas, shutdown racing feeds, and exactly one
-// thread per replica.
+// and restore placement, flat RSS through heavy session churn, no
+// degraded ticks with admission off, the per-replica job slot under
+// back-to-back feeds that wake changing subsets of replicas, shutdown
+// racing feeds, and exactly one thread per replica.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -32,11 +31,9 @@ constexpr int kCohort = 4;
 
 using testutil::rule_bundle;
 
-std::unique_ptr<serve::EngineGroup> make_group(std::size_t replicas,
-                                               std::uint32_t deadline_us = 0) {
+std::unique_ptr<serve::EngineGroup> make_group(std::size_t replicas) {
   serve::GroupConfig config;
   config.replicas = replicas;
-  config.tick_deadline_us = deadline_us;
   auto group = std::make_unique<serve::EngineGroup>(config);
   group->register_bundle(testutil::tiny_bundle());
   return group;
@@ -113,7 +110,8 @@ TEST(EngineGroup, ConsistentHashRoutingIsStable) {
   const auto stream = session_stream(1, 3);
   std::vector<serve::SessionInput> batch;
   for (const auto id : ids) batch.push_back({id, stream[0]});
-  (void)group.feed(batch);
+  std::vector<monitor::Decision> decisions(batch.size());
+  group.feed(batch, decisions);
   for (const auto id : ids) {
     EXPECT_EQ(group.stats(id).cycles, 1u);
   }
@@ -133,7 +131,9 @@ TEST(EngineGroup, SnapshotRestoreKeepsRingPlacement) {
     const auto id = group->open_session(patient, kKinds[s],
                                         static_cast<int>(s) % kCohort);
     for (const auto& obs : session_stream(100 + s, 8)) {
-      (void)group->feed_one(id, obs);
+      const serve::SessionInput input{id, obs};
+      monitor::Decision decision;
+      group->feed({&input, 1}, {&decision, 1});
     }
     const auto restored = moved->restore(group->snapshot(id));
     EXPECT_EQ(serve::EngineGroup::replica_of_session(restored),
@@ -169,7 +169,8 @@ TEST(EngineGroup, ChurnKeepsRssFlat) {
         std::vector<serve::SessionInput> batch;
         for (const auto bid : base_ids) batch.push_back({bid, stream[c % 64]});
         batch.push_back({id, stream[c % 64]});
-        (void)group.feed(batch);
+        std::vector<monitor::Decision> decisions(batch.size());
+        group.feed(batch, decisions);
       }
       group.close_session(id);
     }
@@ -202,45 +203,23 @@ TEST(EngineGroup, OneThreadPerReplica) {
   }
 }
 
-TEST(EngineGroup, NoDegradedTicksBelowDeadlinePressure) {
-  // With degradation disabled (deadline 0) or a deadline no worker can
-  // miss (10 s), every tick serves the primary monitors: the degraded
-  // counter stays zero.
-  for (const std::uint32_t deadline_us : {0u, 10'000'000u}) {
-    auto group = make_group(2, deadline_us);
-    std::vector<serve::SessionId> ids;
-    for (std::size_t s = 0; s < 6; ++s) {
-      ids.push_back(group->open_session("dl-p" + std::to_string(s), "lstm",
-                                        static_cast<int>(s) % kCohort));
-    }
-    const auto stream = session_stream(55, 30);
-    for (std::size_t k = 0; k < 30; ++k) {
-      std::vector<serve::SessionInput> batch;
-      for (const auto id : ids) batch.push_back({id, stream[k]});
-      (void)group->feed(batch);
-    }
-    EXPECT_EQ(group->latency().degraded_ticks, 0u)
-        << "deadline_us=" << deadline_us;
-  }
-}
-
-TEST(EngineGroup, ImpossibleDeadlineTriggersCountedDegradation) {
-  // A 1 us deadline is shorter than any worker wakeup: over 100 ticks the
-  // group must serve at least one tick degraded and count every
-  // twin-answered cycle.
-  auto group = make_group(2, 1);
+TEST(EngineGroup, NoDegradedTicksWithAdmissionOff) {
+  // Admission is the only degrade signal, and it is off by default: every
+  // tick serves the primary monitors, so the degraded counter stays zero.
+  auto group = make_group(2);
   std::vector<serve::SessionId> ids;
-  for (std::size_t s = 0; s < 4; ++s) {
-    ids.push_back(group->open_session("hot-p" + std::to_string(s), "lstm",
+  for (std::size_t s = 0; s < 6; ++s) {
+    ids.push_back(group->open_session("dl-p" + std::to_string(s), "lstm",
                                       static_cast<int>(s) % kCohort));
   }
-  const auto stream = session_stream(99, 100);
-  for (std::size_t k = 0; k < 100; ++k) {
+  const auto stream = session_stream(55, 30);
+  std::vector<monitor::Decision> decisions(ids.size());
+  for (std::size_t k = 0; k < 30; ++k) {
     std::vector<serve::SessionInput> batch;
     for (const auto id : ids) batch.push_back({id, stream[k]});
-    (void)group->feed(batch);
+    group->feed(batch, decisions);
   }
-  EXPECT_GT(group->latency().degraded_ticks, 0u);
+  EXPECT_EQ(group->latency().degraded_ticks, 0u);
 }
 
 TEST(EngineGroup, FeedsRacingShutdownFailCleanlyNotCrash) {
@@ -373,8 +352,9 @@ TEST(EngineGroup, SlotHandOffSurvivesBackToBackFeedsOnChangingReplicas) {
         break;
       }
     }
-    const auto got = group.feed(batch);
-    const auto want = reference.feed(ref_batch);
+    std::vector<monitor::Decision> got(batch.size());
+    group.feed(batch, got);
+    const auto want = testutil::feed(reference, ref_batch);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_TRUE(testutil::decisions_equal(want[i], got[i]))

@@ -317,26 +317,19 @@ class PlaneTarget : public Target {
     return stats;
   }
   void reset(SessionId id) override { plane_->reset_session(id); }
-  /// Engines use all three feed entry points: the SoA overload a replica
-  /// worker uses for a degraded tick, feed_one for a lone input, and the
-  /// AoS overload otherwise.
+  /// Engines take the SoA feed a replica worker runs, degraded for the
+  /// one feed after degrade().
   void feed(std::span<const SessionInput> inputs,
             std::span<monitor::Decision> decisions,
             std::span<serve::TickOutcome> outcomes) override {
     if constexpr (kGroup) {
       plane_->feed(inputs, decisions, outcomes);
-    } else if (std::exchange(degrade_, false)) {
-      std::vector<SessionId> ids;
-      std::vector<monitor::Observation> obs;
-      for (const auto& in : inputs) {
-        ids.push_back(in.session);
-        obs.push_back(in.obs);
-      }
-      plane_->feed(ids, obs, decisions, serve::FeedMode::kDegraded);
-    } else if (inputs.size() == 1) {
-      decisions[0] = plane_->feed_one(inputs[0].session, inputs[0].obs);
     } else {
-      plane_->feed(inputs, decisions);
+      const auto got = testutil::feed(*plane_, inputs,
+                                      std::exchange(degrade_, false)
+                                          ? serve::FeedMode::kDegraded
+                                          : serve::FeedMode::kNormal);
+      std::copy(got.begin(), got.end(), decisions.begin());
     }
   }
   /// Groups degrade and shed through their admission ladder: one tick as

@@ -1,5 +1,5 @@
-// Concurrency stress for the serving plane's one synchronized object, the
-// replica group: many frontend threads hammer open_session / feed /
+// Concurrency stress for the replica group, the serving plane's
+// synchronized front: many frontend threads hammer open_session / feed /
 // snapshot / restore / close_session on one EngineGroup while a reloader
 // thread swaps model generations under them and a scraper renders the
 // registry. Every worker verifies its own sessions' decision streams
@@ -127,7 +127,8 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
             for (auto& ref : sessions) {
               batch.push_back({ref.id, ref.stream[ref.step]});
             }
-            const auto decisions = group.feed(batch);
+            std::vector<monitor::Decision> decisions(batch.size());
+            group.feed(batch, decisions);
             for (std::size_t s = 0; s < sessions.size(); ++s) {
               auto& ref = sessions[s];
               const auto want = ref.reference->observe(ref.stream[ref.step]);
@@ -151,7 +152,10 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
             group.close_session(ref.id);
             ref.id = group.restore(snap);
             for (int extra = 0; extra < 8; ++extra) {
-              const auto got = group.feed_one(ref.id, ref.stream[ref.step]);
+              const serve::SessionInput input{ref.id,
+                                              ref.stream[ref.step]};
+              monitor::Decision got;
+              group.feed({&input, 1}, {&got, 1});
               const auto want =
                   ref.reference->observe(ref.stream[ref.step]);
               ++ref.step;
@@ -187,7 +191,7 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
 
   // Engine ticks: a group feed is one tick on every replica its batch
   // touches (a restore keeps the session on its ring-owned replica), and
-  // each feed_one is one tick on the owning replica.
+  // each single-input feed is one tick on the owning replica.
   std::uint64_t engine_ticks = 0;
   for (int w = 0; w < kWorkers; ++w) {
     for (int round = 0; round < kRounds; ++round) {
@@ -206,7 +210,7 @@ TEST(ServeStress, ConcurrentChurnFeedAndReloadStaysCrossWireFree) {
   EXPECT_EQ(registry.counter_value("serve_cycles_total"), expected);
   EXPECT_EQ(registry.counter_value("serve_ticks_total"), engine_ticks);
   EXPECT_EQ(registry.counter_value("serve_group_feeds_total"),
-            rounds_total * kSteps);
+            rounds_total * (kSteps + 8));
   EXPECT_EQ(registry.counter_value("serve_sessions_opened_total"),
             rounds_total * kSessionsPerWorker);
   EXPECT_EQ(registry.counter_value("serve_sessions_restored_total"),
@@ -313,7 +317,8 @@ TEST(ServeStress, ConcurrentReloadsLeaveEveryReplicaOnOneModel) {
     for (const auto& obs : stream) {
       for (const auto id : ids) batch.push_back({id, obs});
     }
-    const auto decisions = group.feed(batch);
+    std::vector<monitor::Decision> decisions(batch.size());
+    group.feed(batch, decisions);
     for (const auto id : ids) group.close_session(id);
 
     std::vector<std::vector<monitor::Decision>> per_replica(kGroupReplicas);

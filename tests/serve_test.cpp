@@ -44,9 +44,44 @@ TEST(ServeEngine, RegistryOpensFindsAndCloses) {
   engine.close_session(alice);
   EXPECT_EQ(engine.session_count(), 1u);
   EXPECT_FALSE(engine.find_session("alice").has_value());
-  EXPECT_THROW((void)engine.feed_one(alice, {}), std::out_of_range);
   // The name is free again and the slot is recycled.
   EXPECT_NO_THROW((void)engine.open_session("alice", "cawt", 2));
+}
+
+TEST(ServeEngine, FeedNamingAClosedSessionThrowsAndMovesNothing) {
+  // A batch naming an open session and a closed one throws before any
+  // input is processed: the open session's cycles, the engine's total and
+  // the open session's next decisions all match a twin engine that never
+  // saw the batch. The LSTM's window makes a swallowed input visible.
+  serve::MonitorEngine engine;
+  serve::MonitorEngine twin;
+  engine.register_bundle(testutil::tiny_bundle());
+  twin.register_bundle(testutil::tiny_bundle());
+  const auto open = engine.open_session("open", "lstm", 0);
+  const auto closed = engine.open_session("closed", "cawt", 1);
+  const auto twin_open = twin.open_session("open", "lstm", 0);
+  const auto stream = testutil::synth_stream(16, 47);
+  const auto tick = [&](serve::MonitorEngine& e, serve::SessionId id,
+                        std::size_t k) {
+    const serve::SessionInput input{id, stream[k]};
+    return testutil::feed(e, {&input, 1})[0];
+  };
+  for (std::size_t k = 0; k < 4; ++k) {
+    (void)tick(engine, open, k);
+    (void)tick(twin, twin_open, k);
+  }
+  engine.close_session(closed);
+
+  const std::vector<serve::SessionInput> batch = {{open, stream[4]},
+                                                  {closed, stream[4]}};
+  EXPECT_THROW((void)testutil::feed(engine, batch), std::out_of_range);
+  EXPECT_EQ(engine.stats(open).cycles, twin.stats(twin_open).cycles);
+  EXPECT_EQ(engine.total_cycles(), twin.total_cycles());
+  for (std::size_t k = 4; k < stream.size(); ++k) {
+    EXPECT_TRUE(testutil::decisions_equal(tick(engine, open, k),
+                                          tick(twin, twin_open, k)))
+        << "cycle " << k;
+  }
 }
 
 TEST(ServeEngine, RejectsAThreadPoolSize) {
@@ -63,7 +98,8 @@ TEST(ServeEngine, SnapshotCarriesTheSessionIntoAFreshEngine) {
   engine.register_bundle(bundle);
   const auto id = engine.open_session("snap", "guideline", 1);
   for (const auto& obs : testutil::synth_stream(60, 123)) {
-    (void)engine.feed_one(id, obs);
+    const serve::SessionInput input{id, obs};
+    (void)testutil::feed(engine, {&input, 1});
   }
 
   const serve::SessionSnapshot snap = engine.snapshot(id);
@@ -90,7 +126,8 @@ TEST(ServeEngine, RestoreRejectsStaleRegistry) {
   engine.register_bundle(rule_bundle(4));
   const auto id = engine.open_session("pat", "cawt", 3);
   for (const auto& obs : testutil::synth_stream(20, 5)) {
-    (void)engine.feed_one(id, obs);
+    const serve::SessionInput input{id, obs};
+    (void)testutil::feed(engine, {&input, 1});
   }
   const serve::SessionSnapshot snap = engine.snapshot(id);
 
@@ -156,7 +193,7 @@ TEST(ServeEngine, HotReloadKeepsLiveSessionsOnTheirGeneration) {
   // up the reloaded model — in one mixed feed batch.
   const std::vector<serve::SessionInput> batch = {{old_session, {}},
                                                   {new_session, {}}};
-  const auto decisions = engine.feed(batch);
+  const auto decisions = testutil::feed(engine, batch);
   EXPECT_FALSE(decisions[0].alarm) << "old session jumped generations";
   EXPECT_TRUE(decisions[1].alarm) << "new session missed the reload";
 }
@@ -170,7 +207,7 @@ TEST(ServeEngine, LatencySummaryCountsTicksAndCycles) {
   const auto stream = testutil::synth_stream(30, 3);
   for (const auto& obs : stream) {
     const std::vector<serve::SessionInput> batch = {{a, obs}, {b, obs}};
-    (void)engine.feed(batch);
+    (void)testutil::feed(engine, batch);
   }
   const serve::LatencySummary summary = engine.latency();
   EXPECT_EQ(summary.ticks, stream.size());
@@ -204,7 +241,7 @@ TEST(ServeEngine, TelemetryCountersTrackEngineLifecycle) {
   const auto stream = testutil::synth_stream(25, 11);
   for (const auto& obs : stream) {
     const std::vector<serve::SessionInput> batch = {{a, obs}, {b, obs}};
-    (void)engine.feed(batch);
+    (void)testutil::feed(engine, batch);
   }
   EXPECT_EQ(registry.counter_value("serve_ticks_total"), stream.size());
   EXPECT_EQ(registry.counter_value("serve_cycles_total"), 2 * stream.size());
@@ -250,8 +287,10 @@ TEST(ServeEngine, TelemetryOffUsesPrivateRegistryAndStaysCorrect) {
   const auto qa = quiet.open_session("a", "cawt", 0);
   const auto la = loud.open_session("a", "cawt", 0);
   for (const auto& obs : testutil::synth_stream(40, 21)) {
-    EXPECT_TRUE(testutil::decisions_equal(quiet.feed_one(qa, obs),
-                                          loud.feed_one(la, obs)));
+    const serve::SessionInput q{qa, obs};
+    const serve::SessionInput l{la, obs};
+    EXPECT_TRUE(testutil::decisions_equal(testutil::feed(quiet, {&q, 1})[0],
+                                          testutil::feed(loud, {&l, 1})[0]));
   }
   EXPECT_EQ(obs::Registry::global().counter_value("serve_ticks_total"),
             before + 40)
@@ -311,7 +350,7 @@ TEST(ServeEngine, DriftAlertsFireOnDistributionShiftOnly) {
       for (std::size_t s = 0; s < ids.size(); ++s) {
         batch.push_back({ids[s], streams[s][k]});
       }
-      (void)engine.feed(batch);
+      (void)testutil::feed(engine, batch);
     }
     struct Result {
       std::uint64_t alerts;
@@ -342,7 +381,7 @@ TEST(ServeEngine, LatencySummaryReportsMaxAndPerShardBreakdown) {
   const auto b = engine.open_session("b", "guideline", 1);
   for (const auto& obs : testutil::synth_stream(30, 9)) {
     const std::vector<serve::SessionInput> batch = {{a, obs}, {b, obs}};
-    (void)engine.feed(batch);
+    (void)testutil::feed(engine, batch);
   }
 
   const serve::LatencySummary summary = engine.latency();

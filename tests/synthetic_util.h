@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +16,7 @@
 #include "monitor/caw.h"
 #include "monitor/ml_monitor.h"
 #include "monitor/monitor.h"
+#include "serve/engine.h"
 
 namespace aps::testutil {
 
@@ -160,6 +162,23 @@ inline bool decisions_equal(const aps::monitor::Decision& a,
                             const aps::monitor::Decision& b) {
   return a.alarm == b.alarm && a.predicted == b.predicted &&
          a.rule_id == b.rule_id;
+}
+
+/// Feed an AoS batch through MonitorEngine's SoA feed: decisions[i]
+/// answers inputs[i].
+inline std::vector<aps::monitor::Decision> feed(
+    aps::serve::MonitorEngine& engine,
+    std::span<const aps::serve::SessionInput> inputs,
+    aps::serve::FeedMode mode = aps::serve::FeedMode::kNormal) {
+  std::vector<aps::serve::SessionId> sessions;
+  std::vector<aps::monitor::Observation> obs;
+  for (const auto& input : inputs) {
+    sessions.push_back(input.session);
+    obs.push_back(input.obs);
+  }
+  std::vector<aps::monitor::Decision> decisions(inputs.size());
+  engine.feed(sessions, obs, decisions, mode);
+  return decisions;
 }
 
 /// Feed the same stream to both monitors; true iff the Decision streams
